@@ -34,6 +34,7 @@ from .recipes import (
     artifact_version,
     run_corpus,
     run_recipe,
+    worker_count,
 )
 from .solver import solve
 
@@ -244,6 +245,11 @@ def _cmd_recipe(args) -> int:
 
 def _cmd_corpus(args) -> int:
     host = load_graph(args.host)
+    try:
+        workers = worker_count(args.workers)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
     t0 = time.perf_counter()
 
     def stream(res: CheckResult) -> None:
@@ -254,7 +260,7 @@ def _cmd_corpus(args) -> int:
         host,
         args.host,
         node_limit=args.node_limit or DEFAULT_NODE_BUDGET,
-        workers=args.workers,
+        workers=workers,
         start_index=args.start_index,
         progress=stream,
     )

@@ -19,7 +19,7 @@ class AmbiguousHostError(ValueError):
     """The induced vertex map is not well defined (tK2-type host)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Colouring:
     host: Multigraph
     guest: Multigraph
@@ -31,8 +31,9 @@ class Colouring:
                 f"edge map has {len(self.edge_map)} entries for a guest with "
                 f"{self.guest.m} edges; the map must be total"
             )
+        host_m = self.host.m
         for h in self.edge_map:
-            if not (0 <= h < self.host.m):
+            if not (0 <= h < host_m):
                 raise ValueError(f"host edge id {h} out of range")
 
     def image_edges(self) -> frozenset[int]:
@@ -54,22 +55,35 @@ class ColouringReport:
 
 
 def check_colouring(c: Colouring) -> ColouringReport:
-    """Validate both H-colouring conditions, reporting every violation."""
+    """Validate both H-colouring conditions, reporting every violation.
+
+    Reads only the colouring itself, so it is independent of the search
+    that produced it.  Properness violations are (first edge, later edge)
+    pairs sharing a colour at a guest vertex, by vertex and then incidence
+    order; vertex violations are the guest vertices whose image set is the
+    boundary of no host vertex.
+    """
     G, H, f = c.guest, c.host, c.edge_map
+    bounds = H.boundaries()
     proper = []
-    for u in range(G.n):
-        inc = G.incident(u)
-        seen: dict[int, int] = {}
-        for eid, _ in inc:
-            h = f[eid]
-            if h in seen:
-                proper.append((seen[h], eid))
-            else:
-                seen[h] = eid
     vertex = []
-    for u in range(G.n):
-        img = frozenset(f[eid] for eid, _ in G.incident(u))
-        if not _matching_host_vertices(H, img):
+    for u, inc in enumerate(G._adj):
+        img = {f[eid] for eid, _ in inc}
+        if len(img) < len(inc):
+            seen: dict[int, int] = {}
+            for eid, _ in inc:
+                h = f[eid]
+                if h in seen:
+                    proper.append((seen[h], eid))
+                else:
+                    seen[h] = eid
+        if img:
+            # a host vertex with boundary img is an endpoint of every edge in it
+            a, b = H.edges[f[inc[0][0]]]
+            matched = bounds[a] == img or bounds[b] == img
+        else:
+            matched = any(not bnd for bnd in bounds)
+        if not matched:
             vertex.append(u)
     return ColouringReport(
         ok=not proper and not vertex,

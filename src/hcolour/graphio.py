@@ -52,15 +52,17 @@ def decode_graph6(line: str) -> Multigraph:
     if data.startswith(b">>graph6<<"):
         data = data[10:]
     n, rest = _read_n(data)
+    need = -(-n * (n - 1) // 12)  # ceil(n(n-1)/2 bits / 6 bits per byte)
+    if len(rest) != need:
+        raise GraphFormatError(
+            f"graph6 record for n={n} needs {need} data bytes, got {len(rest)}"
+        )
     bits = _bit_stream(rest)
     edges = []
-    try:
-        for j in range(1, n):
-            for i in range(j):
-                if next(bits):
-                    edges.append((i, j))
-    except StopIteration:
-        raise GraphFormatError("truncated graph6 bit field") from None
+    for j in range(1, n):
+        for i in range(j):
+            if next(bits):
+                edges.append((i, j))
     return Multigraph(n, edges)
 
 

@@ -104,7 +104,9 @@ def realize_image(p: TypePartition) -> ImageGraph:
         edges.append((ends[0], ends[1]))
     graph = Multigraph(n, edges)
     witness = Colouring(graph, p.guest, p.edge_classes)
-    assert check_colouring(witness).ok, "realized partition failed to revalidate"
+    report = check_colouring(witness)
+    if not report.ok:
+        raise RuntimeError(f"realized partition failed to revalidate: {report}")
     return ImageGraph(
         graph=graph,
         used=tuple(range(len(distinct))),

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Sequence
 class Multigraph:
     """A finite undirected loopless multigraph."""
 
-    __slots__ = ("n", "edges", "name", "_adj", "_canon")
+    __slots__ = ("n", "edges", "name", "_adj", "_canon", "_boundaries")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str = ""):
         if n < 0:
@@ -36,6 +36,7 @@ class Multigraph:
             adj[b].append((eid, a))
         self._adj = tuple(tuple(x) for x in adj)
         self._canon = None
+        self._boundaries = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -51,7 +52,15 @@ class Multigraph:
     def incident_edges(self, u: int) -> frozenset[int]:
         """The set of edge ids incident to u (the boundary of {u})."""
         self._check_vertex(u)
-        return frozenset(eid for eid, _ in self._adj[u])
+        return self.boundaries()[u]
+
+    def boundaries(self) -> tuple[frozenset[int], ...]:
+        """incident_edges(u) for every vertex u, built on first use."""
+        if self._boundaries is None:
+            self._boundaries = tuple(
+                frozenset(eid for eid, _ in inc) for inc in self._adj
+            )
+        return self._boundaries
 
     def degree(self, u: int) -> int:
         self._check_vertex(u)

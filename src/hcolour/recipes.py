@@ -424,9 +424,21 @@ def _corpus_worker(args) -> tuple[int, str, int, Optional[tuple[int, ...]]]:
 
 
 def worker_count(requested: Optional[int] = None) -> int:
+    """Pool size: HCOLOR_THREADS if set, else the request, else the CPU count.
+
+    Raises ValueError when HCOLOR_THREADS is not a positive integer.
+    """
     env = os.environ.get("HCOLOR_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            count = int(env)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise ValueError(
+                f"HCOLOR_THREADS must be a positive integer, got {env!r}"
+            )
+        return count
     if requested:
         return max(1, requested)
     return os.cpu_count() or 1
@@ -447,8 +459,10 @@ def run_corpus(
     reported as skipped.  Parse errors are reported per line with outcome
     "unknown" and the run continues.  Results are order-stable by input
     index; start_index resumes a previous run.  Every SAT certificate is
-    re-validated here, outside the solver.
+    re-validated here, outside the solver.  Raises ValueError before
+    reading the file when HCOLOR_THREADS is set but not a positive integer.
     """
+    nworkers = worker_count(workers)
     entries: list[tuple[int, int, Multigraph]] = []  # (index, lineno, G)
     checks: list[CheckResult] = []
     index = -1
@@ -503,7 +517,6 @@ def run_corpus(
         if progress is not None:
             progress(res)
 
-    nworkers = worker_count(workers)
     if nworkers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
             for result in pool.map(_corpus_worker, jobs):

@@ -1,10 +1,31 @@
 """Exact decision and enumeration of H-colourings for a fixed host.
 
-Backtracking over guest edges with per-vertex host-vertex domains.  A
-guest vertex u keeps the set of host vertices v with deg(v) = deg(u) whose
-boundary contains every host edge already assigned around u; once all of
-u's edges are assigned, any surviving domain vertex matches u's type
-exactly (set sizes agree), so no separate completion check is needed.
+Backtracking over guest edges with the search state in integer bitmasks:
+host edge h is bit h of an edge mask and host vertex v is bit v of a vertex
+mask.  Each host vertex has the edge mask of its boundary.  Each guest
+vertex u keeps
+
+* a domain: the host vertices v with deg(v) = deg(u) whose boundary
+  contains every host edge already assigned around u;
+* the pool of that domain: the OR of its vertices' boundary masks;
+* the mask of host edges already used at u.
+
+The candidates for a guest edge ab are pool[a] & pool[b] & ~(used[a] |
+used[b]), tried lowest bit first.  Assigning host edge h narrows the domains
+of a and b by AND with the mask of h's two endpoints.  A domain never
+empties, so the search never prunes: h in pool[a] means some vertex of
+domain[a] is an endpoint of h.  Once all of u's edges are assigned, any
+surviving domain vertex matches u's type exactly (set sizes agree), so no
+separate completion check is needed.
+
+Edges are assigned in a fixed sequence: next is the unassigned edge with the
+most assigned neighbours, ties broken by breadth-first position.  That
+choice depends only on which edges are assigned, never on their images, so
+the sequence is worked out once per guest before the search.
+
+Every colouring the search finds is revalidated by check_colouring, which
+reads only the colouring, not this state; a failure raises, also under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -14,13 +35,20 @@ from typing import Literal, Optional
 
 from .colouring import Colouring, check_colouring
 from .multigraph import Multigraph
-from .structure import CHROMATIC_INDEX_EDGE_GUARD, chromatic_index
+from .structure import chromatic_index
 
 Status = Literal["sat", "unsat", "unknown"]
 
 
 @dataclass
 class SolveResult:
+    """Outcome of one search.
+
+    nodes counts search-tree nodes, the root and the leaves included.
+    prunes is always 0: no branch can empty a domain (see the module
+    docstring); the field stays for callers that report it.
+    """
+
     status: Status
     colourings: list[Colouring] = field(default_factory=list)
     count: int = 0
@@ -63,54 +91,42 @@ def solve(
                 res.colourings.append(c)
         return res
 
-    host_inc = [host.incident_edges(v) for v in range(host.n)]
-    by_degree: dict[int, list[int]] = {}
+    boundary = [0] * host.n
+    for h, (x, y) in enumerate(host.edges):
+        boundary[x] |= 1 << h
+        boundary[y] |= 1 << h
+    ends = [(1 << x) | (1 << y) for x, y in host.edges]
+    by_degree: dict[int, int] = {}
     for v in range(host.n):
-        by_degree.setdefault(host.degree(v), []).append(v)
+        by_degree[host.degree(v)] = by_degree.get(host.degree(v), 0) | 1 << v
 
-    domains: list[set[int]] = []
+    # pool of every domain the search can hold: a degree class, or a
+    # nonempty subset of one host edge's endpoints
+    pool_of = {1 << v: boundary[v] for v in range(host.n)}
+    for x, y in host.edges:
+        pool_of[(1 << x) | (1 << y)] = boundary[x] | boundary[y]
+    for d in by_degree.values():
+        pool_of[d] = _union(boundary, d)
+
+    domain: list[int] = []
     for u in range(guest.n):
-        d = set(by_degree.get(guest.degree(u), ()))
+        d = by_degree.get(guest.degree(u), 0)
         if not d:
             return res  # some guest vertex has no possible image: unsat
-        domains.append(d)
+        domain.append(d)
+    pool = [pool_of[d] for d in domain]
+    used = [0] * guest.n
 
-    order = _bfs_edge_order(guest)
-    pos_in_order = {e: i for i, e in enumerate(order)}
-    assignment: list[int] = [-1] * guest.m
-    assigned_at: list[set[int]] = [set() for _ in range(guest.n)]
-    edge_adjacent = [
-        [e for v in guest.edges[eid] for e, _ in guest.incident(v) if e != eid]
-        for eid in range(guest.m)
-    ]
-
-    def pick_edge() -> int:
-        best_e, best_key = -1, None
-        for e in order:
-            if assignment[e] != -1:
-                continue
-            assigned_near = sum(1 for e2 in edge_adjacent[e] if assignment[e2] != -1)
-            key = (-assigned_near, pos_in_order[e])
-            if best_key is None or key < best_key:
-                best_e, best_key = e, key
-        return best_e
-
-    def candidates(eid: int) -> list[int]:
-        a, b = guest.edges[eid]
-        pool_a = set().union(*(host_inc[v] for v in domains[a]))
-        pool_b = set().union(*(host_inc[v] for v in domains[b]))
-        pool = pool_a & pool_b
-        pool -= {assignment[e2] for e2 in edge_adjacent[eid] if assignment[e2] != -1}
-        return sorted(pool)
-
-    found = 0
+    sequence = _assignment_sequence(guest)
+    m = guest.m
+    assignment: list[int] = [-1] * m
 
     def record() -> None:
-        nonlocal found
-        found += 1
         res.count += 1
         c = Colouring(host, guest, tuple(assignment))
-        assert check_colouring(c).ok, "solver produced an invalid colouring"
+        report = check_colouring(c)
+        if not report.ok:
+            raise RuntimeError(f"solver produced an invalid colouring: {report}")
         if mode != "count":
             res.colourings.append(c)
 
@@ -119,34 +135,32 @@ def solve(
         res.nodes += 1
         if node_limit is not None and res.nodes > node_limit:
             raise _LimitExceeded
-        if depth == guest.m:
+        if depth == m:
             record()
             return mode == "first"
-        eid = pick_edge()
+        eid = sequence[depth]
         a, b = guest.edges[eid]
-        for h in candidates(eid):
+        dom_a, dom_b = domain[a], domain[b]
+        pool_a, pool_b = pool[a], pool[b]
+        used_a, used_b = used[a], used[b]
+        cand = pool_a & pool_b & ~(used_a | used_b)
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            h = bit.bit_length() - 1
             assignment[eid] = h
-            assigned_at[a].add(h)
-            assigned_at[b].add(h)
-            removed: list[tuple[int, int]] = []
-            ok = True
-            for u in (a, b):
-                for v in [v for v in domains[u] if h not in host_inc[v]]:
-                    domains[u].discard(v)
-                    removed.append((u, v))
-                if not domains[u]:
-                    ok = False
-                    break
-            if ok:
-                if rec(depth + 1):
-                    return True
-            else:
-                res.prunes += 1
-            for u, v in removed:
-                domains[u].add(v)
-            assigned_at[a].discard(h)
-            assigned_at[b].discard(h)
-            assignment[eid] = -1
+            domain[a] = d = dom_a & ends[h]
+            pool[a] = pool_of[d]
+            domain[b] = d = dom_b & ends[h]
+            pool[b] = pool_of[d]
+            used[a] = used_a | bit
+            used[b] = used_b | bit
+            if rec(depth + 1):
+                return True
+        domain[a], domain[b] = dom_a, dom_b
+        pool[a], pool[b] = pool_a, pool_b
+        used[a], used[b] = used_a, used_b
+        assignment[eid] = -1
         return False
 
     try:
@@ -154,8 +168,39 @@ def solve(
     except _LimitExceeded:
         res.status = "unknown"
         return res
-    res.status = "sat" if found else "unsat"
+    res.status = "sat" if res.count else "unsat"
     return res
+
+
+def _union(boundary: list[int], d: int) -> int:
+    """OR of the boundary masks of the host vertices in vertex mask d."""
+    out = 0
+    while d:
+        bit = d & -d
+        d ^= bit
+        out |= boundary[bit.bit_length() - 1]
+    return out
+
+
+def _assignment_sequence(G: Multigraph) -> list[int]:
+    """The order in which the search assigns guest edges.
+
+    Repeatedly the unassigned edge with the most assigned neighbours (an
+    edge sharing both ends counts twice), the earliest in breadth-first
+    order on ties.
+    """
+    near = [0] * G.m
+    free = _bfs_edge_order(G)
+    sequence: list[int] = []
+    while free:
+        e = max(free, key=near.__getitem__)  # first of the maxima
+        free.remove(e)
+        sequence.append(e)
+        for v in G.edges[e]:
+            for e2, _ in G.incident(v):
+                if e2 != e:
+                    near[e2] += 1
+    return sequence
 
 
 def _bfs_edge_order(G: Multigraph) -> list[int]:

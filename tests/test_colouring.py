@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcolour.colouring import (
     AmbiguousHostError,
     Colouring,
+    ColouringReport,
     check_colouring,
     image_subgraph,
     induced_vertex_map,
@@ -149,3 +152,70 @@ def test_preimage_rejects_invalid_colouring():
     bad = Colouring(host, cycle(4).graph, (0, 0, 1, 0))
     with pytest.raises(ValueError):
         preimage(bad, {0})
+
+
+def definitional_report(c: Colouring) -> ColouringReport:
+    """check_colouring written out from the definition, for comparison.
+
+    Properness by a pairwise scan of each guest vertex's incidences (each
+    clash reported against the first earlier edge of the same colour); the
+    vertex condition by comparing the image set with the boundary of every
+    host vertex.
+    """
+    G, H, f = c.guest, c.host, c.edge_map
+    proper = []
+    for u in range(G.n):
+        inc = [eid for eid, _ in G.incident(u)]
+        for j, later in enumerate(inc):
+            for earlier in inc[:j]:
+                if f[earlier] == f[later]:
+                    proper.append((earlier, later))
+                    break
+    vertex = []
+    for u in range(G.n):
+        img = {f[eid] for eid, _ in G.incident(u)}
+        boundaries = [
+            {h for h, (a, b) in enumerate(H.edges) if v in (a, b)}
+            for v in range(H.n)
+        ]
+        if img not in boundaries:
+            vertex.append(u)
+    return ColouringReport(
+        ok=not proper and not vertex,
+        properness_violations=tuple(proper),
+        vertex_violations=tuple(vertex),
+    )
+
+
+@st.composite
+def total_edge_maps(draw):
+    def graph(n, max_edges):
+        edges = []
+        for _ in range(draw(st.integers(min_value=0, max_value=max_edges))):
+            a = draw(st.integers(min_value=0, max_value=n - 1))
+            b = draw(st.integers(min_value=0, max_value=n - 1))
+            if a != b:
+                edges.append((a, b))
+        return Multigraph(n, edges)
+
+    host = graph(draw(st.integers(min_value=2, max_value=5)), 6)
+    guest = graph(draw(st.integers(min_value=1, max_value=6)), 8)
+    if host.m == 0:
+        guest = Multigraph(guest.n, [])
+    f = tuple(
+        draw(st.integers(min_value=0, max_value=host.m - 1)) for _ in range(guest.m)
+    )
+    return Colouring(host, guest, f)
+
+
+@settings(max_examples=400, deadline=None)
+@given(total_edge_maps())
+def test_check_colouring_matches_definition(c):
+    assert check_colouring(c) == definitional_report(c)
+
+
+def test_check_colouring_matches_definition_on_solver_output():
+    host, guest = s4().graph, petersen().graph
+    for c in solve(host, guest, mode="all").colourings[:50]:
+        assert check_colouring(c) == definitional_report(c)
+        assert check_colouring(c).ok

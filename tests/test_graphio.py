@@ -22,6 +22,18 @@ def test_decode_graph6_k4():
     assert is_isomorphic(G, complete(4).graph)
 
 
+def test_decode_graph6_rejects_wrong_data_length(tmp_path):
+    assert decode_graph6("Bw").m == 3
+    for bad in ("Bwwwwww", "Bww", "C"):  # trailing bytes, or too few
+        with pytest.raises(GraphFormatError, match="data bytes"):
+            decode_graph6(bad)
+    path = tmp_path / "trailing.g6"
+    path.write_text("Bw\nBwwwwww\n")
+    items = list(ingest_graph6(path))
+    assert isinstance(items[0][1], Multigraph)
+    assert items[1][0] == 2 and isinstance(items[1][1], GraphFormatError)
+
+
 def test_decode_graph6_header_prefix():
     assert decode_graph6(">>graph6<<C~").m == 6
 

@@ -78,6 +78,15 @@ def test_hcolor_threads_env(monkeypatch):
     assert worker_count(2) == 2
 
 
+@pytest.mark.parametrize("bad", ["abc", "0", "-2", "1.5"])
+def test_hcolor_threads_rejects_bad_values(monkeypatch, bad):
+    from hcolour.recipes import worker_count
+
+    monkeypatch.setenv("HCOLOR_THREADS", bad)
+    with pytest.raises(ValueError, match=f"HCOLOR_THREADS.*{bad!r}"):
+        worker_count(2)
+
+
 # -- CLI ---------------------------------------------------------------------
 
 def test_cli_gen_and_load(tmp_path, capsys):
@@ -165,3 +174,13 @@ def test_cli_corpus(tmp_path, capsys):
     first = json.loads(out.strip().splitlines()[0])
     assert first["check"] == "entry-0"
     assert first["outcome"] == "pass"
+
+
+def test_cli_corpus_bad_hcolor_threads(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c.g6"
+    path.write_text(encode_graph6(petersen().graph) + "\n")
+    monkeypatch.setenv("HCOLOR_THREADS", "abc")
+    assert main(["corpus", str(path), "--host", "s4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "HCOLOR_THREADS must be a positive integer, got 'abc'" in captured.err

@@ -1,6 +1,17 @@
-import pytest
+import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hcolour
 from hcolour.colouring import check_colouring
+from hcolour.graphio import ingest_graph6
 from hcolour.multigraph import Multigraph, empty_graph
 from hcolour.named import (
     complete,
@@ -16,7 +27,10 @@ from hcolour.named import (
     star,
     t_k2,
 )
+from hcolour.recipes import _LEMMA_PAIRS
 from hcolour.solver import naive_solve_all, solve, tk2_colourable
+
+CORPUS = Path(__file__).resolve().parent.parent / "data" / "cubic_bridgeless_le14.g6"
 
 
 def test_s4_colours_petersen():
@@ -131,3 +145,120 @@ def test_multiplicity_sensitivity():
     doubled = Multigraph(3, [(0, 1), (1, 2), (0, 2)] * 2)
     assert solve(complete(4).graph, doubled).status == "unsat"
     assert solve(doubled, doubled).status == "sat"
+
+
+# -- the shape of the search -----------------------------------------------
+# Node counts pin the order in which edges are assigned; the edge-map
+# digests and first-mode counts pin the order in which candidates are
+# tried.  A faster search must reproduce all of them exactly.
+
+PAIR_SHAPES = {
+    "s4<p": ("sat", 480, 6338),
+    "p<p": ("sat", 120, 6796),
+    "s10<s10": ("sat", 384, 3082),
+    "s10<s12": ("sat", 384, 6010),
+    "s12<s12": ("sat", 384, 6943),
+    "k5<k5": ("sat", 120, 2111),
+    "k4<k4": ("sat", 48, 199),
+    "c5<c5": ("sat", 10, 86),
+    "2k2<c4": ("sat", 2, 9),
+    "s4+1M<s4+1M": ("sat", 24, 130),
+}
+
+EDGE_MAP_DIGESTS = {"s4<p": "161610f2b87149a0", "p<p": "2efe2eb10b93ebf1"}
+
+
+@pytest.mark.parametrize("label", sorted(PAIR_SHAPES))
+def test_search_shape_pinned(label):
+    host, guest = next((h, g) for lb, h, g in _LEMMA_PAIRS() if lb == label)
+    res = solve(host, guest, mode="all")
+    assert (res.status, res.count, res.nodes) == PAIR_SHAPES[label]
+    assert res.prunes == 0
+    if label in EDGE_MAP_DIGESTS:
+        text = repr([c.edge_map for c in res.colourings])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == EDGE_MAP_DIGESTS[label]
+
+
+def test_search_shape_pinned_unsat():
+    res = solve(star(3).graph, petersen().graph)
+    assert (res.status, res.count, res.nodes) == ("unsat", 0, 202)
+
+
+@pytest.mark.parametrize(
+    "host,total,largest", [(s4(), 36049, 1331), (petersen(), 23639, 329)]
+)
+def test_search_shape_pinned_corpus(host, total, largest):
+    nodes = []
+    for _, G in ingest_graph6(CORPUS):
+        res = solve(host.graph, G)
+        assert res.status == "sat"
+        nodes.append(res.nodes)
+    assert (len(nodes), sum(nodes), max(nodes)) == (587, total, largest)
+
+
+# -- differential tests against the naive oracle ---------------------------
+
+@st.composite
+def tiny_multigraphs(draw, max_edges):
+    n = draw(st.integers(min_value=1, max_value=5))
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_edges))):
+        a = draw(st.integers(min_value=0, max_value=n - 1))
+        b = draw(st.integers(min_value=0, max_value=n - 1))
+        if a != b:
+            edges.append((a, b))
+    return Multigraph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_multigraphs(4), tiny_multigraphs(5))
+def test_solver_matches_naive_oracle_random(host, guest):
+    fast = solve(host, guest, mode="all")
+    slow = naive_solve_all(host, guest)
+    assert sorted(c.edge_map for c in fast.colourings) == [c.edge_map for c in slow]
+    assert fast.count == len(slow)
+    assert fast.status == ("sat" if slow else "unsat")
+
+
+# -- revalidation survives python -O ----------------------------------------
+
+_FAILING_CHECK_SCRIPT = textwrap.dedent("""
+    from hcolour import images, solver
+    from hcolour.colouring import ColouringReport
+    from hcolour.named import complete, cycle
+
+    try:
+        assert False
+    except AssertionError:
+        raise SystemExit("asserts are active; run under python -O")
+
+    def failing(c):
+        return ColouringReport(ok=False, vertex_violations=(0,))
+
+    solver.check_colouring = failing
+    images.check_colouring = failing
+    for name, call in [
+        ("solve", lambda: solver.solve(complete(4).graph, complete(4).graph)),
+        ("realize_image", lambda: images.enumerate_splitted_images(cycle(4).graph)),
+    ]:
+        try:
+            call()
+        except RuntimeError as exc:
+            print(name, "raised:", exc)
+        else:
+            print(name, "accepted an invalid colouring")
+""")
+
+
+def test_revalidation_raises_under_python_O():
+    src = Path(hcolour.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-O", "-B", "-c", _FAILING_CHECK_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["solve", "raised:"], ["realize_image", "raised:"]
+    ], out.stdout
