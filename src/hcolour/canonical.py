@@ -18,14 +18,13 @@ import struct
 from .multigraph import Multigraph
 
 
-def _refine(G: Multigraph, cells: list[list[int]]) -> list[list[int]]:
+def _refine(mult: list[list[int]], cells: list[list[int]]) -> list[list[int]]:
     """Equitable refinement of an ordered partition.
 
     Cells are repeatedly split by the multiset of edge multiplicities into
     every cell; sub-cells are ordered by their signature, which is an
     isomorphism-invariant choice.
     """
-    mult = _mult_matrix(G)
     while True:
         changed = False
         new_cells: list[list[int]] = []
@@ -57,8 +56,7 @@ def _mult_matrix(G: Multigraph) -> list[list[int]]:
     return mult
 
 
-def _initial_cells(G: Multigraph) -> list[list[int]]:
-    mult = _mult_matrix(G)
+def _initial_cells(G: Multigraph, mult: list[list[int]]) -> list[list[int]]:
     sig = {}
     for v in range(G.n):
         key = (G.degree(v), tuple(sorted(m for m in mult[v] if m)))
@@ -66,11 +64,10 @@ def _initial_cells(G: Multigraph) -> list[list[int]]:
     return [sig[key] for key in sorted(sig)]
 
 
-def _encode(G: Multigraph, order: list[int]) -> bytes:
+def _encode(mult: list[list[int]], order: list[int]) -> bytes:
     """Upper-triangle multiplicity rows of the graph relabelled by order."""
-    mult = _mult_matrix(G)
     out = bytearray()
-    for i in range(1, G.n):
+    for i in range(1, len(order)):
         vi = order[i]
         for j in range(i):
             out.append(mult[vi][order[j]])
@@ -92,15 +89,16 @@ def canonical_form(G: Multigraph) -> bytes:
     if max((G.multiplicity(a, b) for a, b in G.edges), default=0) > 255:
         raise ValueError("edge multiplicities above 255 are not supported")
 
+    mult = _mult_matrix(G)
     best: bytes | None = None
 
     def search(cells: list[list[int]]) -> None:
         nonlocal best
-        cells = _refine(G, cells)
+        cells = _refine(mult, cells)
         split_at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if split_at is None:
             order = [c[0] for c in cells]
-            enc = _encode(G, order)
+            enc = _encode(mult, order)
             if best is None or enc < best:
                 best = enc
             return
@@ -110,7 +108,8 @@ def canonical_form(G: Multigraph) -> bytes:
             branch = cells[:split_at] + [[v], rest] + cells[split_at + 1:]
             search(branch)
 
-    search(_initial_cells(G))
+    search(_initial_cells(G, mult))
+    del search  # it reaches itself through its closure; free it now
     assert best is not None
     G._canon = header + best
     return G._canon

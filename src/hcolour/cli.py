@@ -25,7 +25,7 @@ from .graphio import (
     decode_sparse6,
     parse_certificate,
 )
-from .images import enumerate_splitted_images, image_admits_extension
+from .images import enumerate_splitted_images
 from .multigraph import Multigraph, from_edge_list_text, to_edge_list_text
 from .recipes import (
     DEFAULT_NODE_BUDGET,

@@ -21,7 +21,9 @@ unused degree-1 vertices arise, e.g. the S4 image of the Petersen graph.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 from .canonical import canonical_form
@@ -164,9 +166,24 @@ def enumerate_splitted_images(
     """All splitted images of the guest up to isomorphism, with multiplicities.
 
     Complete backtracking over restricted-growth partitions along a
-    breadth-first edge order, propagating the properness and
-    two-types-per-class constraints.  Multiplicity counts labelled
+    breadth-first edge order.  The state is integer masks: the classes on
+    the assigned edges at each guest vertex, and per class the completed
+    vertex types that contain it.  The free classes at an edge are those
+    on neither endpoint, tried lowest first.  Multiplicity counts labelled
     partitions.  If the node limit is hit the atlas is marked incomplete.
+
+    A class is saturated once it occurs in two completed types.  Any vertex
+    holding a saturated class must end with one of those two types, or the
+    class would gain a third type when the vertex completes.  So its
+    partial type must be a subset of one of them whose size is the
+    vertex's degree.  This is checked for every saturated class at the
+    vertex whenever a class is added to it, and for every open vertex
+    holding a class when that class becomes saturated.  The rule only cuts
+    subtrees that contain no complete partition, so every leaf survives and
+    multiplicities stay exact.
+
+    Every leaf is realized and revalidated by realize_image; the canonical
+    form of each distinct labelled image is computed once per call.
 
     Guests realizable by the degenerate two-vertex host are reported via
     the tk2_realizable flag; the corresponding star image still appears as
@@ -182,48 +199,76 @@ def enumerate_splitted_images(
         else:
             atlas.tk2_realizable = False
 
-    order = _bfs_edge_order(guest)
-    m = guest.m
+    order = tuple(_bfs_edge_order(guest))
+    edges = guest.edges
+    deg = guest.degrees()
+    n, m = guest.n, guest.m
     cls = [-1] * m
-    cls_at: list[set[int]] = [set() for _ in range(guest.n)]
-    remaining = list(guest.degrees())
-    reg: dict[int, list[frozenset[int]]] = {}
+    at = [0] * n  # class mask of the assigned edges at each vertex
+    left = list(deg)  # unassigned edges at each vertex
+    types: list[list[int]] = [[] for _ in range(m)]  # completed types per class
+    added: list[int] = []  # classes whose type list grew, for undo
+    sat = 0  # class mask of the saturated classes
     found: dict[bytes, AtlasEntry] = {}
+    canon: dict[bytes, bytes] = {}  # labelled image encoding -> canonical form
+    nodes = 0
     aborted = False
 
-    def fits_saturated(u: int, c: int) -> bool:
-        """Partial type of u (including c) must fit one of c's two types."""
-        lst = reg.get(c)
-        if lst is None or len(lst) < 2:
-            return True
-        deg = guest.degree(u)
-        partial = cls_at[u]
-        for T in lst:
-            if len(T) == deg and c in T and partial <= T:
-                return True
-        return False
+    def fits(u: int, mask: int) -> bool:
+        """Mask is a subset of a degree-sized type of each saturated class in it."""
+        d = deg[u]
+        s = mask & sat
+        while s:
+            low = s & -s
+            s ^= low
+            for T in types[low.bit_length() - 1]:
+                if not mask & ~T and T.bit_count() == d:
+                    break
+            else:
+                return False
+        return True
 
-    def complete_vertex(u: int, added: list[tuple[int, frozenset[int]]]) -> bool:
-        T = frozenset(cls_at[u])
-        for c2 in T:
-            lst = reg.setdefault(c2, [])
+    def complete_vertex(u: int) -> int:
+        """Register u's final type; the newly saturated classes, or -1."""
+        nonlocal sat
+        T = at[u]
+        newly = 0
+        s = T
+        while s:
+            low = s & -s
+            s ^= low
+            c = low.bit_length() - 1
+            lst = types[c]
             if T in lst:
                 continue
             if len(lst) == 2:
-                return False
+                return -1
             lst.append(T)
-            added.append((c2, T))
+            added.append(c)
+            if len(lst) == 2:
+                sat |= low
+                newly |= low
+        return newly
+
+    def recheck(newly: int) -> bool:
+        """Every open vertex holding a newly saturated class still fits."""
+        for v in range(n):
+            if left[v] and at[v] & newly and not fits(v, at[v]):
+                return False
         return True
 
     def record() -> None:
-        p = TypePartition(guest, tuple(cls), tuple(order))
-        img = realize_image(p)
-        key = canonical_form(img.graph)
+        img = realize_image(TypePartition(guest, tuple(cls), order))
+        g = img.graph
+        code = struct.pack(f">{2 * g.m + 1}I", g.n, *chain.from_iterable(g.edges))
+        key = canon.get(code)
+        if key is None:
+            key = canon[code] = canonical_form(g)
         entry = found.get(key)
         if entry is None:
             found[key] = AtlasEntry(
                 canonical=key,
-                graph=img.graph,
+                graph=g,
                 multiplicity=1,
                 witness=img.source,
                 split_vertex_count=0,
@@ -232,46 +277,61 @@ def enumerate_splitted_images(
             entry.multiplicity += 1
 
     def rec(i: int, next_new: int) -> None:
-        nonlocal aborted
-        if aborted:
-            return
-        atlas.nodes += 1
-        if node_limit is not None and atlas.nodes > node_limit:
+        nonlocal nodes, aborted, sat
+        nodes += 1
+        if node_limit is not None and nodes > node_limit:
             aborted = True
             return
         if i == m:
             record()
             return
         eid = order[i]
-        a, b = guest.edges[eid]
-        blocked = cls_at[a] | cls_at[b]
-        for c in range(next_new + 1):
-            if c in blocked:
+        a, b = edges[eid]
+        free = ~(at[a] | at[b]) & ((2 << next_new) - 1)
+        while free:
+            bit = free & -free
+            free ^= bit
+            ma = at[a] | bit
+            mb = at[b] | bit
+            if (ma | mb) & sat and not (fits(a, ma) and fits(b, mb)):
                 continue
-            if c < next_new and not (fits_saturated(a, c) and fits_saturated(b, c)):
-                continue
+            c = bit.bit_length() - 1
             cls[eid] = c
-            cls_at[a].add(c)
-            cls_at[b].add(c)
-            remaining[a] -= 1
-            remaining[b] -= 1
-            added: list[tuple[int, frozenset[int]]] = []
+            at[a] = ma
+            at[b] = mb
+            left[a] -= 1
+            left[b] -= 1
+            mark = len(added)
             ok = True
+            newly = 0
             for u in (a, b):
-                if remaining[u] == 0 and not complete_vertex(u, added):
-                    ok = False
-                    break
+                if left[u] == 0:
+                    got = complete_vertex(u)
+                    if got < 0:
+                        ok = False
+                        break
+                    newly |= got
+            if ok and newly:
+                ok = recheck(newly)
             if ok:
-                rec(i + 1, max(next_new, c + 1))
-            for c2, T in added:
-                reg[c2].remove(T)
-            remaining[a] += 1
-            remaining[b] += 1
-            cls_at[a].discard(c)
-            cls_at[b].discard(c)
+                rec(i + 1, next_new + 1 if c == next_new else next_new)
+                if aborted:
+                    return
+            while len(added) > mark:
+                c2 = added.pop()
+                types[c2].pop()
+                sat &= ~(1 << c2)
+            left[a] += 1
+            left[b] += 1
+            at[a] ^= bit
+            at[b] ^= bit
             cls[eid] = -1
 
     rec(0, 0)
+    # rec reaches itself through its closure; unbinding it frees the search
+    # state now instead of at the next full garbage collection
+    del rec
+    atlas.nodes = nodes
     atlas.complete = not aborted
     atlas.entries = sorted(
         found.values(), key=lambda e: (e.graph.n, e.graph.m, e.canonical)

@@ -236,7 +236,7 @@ def j_graph(r: int) -> LabelledGraph:
 
 # -- exhaustive families ---------------------------------------------------
 
-def _regular_multigraphs(n: int, r: int, min_mult: int = 0):
+def _regular_multigraphs(n: int, r: int):
     """All labelled loopless multigraphs on n vertices with all degrees r.
 
     DFS over the upper-triangle multiplicity matrix in lexicographic pair
@@ -275,8 +275,6 @@ def _regular_multigraphs(n: int, r: int, min_mult: int = 0):
             remaining[j] += m
         mult[p] = 0
 
-    if min_mult:
-        raise ValueError("min_mult handled by k_family_members directly")
     yield from rec(0)
 
 

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 from .canonical import canonical_digest, canonical_form
 from .colouring import Colouring, check_colouring, preimage
 from .graphio import GraphFormatError, ingest_graph6
-from .images import enumerate_splitted_images
+from .images import ImageAtlas, enumerate_splitted_images
 from .multigraph import Multigraph
 from .named import (
     complete,
@@ -118,13 +118,9 @@ def _check(name: str, ok: bool, nodes: int = 0, **details) -> CheckResult:
 
 
 def _atlas_checks(
-    guest_name: str,
-    guest: Multigraph,
-    expected: dict[str, Multigraph],
-    node_limit: Optional[int] = None,
+    guest_name: str, atlas: ImageAtlas, expected: dict[str, Multigraph]
 ) -> list[CheckResult]:
-    """Enumerate the guest's images and compare against the expected classes."""
-    atlas = enumerate_splitted_images(guest, node_limit=node_limit)
+    """Compare the guest's image atlas against the expected classes."""
     out = [
         _check(
             f"{guest_name}-atlas-complete",
@@ -166,10 +162,8 @@ def _atlas_checks(
 
 def _recipe_petersen_images(params: dict) -> list[CheckResult]:
     P = petersen().graph
-    checks = _atlas_checks(
-        "petersen", P, {"petersen": P, "s4": s4().graph}, params.get("node_limit")
-    )
-    atlas = enumerate_splitted_images(P)
+    atlas = enumerate_splitted_images(P, node_limit=params.get("node_limit"))
+    checks = _atlas_checks("petersen", atlas, {"petersen": P, "s4": s4().graph})
     checks.append(
         _check("petersen-atlas-exactly-two", len(atlas.entries) == 2,
                entries=len(atlas.entries))
@@ -192,14 +186,14 @@ def _recipe_petersen_images(params: dict) -> list[CheckResult]:
 
 def _recipe_s10_images(params: dict) -> list[CheckResult]:
     g = s10().graph
-    return _atlas_checks("s10", g, {"s10": g}, params.get("node_limit"))
+    atlas = enumerate_splitted_images(g, node_limit=params.get("node_limit"))
+    return _atlas_checks("s10", atlas, {"s10": g})
 
 
 def _recipe_s12_images(params: dict) -> list[CheckResult]:
     g = s12().graph
-    return _atlas_checks(
-        "s12", g, {"s10": s10().graph, "s12": g}, params.get("node_limit")
-    )
+    atlas = enumerate_splitted_images(g, node_limit=params.get("node_limit"))
+    return _atlas_checks("s12", atlas, {"s10": s10().graph, "s12": g})
 
 
 def _recipe_p_matching_cuts(params: dict) -> list[CheckResult]:
@@ -276,7 +270,8 @@ def _recipe_j4_exclusion(params: dict) -> list[CheckResult]:
 def _recipe_s12km_rigidity(params: dict) -> list[CheckResult]:
     k = int(params.get("k", 1))
     g = s12_plus_km(k).graph
-    return _atlas_checks(f"s12+{k}M", g, {f"s12+{k}M": g}, params.get("node_limit"))
+    atlas = enumerate_splitted_images(g, node_limit=params.get("node_limit"))
+    return _atlas_checks(f"s12+{k}M", atlas, {f"s12+{k}M": g})
 
 
 def _pairwise_disjoint_free(G: Multigraph) -> bool:

@@ -1,4 +1,8 @@
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcolour.canonical import canonical_form, is_isomorphic
 from hcolour.colouring import check_colouring
@@ -20,7 +24,7 @@ from hcolour.named import (
     s12_plus_km,
     complete,
 )
-from hcolour.solver import naive_solve_all, solve
+from hcolour.solver import _bfs_edge_order, naive_solve_all, solve
 
 
 def test_type_partition_validation():
@@ -177,3 +181,137 @@ def test_bridge_and_degree_facts_on_petersen_images():
         for eid in g.bridges():
             a, b = g.edges[eid]
             assert (g.degree(a) == 1) != (g.degree(b) == 1)
+
+
+# -- oracle and pins for the atlas search -----------------------------------
+
+def _restricted_growth_strings(m: int):
+    def rec(prefix: list[int], nxt: int):
+        if len(prefix) == m:
+            yield prefix
+            return
+        for c in range(nxt + 1):
+            yield from rec(prefix + [c], max(nxt, c + 1))
+
+    yield from rec([], 0)
+
+
+def naive_atlas(guest: Multigraph) -> dict[bytes, int]:
+    """Every restricted-growth labelling along the search's edge order that
+    validates, grouped by the canonical form of its image."""
+    order = _bfs_edge_order(guest)
+    out: dict[bytes, int] = {}
+    for rgs in _restricted_growth_strings(guest.m):
+        classes = [0] * guest.m
+        for eid, c in zip(order, rgs):
+            classes[eid] = c
+        p = TypePartition(guest, tuple(classes), tuple(order))
+        try:
+            p.validate()
+        except ValueError:
+            continue
+        key = canonical_form(realize_image(p).graph)
+        out[key] = out.get(key, 0) + 1
+    return out
+
+
+@st.composite
+def small_connected_multigraphs(draw):
+    n = draw(st.integers(min_value=3, max_value=5))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda ab: ab[0] != ab[1]
+    )
+    edges += draw(st.lists(pairs, max_size=7 - len(edges)))
+    return Multigraph(n, draw(st.permutations(edges)))
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_connected_multigraphs())
+def test_atlas_matches_naive_oracle(guest):
+    atlas = enumerate_splitted_images(guest)
+    assert atlas.complete
+    assert {e.canonical: e.multiplicity for e in atlas.entries} == naive_atlas(guest)
+
+
+def _k33() -> Multigraph:
+    return Multigraph(6, [(a, b) for a in range(3) for b in range(3, 6)])
+
+
+def _q3() -> Multigraph:
+    return Multigraph(8, [(a, a | 1 << k) for a in range(8) for k in range(3)
+                          if not a >> k & 1])
+
+
+# (canonical digest, multiplicity) per image class, recorded with the
+# set-based search that had no saturated-class propagation; node counts of
+# the current search, so a change to its pruning shows up.
+ATLAS_PINS = {
+    "K3,3": (
+        _k33,
+        143,
+        {
+            ("24bfe3da65c40abf", 6),
+            ("29f43a0b91a4278d", 18),
+            ("7132725cf9b7d7e9", 18),
+            ("76da90a9f29a1ae7", 2),
+            ("89ef8ad20eabb517", 1),
+        },
+    ),
+    "Q3": (
+        _q3,
+        866,
+        {
+            ("1827aa3ad4ddfb4b", 21),
+            ("24bfe3da65c40abf", 12),
+            ("29f43a0b91a4278d", 60),
+            ("45faba53ed9e5c6c", 3),
+            ("67097345f15149e4", 12),
+            ("7132725cf9b7d7e9", 84),
+            ("76da90a9f29a1ae7", 4),
+            ("91b42e29669d9584", 1),
+            ("a029a425eec7619d", 10),
+            ("ac2587a1a9c758ec", 12),
+            ("cb48b3a3a4cfa4fb", 3),
+        },
+    ),
+    "K6": (
+        lambda: complete(6).graph,
+        1116,
+        {
+            ("0a68481d6da81e32", 90),
+            ("3df277ab6419b438", 45),
+            ("5fbee7bb8cbb5195", 1),
+            ("ed58e035ab7e8649", 15),
+            ("eeb672768bd8c84e", 6),
+        },
+    ),
+    "Petersen": (
+        lambda: petersen().graph,
+        3951,
+        {
+            ("29f43a0b91a4278d", 120),
+            ("8d183b25e3c8e6a3", 1),
+        },
+    ),
+    "K7": (
+        lambda: complete(7).graph,
+        None,
+        {
+            ("8bd051b63979b043", 1),
+            ("c4d7ed4e2cda6575", 140),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ATLAS_PINS))
+def test_atlas_pinned(name):
+    build, nodes, classes = ATLAS_PINS[name]
+    atlas = enumerate_splitted_images(build())
+    assert atlas.complete
+    got = {(hashlib.sha256(e.canonical).hexdigest()[:16], e.multiplicity)
+           for e in atlas.entries}
+    assert got == classes
+    if nodes is not None:
+        assert atlas.nodes == nodes

@@ -4,6 +4,7 @@ import pytest
 
 from hcolour.cli import load_graph, main
 from hcolour.graphio import encode_graph6
+from hcolour.images import enumerate_splitted_images
 from hcolour.multigraph import Multigraph
 from hcolour.named import petersen, s4, s12_plus_km
 from hcolour.recipes import run_corpus, run_recipe
@@ -23,6 +24,21 @@ def test_named_recipes_pass(name):
     report = run_recipe(name)
     assert report.status == "pass", report.to_json_lines()
     assert report.version
+
+
+def test_petersen_images_enumerates_the_atlas_once(monkeypatch):
+    from hcolour import recipes
+
+    limits = []
+
+    def counting(guest, node_limit=None):
+        limits.append(node_limit)
+        return enumerate_splitted_images(guest, node_limit=node_limit)
+
+    monkeypatch.setattr(recipes, "enumerate_splitted_images", counting)
+    report = run_recipe("petersen-images", {"node_limit": 10**6})
+    assert report.status == "pass", report.to_json_lines()
+    assert limits == [10**6]
 
 
 def test_lemma24_props_pass_and_coverage():
