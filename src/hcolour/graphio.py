@@ -91,7 +91,7 @@ def encode_graph6(G: Multigraph) -> str:
 
 
 def decode_sparse6(line: str) -> Multigraph:
-    """Decode one sparse6 record; parallel edges and loops are rejected."""
+    """Decode one sparse6 record; parallel edges are kept, loops are rejected."""
     data = line.strip().encode("ascii")
     if data.startswith(b">>sparse6<<"):
         data = data[11:]
@@ -118,8 +118,6 @@ def decode_sparse6(line: str) -> Multigraph:
         else:
             if x == v:
                 raise GraphFormatError("loops are not supported")
-            if (x, v) in {(min(a, b2), max(a, b2)) for a, b2 in edges}:
-                raise GraphFormatError("parallel edges in sparse6 input are not supported")
             edges.append((x, v))
     return Multigraph(n, edges)
 

@@ -7,6 +7,7 @@ from label text to vertex/edge ids.  Gadget copies carry superscripts, e.g.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .canonical import canonical_form
@@ -236,85 +237,113 @@ def j_graph(r: int) -> LabelledGraph:
 
 # -- exhaustive families ---------------------------------------------------
 
+def _realisable(degrees) -> bool:
+    """True iff a loopless multigraph has this degree sequence: the sum is
+    even and no degree exceeds the sum of the others."""
+    total = sum(degrees)
+    return total % 2 == 0 and 2 * max(degrees, default=0) <= total
+
+
+def _compositions(total: int, lo: list[int], hi: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Compositions of total with lo[k] <= part k <= hi[k], in lexicographic
+    order; every branch of the recursion ends in a composition."""
+    if not lo:
+        return [()] if total == 0 else []
+    rest_lo = sum(lo) - lo[0]
+    rest_hi = sum(hi) - hi[0]
+    out = []
+    for part in range(max(lo[0], total - rest_hi), min(hi[0], total - rest_lo) + 1):
+        for rest in _compositions(total - part, lo[1:], hi[1:]):
+            out.append((part,) + rest)
+    return out
+
+
 def _regular_multigraphs(n: int, r: int):
     """All labelled loopless multigraphs on n vertices with all degrees r.
 
-    DFS over the upper-triangle multiplicity matrix in lexicographic pair
-    order, with remaining-degree feasibility pruning.  Yields edge lists.
+    Yields edge lists in lexicographic order of the upper-triangle
+    multiplicity vector, pairs taken as (0,1), (0,2), ..., (n-2,n-1).  The
+    matrix is filled row by row: row i is a composition of vertex i's
+    remaining degree t over vertices i+1..n-1, each part capped by that
+    vertex's remaining degree d.  A row is kept only if the residual
+    degrees of i+1..n-1 stay realisable (_realisable).  Every pair among
+    those vertices is still free, so that test is exact and every branch
+    reaches a leaf.  The residual sum S is fixed by the row's total, so
+    the test is a lower bound d - S // 2 on each part, and the kept rows
+    are generated directly as bounded compositions.
+
+    The kept rows of a state (the remaining degrees of i..n-1) are
+    memoised for the duration of the call from vertex 2 on.  Vertex 0 has
+    one state and each of its rows leaves a different state for vertex 1,
+    so states before vertex 2 never recur and are not kept.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    remaining = [r] * n
-    # how many future pairs still touch vertex v, counting from pair index p
-    touch_after = [[0] * (len(pairs) + 1) for _ in range(n)]
-    for p in range(len(pairs) - 1, -1, -1):
-        i, j = pairs[p]
-        for v in range(n):
-            touch_after[v][p] = touch_after[v][p + 1] + (1 if v in (i, j) else 0)
-    mult = [0] * len(pairs)
+    degrees = (r,) * n
+    if not _realisable(degrees):
+        return
+    if n < 2:
+        yield []
+        return
+    pair = [[(i, j) for j in range(n)] for i in range(n)]
+    memo: dict[tuple[int, ...], tuple[list, list]] = {}
+    shared: dict = {}  # one copy of each memoised row and residual tuple
 
-    def rec(p: int):
-        if p == len(pairs):
-            if all(x == 0 for x in remaining):
-                edges = []
-                for q, m in enumerate(mult):
-                    edges.extend([pairs[q]] * m)
-                yield edges
-            return
-        i, j = pairs[p]
-        hi = min(remaining[i], remaining[j], r)
-        for m in range(hi + 1):
-            remaining[i] -= m
-            remaining[j] -= m
-            feasible = all(
-                remaining[v] <= r * (touch_after[v][p + 1]) for v in (i, j)
-            ) and remaining[i] >= 0 and remaining[j] >= 0
-            if feasible:
-                mult[p] = m
-                yield from rec(p + 1)
-            remaining[i] += m
-            remaining[j] += m
-        mult[p] = 0
+    def options(rem: tuple[int, ...]):
+        """(row edges, residual degrees) of each kept row of vertex n - len(rem)."""
+        found = memo.get(rem)
+        if found is None:
+            i = n - len(rem)
+            t, tail = rem[0], rem[1:]
+            half = (sum(tail) - t) // 2
+            rows, children = [], []
+            for comp in _compositions(t, [max(0, d - half) for d in tail], tail):
+                row = [pair[i][i + 1 + k] for k, p in enumerate(comp) for _ in range(p)]
+                child = tuple(d - p for d, p in zip(tail, comp))
+                if i >= 2:
+                    row = shared.setdefault((i, comp), row)
+                    child = shared.setdefault(child, child)
+                rows.append(row)
+                children.append(child)
+            found = (rows, children)
+            if i >= 2:
+                memo[rem] = found
+        return zip(*found)
 
-    yield from rec(0)
+    last = n - 2
+    stack = [options(degrees)]
+    prefix: list[list[tuple[int, int]]] = [[]]  # edges of the rows above each level
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            prefix.pop()
+            continue
+        row, child = step
+        edges = prefix[-1] + row
+        if len(stack) - 1 == last:
+            yield edges
+        else:
+            stack.append(options(child))
+            prefix.append(edges)
 
 
 def k_family_members(t: int, r: int) -> list[Multigraph]:
     """All r-regular multigraphs on t pairwise-adjacent vertices, up to iso.
 
-    Every vertex pair gets multiplicity at least 1.  Infeasible parameters
-    give the empty list.
+    Every vertex pair gets multiplicity at least 1: each member is the
+    clique K_t plus an (r - t + 1)-regular multigraph on the same vertices.
+    The first member of each class in _regular_multigraphs order is kept.
+    Infeasible parameters give the empty list.
     """
     if t < 2 or r < 1:
         raise ValueError("need t >= 2 and r >= 1")
     if t * r % 2 == 1 or r < t - 1:
         return []
     pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]
-    remaining = [r - (t - 1)] * t  # degrees left after the mandatory clique
-    mult = [1] * len(pairs)
     seen: dict[bytes, Multigraph] = {}
-
-    def rec(p: int):
-        if p == len(pairs):
-            if all(x == 0 for x in remaining):
-                edges = []
-                for q, m in enumerate(mult):
-                    edges.extend([pairs[q]] * m)
-                G = Multigraph(t, edges)
-                key = canonical_form(G)
-                if key not in seen:
-                    seen[key] = G
-            return
-        i, j = pairs[p]
-        for extra in range(min(remaining[i], remaining[j]) + 1):
-            remaining[i] -= extra
-            remaining[j] -= extra
-            mult[p] = 1 + extra
-            rec(p + 1)
-            remaining[i] += extra
-            remaining[j] += extra
-            mult[p] = 1
-
-    rec(0)
+    for extra in _regular_multigraphs(t, r - (t - 1)):
+        mult = Counter(extra)
+        G = Multigraph(t, [p for p in pairs for _ in range(1 + mult[p])])
+        seen.setdefault(canonical_form(G), G)
     return list(seen.values())
 
 
@@ -341,18 +370,40 @@ def poorly_matchable_witness(r: int, max_order: int) -> Multigraph | None:
     increasing order; the first hit at the smallest feasible order wins.
     A disconnected witness would contain a smaller witness component, so
     restricting to connected graphs keeps the order minimal.
+
+    Candidates are decided on the support's masks (structure.support_masks);
+    a Multigraph is built only for the hit, which is revalidated by
+    is_connected, is_regular and the all-pairs check over the edge-id
+    perfect matchings before it is returned.
     """
-    from .structure import has_perfect_matching, has_two_disjoint_perfect_matchings
+    from .structure import (
+        disjoint_pair,
+        has_perfect_matching,
+        pairwise_intersecting_perfect_matchings,
+        support_connected,
+        support_masks,
+        support_perfect_matchings,
+    )
 
     if r < 4:
         raise ValueError("poorly matchable search is defined for r >= 4")
     for n in range(2, max_order + 1, 2):
         for edges in _regular_multigraphs(n, r):
+            adj, double = support_masks(n, edges)
+            if not support_connected(adj):
+                continue
+            pms = support_perfect_matchings(n, adj)
+            if not pms or disjoint_pair(pms, double) is not None:
+                continue
             G = Multigraph(n, edges, name=f"poorly-matchable-{r}")
-            if not G.is_connected():
-                continue
-            if not has_perfect_matching(G):
-                continue
-            if has_two_disjoint_perfect_matchings(G) is None:
-                return G
+            if not (
+                G.is_connected()
+                and G.is_regular(r)
+                and has_perfect_matching(G)
+                and pairwise_intersecting_perfect_matchings(G)
+            ):
+                raise RuntimeError(
+                    f"mask search and edge-id revalidation disagree on {G.edges}"
+                )
+            return G
     return None

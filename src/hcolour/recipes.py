@@ -42,6 +42,7 @@ from .solver import solve
 from .structure import (
     enumerate_matchings,
     has_two_disjoint_perfect_matchings,
+    pairwise_intersecting_perfect_matchings,
     perfect_matchings,
 )
 
@@ -274,16 +275,6 @@ def _recipe_s12km_rigidity(params: dict) -> list[CheckResult]:
     return _atlas_checks(f"s12+{k}M", atlas, {f"s12+{k}M": g})
 
 
-def _pairwise_disjoint_free(G: Multigraph) -> bool:
-    """True iff no two perfect matchings of G are edge-disjoint.
-
-    Deliberately naive (all pairs over the full matching enumeration) so it
-    is independent of has_two_disjoint_perfect_matchings.
-    """
-    pms = [frozenset(M) for M in perfect_matchings(G)]
-    return all(p & q for i, p in enumerate(pms) for q in pms[i + 1:])
-
-
 def _recipe_thm44(params: dict) -> list[CheckResult]:
     """Poorly matchable 4-regular pipeline.
 
@@ -306,7 +297,7 @@ def _recipe_thm44(params: dict) -> list[CheckResult]:
         ),
         _check(
             "witness-no-two-disjoint-pms-independent",
-            _pairwise_disjoint_free(witness),
+            pairwise_intersecting_perfect_matchings(witness),
         ),
     ]
     pair = has_two_disjoint_perfect_matchings(host)

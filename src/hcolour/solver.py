@@ -168,6 +168,11 @@ def solve(
     except _LimitExceeded:
         res.status = "unknown"
         return res
+    finally:
+        # rec reaches itself through its closure, and through record the
+        # result; unbinding it frees the search state now instead of at the
+        # next full garbage collection
+        del rec
     res.status = "sat" if res.count else "unsat"
     return res
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hcolour.canonical import is_isomorphic
@@ -56,6 +58,34 @@ def test_decode_sparse6_known_example():
     G = decode_sparse6(":Fa@x^")
     assert G.n == 7
     assert sorted(G.edges) == [(0, 1), (0, 2), (1, 2), (5, 6)]
+
+
+def test_decode_sparse6_keeps_parallel_edges():
+    G = decode_sparse6(":C_kQ")
+    assert G.n == 4
+    assert sorted(G.edges) == [(0, 1), (0, 1), (0, 3), (1, 2), (2, 3), (2, 3)]
+
+
+def test_decode_sparse6_rejects_loops():
+    with pytest.raises(GraphFormatError, match="loops"):
+        decode_sparse6(":@N")  # one vertex with a loop
+
+
+def test_decode_sparse6_networkx_multigraph_roundtrip():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(6)
+    for _ in range(200):
+        n = rng.choice([2, 3, 4, 5, 8, 9, 16, 17, 63, 70])
+        edges = []
+        for _ in range(rng.randrange(3 * n)):
+            a, b = sorted(rng.sample(range(n), 2))
+            edges.append((a, b))
+        H = nx.MultiGraph()
+        H.add_nodes_from(range(n))
+        H.add_edges_from(edges)
+        G = decode_sparse6(nx.to_sparse6_bytes(H, header=False).decode("ascii"))
+        assert G.n == n
+        assert sorted(G.edges) == sorted(edges)
 
 
 def test_decode_sparse6_requires_colon():

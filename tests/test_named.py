@@ -1,4 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+
+import hcolour
 
 from hcolour.canonical import canonical_form, is_isomorphic
 from hcolour.multigraph import Multigraph
@@ -146,3 +154,106 @@ def test_poorly_matchable_witness_small_orders_exhausted():
     assert poorly_matchable_witness(4, 4) is None
     with pytest.raises(ValueError):
         poorly_matchable_witness(3, 6)
+
+
+# -- the row-by-row generator against the pair-by-pair search it replaced --
+
+def _pairwise_regular_multigraphs(n: int, r: int):
+    """All labelled loopless multigraphs on n vertices with all degrees r.
+
+    DFS over the upper-triangle multiplicity matrix in lexicographic pair
+    order, with remaining-degree feasibility pruning.  Yields edge lists.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    remaining = [r] * n
+    # how many future pairs still touch vertex v, counting from pair index p
+    touch_after = [[0] * (len(pairs) + 1) for _ in range(n)]
+    for p in range(len(pairs) - 1, -1, -1):
+        i, j = pairs[p]
+        for v in range(n):
+            touch_after[v][p] = touch_after[v][p + 1] + (1 if v in (i, j) else 0)
+    mult = [0] * len(pairs)
+
+    def rec(p: int):
+        if p == len(pairs):
+            if all(x == 0 for x in remaining):
+                edges = []
+                for q, m in enumerate(mult):
+                    edges.extend([pairs[q]] * m)
+                yield edges
+            return
+        i, j = pairs[p]
+        hi = min(remaining[i], remaining[j], r)
+        for m in range(hi + 1):
+            remaining[i] -= m
+            remaining[j] -= m
+            feasible = all(
+                remaining[v] <= r * (touch_after[v][p + 1]) for v in (i, j)
+            ) and remaining[i] >= 0 and remaining[j] >= 0
+            if feasible:
+                mult[p] = m
+                yield from rec(p + 1)
+            remaining[i] += m
+            remaining[j] += m
+        mult[p] = 0
+
+    yield from rec(0)
+
+
+@pytest.mark.parametrize("r", [3, 4, 5, 6])
+def test_regular_multigraphs_matches_pairwise_oracle(r):
+    for n in range(7):
+        assert list(_regular_multigraphs(n, r)) == list(_pairwise_regular_multigraphs(n, r)), n
+
+
+def test_regular_multigraphs_labelled_counts_pinned():
+    counts = {(n, r): sum(1 for _ in _regular_multigraphs(n, r)) for n in (4, 6) for r in (4, 5, 6)}
+    assert counts == {
+        (4, 4): 15, (4, 5): 21, (4, 6): 28,
+        (6, 4): 3355, (6, 5): 12043, (6, 6): 36935,
+    }
+
+
+def test_poorly_matchable_witness_order_six():
+    assert poorly_matchable_witness(4, 6) is None
+    assert poorly_matchable_witness(6, 6) is None
+    G = poorly_matchable_witness(5, 6)
+    assert G.edges == (
+        (0, 4), (0, 4), (0, 5), (0, 5), (0, 5), (1, 2), (1, 2), (1, 3),
+        (1, 3), (1, 4), (2, 3), (2, 3), (2, 3), (4, 5), (4, 5),
+    )
+    assert has_perfect_matching(G) and has_two_disjoint_perfect_matchings(G) is None
+
+
+_DISAGREEING_REVALIDATION_SCRIPT = textwrap.dedent("""
+    from hcolour import structure
+    from hcolour.named import poorly_matchable_witness
+
+    try:
+        assert False
+    except AssertionError:
+        raise SystemExit("asserts are active; run under python -O")
+
+    def two_disjoint(G):
+        yield frozenset({0})
+        yield frozenset({1})
+
+    structure.perfect_matchings = two_disjoint
+    try:
+        poorly_matchable_witness(5, 6)
+    except RuntimeError as exc:
+        print("raised:", exc)
+    else:
+        print("accepted a witness the revalidation rejects")
+""")
+
+
+def test_witness_revalidation_raises_under_python_O():
+    src = Path(hcolour.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-O", "-B", "-c", _DISAGREEING_REVALIDATION_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised:"), out.stdout

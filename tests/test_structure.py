@@ -1,7 +1,23 @@
+import gc
+from itertools import combinations_with_replacement
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcolour.multigraph import Multigraph
-from hcolour.named import cycle, petersen, s4, s10, s12_plus_km, t_k2
+from hcolour.named import (
+    _regular_multigraphs,
+    cycle,
+    k_family_members,
+    petersen,
+    poorly_matchable_ten_vertices,
+    s4,
+    s10,
+    s12_plus_km,
+    t_k2,
+)
+from hcolour.solver import solve
 from hcolour.structure import (
     chromatic_index,
     edge_colouring,
@@ -13,6 +29,9 @@ from hcolour.structure import (
     perfect_matching_count,
     perfect_matchings,
     spanning_regular_check,
+    support_connected,
+    support_masks,
+    support_perfect_matchings,
 )
 
 
@@ -114,3 +133,74 @@ def test_exposed_copies_counts():
     assert len(exposed_copies(petersen().graph)) == 0
     # S4 itself is a single exposed copy
     assert exposed_copies(s4().graph) == [frozenset({0, 1, 2, 3})]
+
+
+# -- the pair-mask core against the edge-id matchings ----------------------
+
+def _assert_mask_core_matches_edge_ids(G: Multigraph) -> None:
+    pms = list(perfect_matchings(G))
+    adj, _ = support_masks(G.n, G.edges)
+    pair_sets = {
+        sum(1 << (a * G.n + b) for a, b in (G.edges[e] for e in M)) for M in pms
+    }
+    assert sorted(support_perfect_matchings(G.n, adj)) == sorted(pair_sets)
+    assert support_connected(adj) == G.is_connected()
+    disjoint = any(not (a & b) for a, b in combinations_with_replacement(pms, 2))
+    pair = has_two_disjoint_perfect_matchings(G)
+    assert (pair is not None) == disjoint
+    if pair is not None:
+        M1, M2 = pair
+        assert M1 in pms and M2 in pms and not (M1 & M2)
+
+
+def test_mask_core_matches_edge_ids_on_labelled_4_regular_order_6():
+    count = 0
+    for edges in _regular_multigraphs(6, 4):
+        _assert_mask_core_matches_edge_ids(Multigraph(6, edges))
+        count += 1
+    assert count == 3355
+
+
+@pytest.mark.parametrize(
+    "G",
+    [cycle(4).graph, petersen().graph, s10().graph, s12_plus_km(1).graph,
+     t_k2(2).graph, poorly_matchable_ten_vertices().graph, Multigraph(0, [])],
+    ids=["C4", "P", "S10", "S12+1M", "2K2", "S10+pairing", "empty"],
+)
+def test_mask_core_matches_edge_ids_on_named_graphs(G):
+    _assert_mask_core_matches_edge_ids(G)
+
+
+@st.composite
+def small_multigraphs(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=16))):
+        a = draw(st.integers(min_value=0, max_value=n - 1))
+        b = draw(st.integers(min_value=0, max_value=n - 1))
+        if a != b:
+            edges.append((a, b))
+    return Multigraph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_multigraphs())
+def test_mask_core_matches_edge_ids_random(G):
+    _assert_mask_core_matches_edge_ids(G)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    P = petersen().graph
+    gc.disable()
+    try:
+        gc.collect()
+        list(perfect_matchings(P))
+        next(perfect_matchings(P))
+        list(enumerate_matchings(P))
+        next(enumerate_matchings(P))
+        edge_colouring(P, 4)
+        k_family_members(4, 4)
+        solve(s4().graph, P)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
