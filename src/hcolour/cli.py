@@ -21,8 +21,7 @@ from .colouring import Colouring, check_colouring
 from .graphio import (
     GraphFormatError,
     certificate_text,
-    decode_graph6,
-    decode_sparse6,
+    decode_record,
     parse_certificate,
 )
 from .images import enumerate_splitted_images
@@ -41,120 +40,56 @@ from .solver import solve
 EXIT_PASS, EXIT_FAIL, EXIT_UNKNOWN = 0, 1, 2
 
 
-def _labelled(name: str) -> Optional[named.LabelledGraph]:
-    """Resolve a graph name to a labelled construction, or None."""
-    plain = {
-        "petersen": named.petersen,
-        "p": named.petersen,
-        "s4": named.s4,
-        "s6": named.s6,
-        "s10": named.s10,
-        "s12": named.s12,
-        "pm10": named.poorly_matchable_ten_vertices,
-    }
-    if name in plain:
-        return plain[name]()
-    m = re.fullmatch(r"s(4|6|12)\+(\d+)m", name, re.IGNORECASE)
-    if m:
-        fam = {"4": named.s4_plus_km, "6": named.s6_plus_km, "12": named.s12_plus_km}
-        return fam[m.group(1)](int(m.group(2)))
-    m = re.fullmatch(r"k(\d+)", name)
-    if m:
-        return named.complete(int(m.group(1)))
-    m = re.fullmatch(r"k(\d+)-e", name)
-    if m:
-        return named.complete_minus_edge(int(m.group(1)))
-    m = re.fullmatch(r"c(\d+)", name)
-    if m:
-        return named.cycle(int(m.group(1)))
-    m = re.fullmatch(r"path(\d+)", name)
-    if m:
-        return named.path(int(m.group(1)))
-    m = re.fullmatch(r"star(\d+)", name)
-    if m:
-        return named.star(int(m.group(1)))
-    m = re.fullmatch(r"(\d+)k2", name)
-    if m:
-        return named.t_k2(int(m.group(1)))
-    m = re.fullmatch(r"j(\d+)", name)
-    if m:
-        r = int(m.group(1))
-        if r % 2:
-            raise SystemExit(f"j-graphs are defined for even subscripts, got j{r}")
-        return named.j_graph(r // 2)
-    return None
-
-
 def load_graph(ref: str) -> Multigraph:
-    """A graph from a recognised name, an edge-list file, or a graph6 file."""
-    lab = _labelled(ref.lower())
-    if lab is not None:
-        return lab.graph
-    m = re.fullmatch(r"kfamily-(\d+)-(\d+)(?:-(\d+))?", ref.lower())
-    if m:
-        t, r = int(m.group(1)), int(m.group(2))
-        idx = int(m.group(3) or 0)
-        members = named.k_family_members(t, r)
-        if idx >= len(members):
-            raise SystemExit(
-                f"kfamily-{t}-{r} has {len(members)} members; index {idx} out of range"
-            )
-        return members[idx]
-    path = Path(ref)
-    if not path.exists():
-        raise SystemExit(f"{ref!r} is neither a known graph name nor a file")
-    text = path.read_text()
-    stripped = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
-    if not stripped:
-        raise SystemExit(f"{ref}: no graph data found")
-    first = stripped[0]
+    """A graph from a registry name (named.by_name), else from an edge-list,
+    graph6 or sparse6 file.  Raises ValueError naming ref if it is none."""
     try:
-        if first.startswith(":") or first.startswith(">>sparse6<<"):
-            return decode_sparse6(first)
-        if re.fullmatch(r"\d+(\s+\d+)?", first):
+        return named.by_name(ref).graph
+    except named.UnknownGraphName:
+        pass
+    path = Path(ref)
+    if not path.is_file():
+        raise ValueError(f"{ref!r} is neither a known graph name nor a file")
+    try:
+        text = path.read_text()
+        records = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
+        if not records:
+            raise ValueError("no graph data found")
+        if re.fullmatch(r"\d+(\s+\d+)?", records[0]):
             return from_edge_list_text(text, name=path.stem)
-        return decode_graph6(first)
-    except (GraphFormatError, ValueError) as exc:
-        raise SystemExit(f"{ref}: {exc}")
+        return decode_record(records[0])
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"{ref}: {exc}") from None
+
+
+def _resolve(load, ref: str):
+    """load(ref); a bad graph reference exits 2 with a one-line error."""
+    try:
+        return load(ref)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_UNKNOWN) from None
 
 
 def _cmd_gen(args) -> int:
-    name = args.name.lower()
-    if name.startswith("kfamily"):
-        m = re.fullmatch(r"kfamily-(\d+)-(\d+)", name)
-        if not m:
-            raise SystemExit("usage: gen kfamily-<t>-<r> [--index i]")
-        t, r = int(m.group(1)), int(m.group(2))
-        members = named.k_family_members(t, r)
-        if args.index >= len(members):
-            raise SystemExit(
-                f"kfamily-{t}-{r} has {len(members)} members; index {args.index} "
-                "out of range"
-            )
-        g = members[args.index]
-        comments = [f"{g.name or name}", f"canonical {canonical_digest(g)}"]
-        sys.stdout.write(to_edge_list_text(g, comments))
-        return EXIT_PASS
-    lab = _labelled(name)
-    if lab is None:
-        raise SystemExit(f"unknown graph name {args.name!r}")
+    lab = _resolve(named.by_name, args.name)
     g = lab.graph
-    comments = [g.name or name, f"canonical {canonical_digest(g)}"]
+    comments = [g.name or args.name.lower(), f"canonical {canonical_digest(g)}"]
     if lab.vertex_labels:
         comments.append(
-            "vertices: " + " ".join(f"{i}={l}" for i, l in enumerate(lab.vertex_labels))
+            "vertices: " + " ".join(f"{v}={l}" for l, v in lab.vertex_labels.items())
         )
     if lab.edge_labels:
         comments.append(
-            "edges: " + " ".join(f"{i}={l}" for i, l in enumerate(lab.edge_labels))
+            "edges: " + " ".join(f"{e}={l}" for l, e in lab.edge_labels.items())
         )
     sys.stdout.write(to_edge_list_text(g, comments))
     return EXIT_PASS
 
 
 def _cmd_solve(args) -> int:
-    host = load_graph(args.host)
-    guest = load_graph(args.guest)
+    host = _resolve(load_graph, args.host)
+    guest = _resolve(load_graph, args.guest)
     mode = "all" if args.all else ("count" if args.count else "first")
     t0 = time.perf_counter()
     res = solve(host, guest, mode=mode, node_limit=args.node_limit)
@@ -171,7 +106,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_images(args) -> int:
-    guest = load_graph(args.guest)
+    guest = _resolve(load_graph, args.guest)
     t0 = time.perf_counter()
     atlas = enumerate_splitted_images(guest, node_limit=args.node_limit)
     dt = time.perf_counter() - t0
@@ -195,8 +130,8 @@ def _cmd_images(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    host = load_graph(args.host)
-    guest = load_graph(args.guest)
+    host = _resolve(load_graph, args.host)
+    guest = _resolve(load_graph, args.guest)
     try:
         text = Path(args.certificate).read_text()
         c = parse_certificate(text, host, guest)
@@ -244,7 +179,7 @@ def _cmd_recipe(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    host = load_graph(args.host)
+    host = _resolve(load_graph, args.host)
     try:
         workers = worker_count(args.workers)
     except ValueError as exc:
@@ -288,15 +223,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="emit a named graph as an edge list")
-    g.add_argument("name", help="e.g. petersen, s4, s12+1M, k5, c5, j4, kfamily-5-4")
-    g.add_argument("--index", type=int, default=0, help="member index for kfamily")
+    g.add_argument("name", help="a graph name, e.g. petersen, s4, s12+1M, k5, c5, j4, "
+                   "kfamily-5-4 (member 0) or kfamily-5-4-1 (member 1)")
     g.set_defaults(func=_cmd_gen)
 
     s = sub.add_parser("solve", help="decide host ≺ guest")
     s.add_argument("--host", required=True)
     s.add_argument("--guest", required=True)
-    s.add_argument("--all", action="store_true", help="enumerate all colourings")
-    s.add_argument("--count", action="store_true", help="count colourings only")
+    mode = s.add_mutually_exclusive_group()
+    mode.add_argument("--all", action="store_true", help="enumerate all colourings")
+    mode.add_argument("--count", action="store_true", help="count colourings only")
     s.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET)
     s.set_defaults(func=_cmd_solve)
 

@@ -122,6 +122,14 @@ def decode_sparse6(line: str) -> Multigraph:
     return Multigraph(n, edges)
 
 
+def decode_record(line: str) -> Multigraph:
+    """Decode one record: sparse6 if it starts with ':' or its header, else graph6."""
+    line = line.strip()
+    if line.startswith((":", ">>sparse6<<")):
+        return decode_sparse6(line)
+    return decode_graph6(line)
+
+
 def ingest_graph6(path: str | os.PathLike) -> Iterator[tuple[int, Multigraph | GraphFormatError]]:
     """Stream (line number, graph-or-error) pairs from a graph6/sparse6 file.
 
@@ -133,12 +141,7 @@ def ingest_graph6(path: str | os.PathLike) -> Iterator[tuple[int, Multigraph | G
             if not line or line.startswith("#"):
                 continue
             try:
-                if line.startswith(":") or line.startswith(">>sparse6<<"):
-                    yield lineno, decode_sparse6(line)
-                else:
-                    yield lineno, decode_graph6(line)
-            except GraphFormatError as exc:
-                yield lineno, GraphFormatError(str(exc), lineno)
+                yield lineno, decode_record(line)
             except ValueError as exc:
                 yield lineno, GraphFormatError(str(exc), lineno)
 

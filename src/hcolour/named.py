@@ -2,13 +2,16 @@
 
 Each constructor returns a LabelledGraph: the multigraph plus a role map
 from label text to vertex/edge ids.  Gadget copies carry superscripts, e.g.
-"z^1", "l^2_1", "r^3_2".
+"z^1", "l^2_1", "r^3_2".  by_name resolves every graph name the package
+accepts (petersen, s12+1M, k5-e, j4, kfamily-5-4-1, ...) through one table.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .canonical import canonical_form
 from .multigraph import Multigraph
@@ -407,3 +410,66 @@ def poorly_matchable_witness(r: int, max_order: int) -> Multigraph | None:
                 )
             return G
     return None
+
+
+# -- the name registry -----------------------------------------------------
+
+class UnknownGraphName(ValueError):
+    """A name that matches no entry of the registry."""
+
+
+def _j_by_subscript(two_r: int) -> LabelledGraph:
+    """J_{2r} by its subscript 2r, as the paper names it."""
+    if two_r % 2:
+        raise ValueError("j-graphs are defined for even subscripts")
+    return j_graph(two_r // 2)
+
+
+def _kfamily(t: int, r: int, index: int = 0) -> LabelledGraph:
+    """Member index of k_family_members(t, r), with no labels."""
+    members = k_family_members(t, r)
+    if index >= len(members):
+        raise ValueError(
+            f"kfamily-{t}-{r} has {len(members)} members; index {index} out of range"
+        )
+    return LabelledGraph(members[index])
+
+
+# Every graph name the package accepts: a lower-case pattern and its
+# constructor, called with the pattern's integer groups.
+_REGISTRY: list[tuple[str, Callable[..., LabelledGraph]]] = [
+    (r"petersen|p", petersen),
+    (r"s4", s4),
+    (r"s6", s6),
+    (r"s10", s10),
+    (r"s12", s12),
+    (r"pm10", poorly_matchable_ten_vertices),
+    (r"s4\+(\d+)m", s4_plus_km),
+    (r"s6\+(\d+)m", s6_plus_km),
+    (r"s12\+(\d+)m", s12_plus_km),
+    (r"k(\d+)", complete),
+    (r"k(\d+)-e", complete_minus_edge),
+    (r"c(\d+)", cycle),
+    (r"path(\d+)", path),
+    (r"star(\d+)", star),
+    (r"(\d+)k2", t_k2),
+    (r"j(\d+)", _j_by_subscript),
+    (r"kfamily-(\d+)-(\d+)(?:-(\d+))?", _kfamily),
+]
+
+
+def by_name(name: str) -> LabelledGraph:
+    """The graph a registry name denotes, case-insensitively.
+
+    Raises UnknownGraphName if no pattern matches, and ValueError naming
+    the reference if the constructor rejects its parameters.
+    """
+    key = name.lower()
+    for pattern, build in _REGISTRY:
+        m = re.fullmatch(pattern, key)
+        if m:
+            try:
+                return build(*(int(g) for g in m.groups() if g is not None))
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+    raise UnknownGraphName(f"unknown graph name {name!r}")

@@ -15,6 +15,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from random import Random
 from typing import Callable, Optional
@@ -25,6 +26,7 @@ from .graphio import GraphFormatError, ingest_graph6
 from .images import ImageAtlas, enumerate_splitted_images
 from .multigraph import Multigraph
 from .named import (
+    by_name,
     complete,
     cycle,
     j_graph,
@@ -412,8 +414,11 @@ def _corpus_worker(args) -> tuple[int, str, int, Optional[tuple[int, ...]]]:
 def worker_count(requested: Optional[int] = None) -> int:
     """Pool size: HCOLOR_THREADS if set, else the request, else the CPU count.
 
-    Raises ValueError when HCOLOR_THREADS is not a positive integer.
+    Raises ValueError when the request (--workers) or HCOLOR_THREADS is not
+    a positive integer.
     """
+    if requested is not None and requested < 1:
+        raise ValueError(f"--workers must be a positive integer, got {requested}")
     env = os.environ.get("HCOLOR_THREADS")
     if env:
         try:
@@ -425,9 +430,7 @@ def worker_count(requested: Optional[int] = None) -> int:
                 f"HCOLOR_THREADS must be a positive integer, got {env!r}"
             )
         return count
-    if requested:
-        return max(1, requested)
-    return os.cpu_count() or 1
+    return requested or os.cpu_count() or 1
 
 
 def run_corpus(
@@ -446,7 +449,8 @@ def run_corpus(
     "unknown" and the run continues.  Results are order-stable by input
     index; start_index resumes a previous run.  Every SAT certificate is
     re-validated here, outside the solver.  Raises ValueError before
-    reading the file when HCOLOR_THREADS is set but not a positive integer.
+    reading the file when workers or HCOLOR_THREADS is not a positive
+    integer.
     """
     nworkers = worker_count(workers)
     entries: list[tuple[int, int, Multigraph]] = []  # (index, lineno, G)
@@ -514,23 +518,12 @@ def run_corpus(
     return checks
 
 
-def _recipe_corpus_s4(params: dict) -> list[CheckResult]:
+def _recipe_corpus(host: str, params: dict) -> list[CheckResult]:
+    """Run the corpus at params["path"] against the registry graph host."""
     return run_corpus(
         params["path"],
-        s4().graph,
-        "s4",
-        node_limit=params.get("node_limit", DEFAULT_NODE_BUDGET),
-        workers=params.get("workers"),
-        start_index=params.get("start_index", 0),
-        progress=params.get("progress"),
-    )
-
-
-def _recipe_corpus_p(params: dict) -> list[CheckResult]:
-    return run_corpus(
-        params["path"],
-        petersen().graph,
-        "petersen",
+        by_name(host).graph,
+        host,
         node_limit=params.get("node_limit", DEFAULT_NODE_BUDGET),
         workers=params.get("workers"),
         start_index=params.get("start_index", 0),
@@ -547,8 +540,8 @@ RECIPES: dict[str, Callable[[dict], list[CheckResult]]] = {
     "j4-exclusion": _recipe_j4_exclusion,
     "s12kM-rigidity": _recipe_s12km_rigidity,
     "thm44": _recipe_thm44,
-    "corpus-s4": _recipe_corpus_s4,
-    "corpus-p": _recipe_corpus_p,
+    "corpus-s4": partial(_recipe_corpus, "s4"),
+    "corpus-p": partial(_recipe_corpus, "petersen"),
     "lemma24-props": _recipe_lemma24_props,
 }
 

@@ -200,3 +200,53 @@ def test_cli_corpus_bad_hcolor_threads(tmp_path, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "HCOLOR_THREADS must be a positive integer, got 'abc'" in captured.err
+
+
+@pytest.mark.parametrize("bad", [0, -1])
+def test_worker_count_rejects_non_positive_request(monkeypatch, bad):
+    from hcolour.recipes import worker_count
+
+    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
+    with pytest.raises(ValueError, match=f"--workers must be a positive integer, got {bad}"):
+        worker_count(bad)
+    monkeypatch.setenv("HCOLOR_THREADS", "2")
+    with pytest.raises(ValueError, match="--workers"):
+        worker_count(bad)
+
+
+@pytest.mark.parametrize("cmd", ["corpus", "recipe"])
+def test_cli_workers_zero_is_an_error(tmp_path, capsys, monkeypatch, cmd):
+    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
+    path = tmp_path / "c.g6"
+    path.write_text(encode_graph6(petersen().graph) + "\n")
+    argv = {
+        "corpus": ["corpus", str(path), "--host", "s4", "--workers", "0"],
+        "recipe": ["recipe", "corpus-s4", "--path", str(path), "--workers", "0"],
+    }[cmd]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --workers must be a positive integer, got 0" in captured.err
+
+
+def test_cli_solve_all_and_count_conflict(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--host", "s4", "--guest", "petersen", "--all", "--count"])
+    assert info.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("recipe, host, graph", [("corpus-s4", "s4", s4),
+                                                 ("corpus-p", "petersen", petersen)])
+def test_corpus_recipes_match_run_corpus(tmp_path, monkeypatch, recipe, host, graph):
+    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
+    tiny = tmp_path / "tiny.g6"
+    tiny.write_text(
+        encode_graph6(petersen().graph) + "\n"
+        + "!!bad!!\n"
+        + encode_graph6(Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])) + "\n"
+    )
+    report = run_recipe(recipe, {"path": str(tiny)})
+    direct = run_corpus(str(tiny), graph().graph, host, workers=1)
+    assert [c.to_json() for c in report.checks] == [c.to_json() for c in direct]
+    assert report.checks[0].details["host"] == host
