@@ -34,9 +34,7 @@ from .graphio import (
 from .images import (
     AtlasEntry,
     ImageAtlas,
-    TypePartition,
     enumerate_splitted_images,
-    image_admits_extension,
     realize_image,
 )
 from .multigraph import Multigraph, from_edge_list_text, to_edge_list_text

@@ -118,8 +118,7 @@ def _cmd_images(args) -> int:
     for i, e in enumerate(atlas.entries):
         g = e.graph
         print(f"image {i}: n={g.n} m={g.m} canonical={canonical_digest(g)} "
-              f"multiplicity={e.multiplicity} split={e.split_vertex_count} "
-              f"pendant={e.pendant_count}")
+              f"multiplicity={e.multiplicity} pendant={e.pendant_count}")
         for a, b in g.edges:
             print(f"  {a} {b}")
         if args.witness:
@@ -169,7 +168,7 @@ def _cmd_recipe(args) -> int:
         params[k] = int(v) if v.lstrip("-").isdigit() else v
     try:
         report = run_recipe(args.name, params)
-    except (ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     sys.stdout.write(report.to_json_lines())
@@ -190,15 +189,19 @@ def _cmd_corpus(args) -> int:
     def stream(res: CheckResult) -> None:
         print(res.to_json(), flush=True)
 
-    checks = run_corpus(
-        args.file,
-        host,
-        args.host,
-        node_limit=args.node_limit or DEFAULT_NODE_BUDGET,
-        workers=workers,
-        start_index=args.start_index,
-        progress=stream,
-    )
+    try:
+        checks = run_corpus(
+            args.file,
+            host,
+            args.host,
+            node_limit=args.node_limit or DEFAULT_NODE_BUDGET,
+            workers=workers,
+            start_index=args.start_index,
+            progress=stream,
+        )
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
     report = VerificationReport(
         recipe=f"corpus:{args.host}", checks=checks, version=artifact_version()
     )

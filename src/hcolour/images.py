@@ -33,79 +33,79 @@ from .solver import _bfs_edge_order, tk2_colourable
 from .structure import CHROMATIC_INDEX_EDGE_GUARD
 
 
-@dataclass(frozen=True)
-class TypePartition:
-    """A colour-class labelling of guest edges, indexed by edge id.
+def _class_list(mask: int) -> list[int]:
+    """The classes in a type mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    Restricted-growth holds along edge_order: a class id first appears
-    only after all smaller ids have appeared.
+
+def realize_image(
+    guest: Multigraph, edge_classes: tuple[int, ...], edge_order: tuple[int, ...]
+) -> ImageGraph:
+    """The splitted image realized by a complete class labelling, with witness.
+
+    edge_classes[e] is the class of guest edge e.  One pass along
+    edge_order checks that it is a permutation of the edge ids, that class
+    ids appear in restricted-growth order and that adjacent edges lie in
+    distinct classes, and builds each vertex type as a class mask.  A class
+    held by more than two distinct types fails too.  Each of these raises
+    ValueError.
+
+    Used vertices are the distinct types, ordered by their sorted class
+    lists; each class becomes one edge between the types containing it,
+    with a fresh degree-1 endpoint when only one type does.  The witness
+    colouring maps each guest edge to the edge of its class; it is
+    revalidated by check_colouring and a failure raises RuntimeError.
     """
-
-    guest: Multigraph
-    edge_classes: tuple[int, ...]
-    edge_order: tuple[int, ...]
-
-    def class_count(self) -> int:
-        return max(self.edge_classes) + 1 if self.edge_classes else 0
-
-    def validate(self) -> None:
-        G = self.guest
-        if len(self.edge_classes) != G.m:
-            raise ValueError("partition must label every guest edge")
-        if sorted(self.edge_order) != list(range(G.m)):
+    m = guest.m
+    if len(edge_classes) != m:
+        raise ValueError("partition must label every guest edge")
+    if len(edge_order) != m:
+        raise ValueError("edge_order must be a permutation of the edge ids")
+    edges = guest.edges
+    at = [0] * guest.n  # class mask of each vertex: its type
+    placed = bytearray(m)
+    k = 0  # classes seen so far along edge_order
+    for e in edge_order:
+        if not 0 <= e < m or placed[e]:
             raise ValueError("edge_order must be a permutation of the edge ids")
-        nxt = 0
-        for e in self.edge_order:
-            c = self.edge_classes[e]
-            if c > nxt:
-                raise ValueError("class ids must appear in restricted-growth order")
-            nxt = max(nxt, c + 1)
-        for u in range(G.n):
-            seen = set()
-            for eid, _ in G.incident(u):
-                c = self.edge_classes[eid]
-                if c in seen:
-                    raise ValueError(
-                        f"adjacent edges at vertex {u} share class {c}"
-                    )
-                seen.add(c)
-        types = self.vertex_types()
-        for c in range(self.class_count()):
-            holders = {types[u] for u in range(G.n) if c in types[u]}
-            if len(holders) > 2:
-                raise ValueError(f"class {c} occurs in {len(holders)} distinct types")
-
-    def vertex_types(self) -> list[frozenset[int]]:
-        return [
-            frozenset(self.edge_classes[eid] for eid, _ in self.guest.incident(u))
-            for u in range(self.guest.n)
-        ]
-
-
-def realize_image(p: TypePartition) -> ImageGraph:
-    """The splitted image realized by a complete partition, with witness.
-
-    Used vertices are the distinct types; each class becomes one edge
-    between the types containing it, with a fresh degree-1 endpoint when
-    only one type does.  The witness colouring maps each guest edge to the
-    edge of its class and always revalidates.
-    """
-    p.validate()
-    types = p.vertex_types()
-    distinct = sorted(set(types), key=lambda t: sorted(t))
-    index = {t: i for i, t in enumerate(distinct)}
+        placed[e] = 1
+        c = edge_classes[e]
+        if not 0 <= c <= k:
+            raise ValueError("class ids must appear in restricted-growth order")
+        if c == k:
+            k += 1
+        bit = 1 << c
+        for u in edges[e]:
+            if at[u] & bit:
+                raise ValueError(f"adjacent edges at vertex {u} share class {c}")
+            at[u] |= bit
+    classes_of = {T: _class_list(T) for T in set(at)}
+    holders: list[list[int]] = [[] for _ in range(k)]
+    for T, cs in classes_of.items():
+        for c in cs:
+            holders[c].append(T)
+    for c, hs in enumerate(holders):
+        if len(hs) > 2:
+            raise ValueError(f"class {c} occurs in {len(hs)} distinct types")
+    distinct = sorted(classes_of, key=classes_of.__getitem__)
+    index = {T: i for i, T in enumerate(distinct)}
     n = len(distinct)
-    edges = []
+    image_edges = []
     pendant = []
-    for c in range(p.class_count()):
-        ends = [i for i, t in enumerate(distinct) if c in t]
+    for hs in holders:
+        ends = [index[T] for T in hs]
         if len(ends) == 1:
             pendant.append(n)
             ends.append(n)
             n += 1
-        edges.append((ends[0], ends[1]))
-    graph = Multigraph(n, edges)
-    witness = Colouring(graph, p.guest, p.edge_classes)
+        image_edges.append(ends)
+    graph = Multigraph(n, image_edges)  # stores each edge as (min, max)
+    witness = Colouring(graph, guest, edge_classes)
     report = check_colouring(witness)
     if not report.ok:
         raise RuntimeError(f"realized partition failed to revalidate: {report}")
@@ -118,23 +118,12 @@ def realize_image(p: TypePartition) -> ImageGraph:
     )
 
 
-def image_admits_extension(i: ImageGraph) -> bool:
-    """True iff the image arose by splitting an unused vertex of degree >= 2.
-
-    Such an image is realized by infinitely many hosts (the split vertex
-    can be re-glued arbitrarily); otherwise the minimal host is the image
-    itself.
-    """
-    return len(i.split) > 0
-
-
 @dataclass
 class AtlasEntry:
     canonical: bytes
     graph: Multigraph
     multiplicity: int
     witness: Colouring
-    split_vertex_count: int = 0
 
     @property
     def pendant_count(self) -> int:
@@ -258,7 +247,7 @@ def enumerate_splitted_images(
         return True
 
     def record() -> None:
-        img = realize_image(TypePartition(guest, tuple(cls), order))
+        img = realize_image(guest, tuple(cls), order)
         g = img.graph
         code = struct.pack(f">{2 * g.m + 1}I", g.n, *chain.from_iterable(g.edges))
         key = canon.get(code)
@@ -271,7 +260,6 @@ def enumerate_splitted_images(
                 graph=g,
                 multiplicity=1,
                 witness=img.source,
-                split_vertex_count=0,
             )
         else:
             entry.multiplicity += 1

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from random import Random
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .canonical import canonical_digest, canonical_form
 from .colouring import Colouring, check_colouring, preimage
@@ -146,12 +146,6 @@ def _atlas_checks(
             },
         )
     )
-    out.append(
-        _check(
-            f"{guest_name}-atlas-zero-split",
-            all(e.split_vertex_count == 0 for e in atlas.entries),
-        )
-    )
     bad = [
         i
         for i, e in enumerate(atlas.entries)
@@ -240,12 +234,6 @@ def _recipe_k5_images(params: dict) -> list[CheckResult]:
             no_unused = False
     checks.append(_check("k5-images-in-k-family-odd-t", all_in_family and atlas.complete))
     checks.append(_check("k5-images-no-unused-vertex", no_unused))
-    checks.append(
-        _check(
-            "k5-atlas-zero-split",
-            all(e.split_vertex_count == 0 for e in atlas.entries),
-        )
-    )
     return checks
 
 
@@ -355,8 +343,8 @@ def _recipe_lemma24_props(params: dict) -> list[CheckResult]:
             sample = rng.sample(sample, per_pair)
         total_colourings += len(sample)
         violations = []
-        for ci, c in enumerate(sample):
-            subsets = _edge_set_samples(host, c, rng)
+        edge_sets = _edge_set_samples(host, sample, rng)
+        for ci, (c, subsets) in enumerate(zip(sample, edge_sets)):
             for F in subsets:
                 rep = preimage(c, F)
                 for chk in rep.checks:
@@ -384,22 +372,26 @@ def _recipe_lemma24_props(params: dict) -> list[CheckResult]:
     return checks
 
 
-def _edge_set_samples(host: Multigraph, c: Colouring, rng: Random) -> list[set[int]]:
-    """Host edge sets exercising each preimage classification."""
-    out: list[set[int]] = []
+def _edge_set_samples(
+    host: Multigraph, sample: list[Colouring], rng: Random
+) -> Iterator[list[set[int]]]:
+    """Per sampled colouring, host edge sets exercising each preimage
+    classification.  The host's matchings are enumerated once for all."""
     pms = [set(M) for M in perfect_matchings(host)]
-    out.extend(rng.sample(pms, min(3, len(pms))))
     matchings = [set(M.edges) for M in enumerate_matchings(host) if M.edges]
-    if matchings:
-        out.extend(rng.sample(matchings, min(4, len(matchings))))
-    img = sorted(set(c.edge_map))
-    out.append(set(img))
-    for _ in range(4):
-        out.append({e for e in range(host.m) if rng.random() < 0.4})
-    for _ in range(2):
-        if img:
-            out.append({e for e in img if rng.random() < 0.5})
-    return [F for F in out if F]
+    for c in sample:
+        out: list[set[int]] = []
+        out.extend(rng.sample(pms, min(3, len(pms))))
+        if matchings:
+            out.extend(rng.sample(matchings, min(4, len(matchings))))
+        img = sorted(set(c.edge_map))
+        out.append(set(img))
+        for _ in range(4):
+            out.append({e for e in range(host.m) if rng.random() < 0.4})
+        for _ in range(2):
+            if img:
+                out.append({e for e in img if rng.random() < 0.5})
+        yield [F for F in out if F]
 
 
 # -- corpus recipes --------------------------------------------------------
@@ -520,6 +512,8 @@ def run_corpus(
 
 def _recipe_corpus(host: str, params: dict) -> list[CheckResult]:
     """Run the corpus at params["path"] against the registry graph host."""
+    if "path" not in params:
+        raise ValueError("corpus recipes require --path, the graph6 corpus file")
     return run_corpus(
         params["path"],
         by_name(host).graph,

@@ -6,12 +6,7 @@ from hypothesis import strategies as st
 
 from hcolour.canonical import canonical_form, is_isomorphic
 from hcolour.colouring import check_colouring
-from hcolour.images import (
-    TypePartition,
-    enumerate_splitted_images,
-    image_admits_extension,
-    realize_image,
-)
+from hcolour.images import enumerate_splitted_images, realize_image
 from hcolour.multigraph import Multigraph
 from hcolour.named import (
     cycle,
@@ -27,41 +22,116 @@ from hcolour.named import (
 from hcolour.solver import _bfs_edge_order, naive_solve_all, solve
 
 
-def test_type_partition_validation():
+def test_realize_image_validation():
     C4 = cycle(4).graph
-    good = TypePartition(C4, (0, 1, 0, 1), (0, 1, 2, 3))
-    good.validate()
+    realize_image(C4, (0, 1, 0, 1), (0, 1, 2, 3))
     with pytest.raises(ValueError):
-        TypePartition(C4, (0, 0, 1, 1), (0, 1, 2, 3)).validate()  # improper
+        realize_image(C4, (0, 0, 1, 1), (0, 1, 2, 3))  # improper
     with pytest.raises(ValueError):
-        TypePartition(C4, (1, 0, 1, 0), (0, 1, 2, 3)).validate()  # not RGS
+        realize_image(C4, (1, 0, 1, 0), (0, 1, 2, 3))  # not RGS
     with pytest.raises(ValueError):
-        TypePartition(C4, (0, 1, 0), (0, 1, 2, 3)).validate()  # not total
+        realize_image(C4, (0, 1, 0), (0, 1, 2, 3))  # not total
 
 
-def test_type_partition_two_types_per_class():
+def test_realize_image_two_types_per_class():
     # a star's edges all meet at the centre, so a path partitioned into
     # three singleton classes is fine, but K1,3 coloured with one class per
     # edge yields three distinct leaf types sharing no class; construct a
     # genuine violation instead: a path of 4 edges alternating 2 classes
     P5 = path(5).graph
-    p = TypePartition(P5, (0, 1, 0, 1), (0, 1, 2, 3))
     # class 0 appears in types {0}, {0,1}, {0,1}: fine (2 distinct)
-    p.validate()
+    realize_image(P5, (0, 1, 0, 1), (0, 1, 2, 3))
     # triangle with three classes, all types distinct pairs: class 0 in
     # {0,1} and {0,2} -> 2 types, still fine
-    TypePartition(cycle(3).graph, (0, 1, 2), (0, 1, 2)).validate()
+    realize_image(cycle(3).graph, (0, 1, 2), (0, 1, 2))
     # paw with classes 0,1,2,1: class 1 lands in four distinct vertex types
     paw = Multigraph(4, [(0, 1), (1, 2), (0, 2), (0, 3)])
     with pytest.raises(ValueError):
-        TypePartition(paw, (0, 1, 2, 1), (0, 1, 2, 3)).validate()
+        realize_image(paw, (0, 1, 2, 1), (0, 1, 2, 3))
+
+
+def test_realize_image_rejects_bad_order_and_classes():
+    C4 = cycle(4).graph
+    for order in [(0, 0, 2, 3), (0, 1, 2, 4), (0, 1, 2), (0, 1, 2, 3, 0)]:
+        with pytest.raises(ValueError, match="permutation"):
+            realize_image(C4, (0, 1, 0, 1), order)
+    with pytest.raises(ValueError, match="restricted-growth"):
+        realize_image(C4, (-1, 0, 1, 0), (0, 1, 2, 3))
+
+
+def _two_pass_image(guest, classes, order):
+    """The image computed plainly in separate passes: check the labelling,
+    then build types as sets, sort them by their sorted class lists and
+    join the types of each class."""
+    if len(classes) != guest.m or sorted(order) != list(range(guest.m)):
+        raise ValueError("not total or not a permutation")
+    nxt = 0
+    for e in order:
+        if not 0 <= classes[e] <= nxt:
+            raise ValueError("not restricted-growth")
+        nxt = max(nxt, classes[e] + 1)
+    types = []
+    for u in range(guest.n):
+        mine = [classes[eid] for eid, _ in guest.incident(u)]
+        if len(set(mine)) < len(mine):
+            raise ValueError("improper")
+        types.append(frozenset(mine))
+    distinct = sorted(set(types), key=sorted)
+    n, edges, pendant = len(distinct), [], []
+    for c in range(nxt):
+        ends = [i for i, t in enumerate(distinct) if c in t]
+        if len(ends) > 2:
+            raise ValueError("class in more than two types")
+        if len(ends) == 1:
+            pendant.append(n)
+            ends.append(n)
+            n += 1
+        edges.append(tuple(ends))
+    return n, tuple(edges), tuple(pendant), len(distinct)
+
+
+@st.composite
+def labelled_multigraphs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda ab: ab[0] != ab[1]
+    )
+    edges = draw(st.lists(pairs, max_size=8)) if n > 1 else []
+    m = len(edges)
+    order = draw(st.permutations(range(m)))
+    classes = [0] * m
+    if draw(st.booleans()):
+        # restricted growth along order, so that most labellings are valid
+        nxt = 0
+        for e in order:
+            classes[e] = draw(st.integers(0, nxt))
+            nxt = max(nxt, classes[e] + 1)
+    else:
+        classes = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m))
+    return Multigraph(n, edges), tuple(classes), tuple(order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelled_multigraphs())
+def test_realize_image_matches_two_pass_definition(case):
+    guest, classes, order = case
+    try:
+        want = _two_pass_image(guest, classes, order)
+    except ValueError:
+        with pytest.raises(ValueError):
+            realize_image(guest, classes, order)
+        return
+    img = realize_image(guest, classes, order)
+    g = img.graph
+    assert (g.n, g.edges, img.pendant_unused, len(img.used)) == want
+    assert img.split == () and img.source.edge_map == classes
 
 
 def test_realize_image_cycle():
     # alternating classes give every C4 vertex the same type {0,1}, so both
     # classes are single-type and realize as pendant edges: the image is P3
     C4 = cycle(4).graph
-    img = realize_image(TypePartition(C4, (0, 1, 0, 1), (0, 1, 2, 3)))
+    img = realize_image(C4, (0, 1, 0, 1), (0, 1, 2, 3))
     assert img.graph.n == 3 and img.graph.m == 2
     assert img.split == ()
     assert len(img.pendant_unused) == 2
@@ -70,15 +140,13 @@ def test_realize_image_cycle():
 
 def test_realize_image_single_type_class_gets_pendant():
     P3 = path(3).graph
-    img = realize_image(TypePartition(P3, (0, 1), (0, 1)))
+    img = realize_image(P3, (0, 1), (0, 1))
     # centre type {0,1}; leaf types {0} and {1}; no single-type class
     assert img.graph.m == 2
-    p = TypePartition(path(2).graph, (0,), (0,))
-    img2 = realize_image(p)
+    img2 = realize_image(path(2).graph, (0,), (0,))
     # both endpoints share type {0}: one used vertex plus a fresh pendant
     assert img2.graph.n == 2
     assert len(img2.pendant_unused) == 1
-    assert image_admits_extension(img2) is False
 
 
 def test_petersen_atlas_exact():
@@ -87,7 +155,6 @@ def test_petersen_atlas_exact():
     assert len(atlas.entries) == 2
     expected = {canonical_form(petersen().graph), canonical_form(s4().graph)}
     assert atlas.canonical_set() == expected
-    assert all(e.split_vertex_count == 0 for e in atlas.entries)
     assert all(check_colouring(e.witness).ok for e in atlas.entries)
     # multiplicities frozen after independent computation
     assert atlas.find(petersen().graph).multiplicity == 1
@@ -198,19 +265,18 @@ def _restricted_growth_strings(m: int):
 
 def naive_atlas(guest: Multigraph) -> dict[bytes, int]:
     """Every restricted-growth labelling along the search's edge order that
-    validates, grouped by the canonical form of its image."""
+    realize_image accepts, grouped by the canonical form of its image."""
     order = _bfs_edge_order(guest)
     out: dict[bytes, int] = {}
     for rgs in _restricted_growth_strings(guest.m):
         classes = [0] * guest.m
         for eid, c in zip(order, rgs):
             classes[eid] = c
-        p = TypePartition(guest, tuple(classes), tuple(order))
         try:
-            p.validate()
+            img = realize_image(guest, tuple(classes), tuple(order))
         except ValueError:
             continue
-        key = canonical_form(realize_image(p).graph)
+        key = canonical_form(img.graph)
         out[key] = out.get(key, 0) + 1
     return out
 

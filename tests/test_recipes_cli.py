@@ -250,3 +250,25 @@ def test_corpus_recipes_match_run_corpus(tmp_path, monkeypatch, recipe, host, gr
     direct = run_corpus(str(tiny), graph().graph, host, workers=1)
     assert [c.to_json() for c in report.checks] == [c.to_json() for c in direct]
     assert report.checks[0].details["host"] == host
+
+
+@pytest.mark.parametrize("cmd", ["corpus", "recipe"])
+def test_cli_corpus_missing_file_is_an_error(tmp_path, capsys, monkeypatch, cmd):
+    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
+    missing = str(tmp_path / "missing.g6")
+    argv = {
+        "corpus": ["corpus", missing, "--host", "s4", "--workers", "1"],
+        "recipe": ["recipe", "corpus-s4", "--path", missing, "--workers", "1"],
+    }[cmd]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and missing in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
+def test_cli_corpus_recipe_requires_path(capsys):
+    assert main(["recipe", "corpus-s4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: corpus recipes require --path, the graph6 corpus file\n"
