@@ -165,7 +165,10 @@ def _cmd_recipe(args) -> int:
         params["start_index"] = args.start_index
     for kv in args.param or []:
         k, _, v = kv.partition("=")
-        params[k] = int(v) if v.lstrip("-").isdigit() else v
+        try:
+            params[k] = int(v)
+        except ValueError:
+            params[k] = v  # run_recipe rejects it where it must be an integer
     try:
         report = run_recipe(args.name, params)
     except (OSError, ValueError) as exc:

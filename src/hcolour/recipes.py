@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 from random import Random
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, TypeVar
 
 from .canonical import canonical_digest, canonical_form
 from .colouring import Colouring, check_colouring, preimage
@@ -49,6 +49,8 @@ from .structure import (
 )
 
 DEFAULT_NODE_BUDGET = 10**8
+
+T = TypeVar("T")
 
 Outcome = str  # "pass" | "fail" | "unknown"
 
@@ -318,12 +320,13 @@ _LEMMA_PAIRS: Callable[[], list[tuple[str, Multigraph, Multigraph]]] = lambda: [
 def _recipe_lemma24_props(params: dict) -> list[CheckResult]:
     """Preimage classification properties over sampled solver colourings.
 
-    For each (host, guest) pair, sample colourings found by the solver and
-    host edge sets F, and assert every applicable preimage classification
-    holds: matchings pull back to matchings, host perfect matchings and
-    image-covering matchings to guest perfect matchings, isolated-free
-    edge-cuts of the used subgraph to guest edge-cuts, and k-regular host
-    sets meeting the vertex image to k-regular guest sets.
+    For each (host, guest) pair, sample colourings_per_pair colourings with
+    a reservoir as the solver streams them, and host edge sets F, and assert
+    every applicable preimage classification holds: matchings pull back to
+    matchings, host perfect matchings and image-covering matchings to guest
+    perfect matchings, isolated-free edge-cuts of the used subgraph to guest
+    edge-cuts, and k-regular host sets meeting the vertex image to k-regular
+    guest sets.
     """
     rng = Random(int(params.get("seed", 0)))
     per_pair = int(params.get("colourings_per_pair", 12))
@@ -331,16 +334,15 @@ def _recipe_lemma24_props(params: dict) -> list[CheckResult]:
     applied: dict[str, int] = {}
     total_colourings = 0
     for label, host, guest in _LEMMA_PAIRS():
-        res = solve(host, guest, mode="all", node_limit=params.get("node_limit"))
+        sample, keep = _reservoir(per_pair, rng)
+        res = solve(host, guest, mode="count", node_limit=params.get("node_limit"),
+                    visit=keep)
         if res.status != "sat":
             checks.append(
                 _check(f"lemma24-{label}-sat", False, status=res.status,
                        nodes=res.nodes)
             )
             continue
-        sample = res.colourings
-        if len(sample) > per_pair:
-            sample = rng.sample(sample, per_pair)
         total_colourings += len(sample)
         violations = []
         edge_sets = _edge_set_samples(host, sample, rng)
@@ -372,6 +374,30 @@ def _recipe_lemma24_props(params: dict) -> list[CheckResult]:
     return checks
 
 
+def _reservoir(k: int, rng: Random) -> tuple[list[T], Callable[[T], None]]:
+    """A uniform sample of k items from a stream of unknown length.
+
+    Algorithm R (Vitter, ACM TOMS 11, 1985): returns the sample list and
+    the function to feed each item to.  The i-th item (0-based) is taken
+    while i < k; after that it replaces slot j = rng.randrange(i + 1) when
+    j < k.  Shorter streams are kept whole, in order, without drawing.
+    """
+    sample: list[T] = []
+    seen = 0
+
+    def keep(item: T) -> None:
+        nonlocal seen
+        if seen < k:
+            sample.append(item)
+        else:
+            j = rng.randrange(seen + 1)
+            if j < k:
+                sample[j] = item
+        seen += 1
+
+    return sample, keep
+
+
 def _edge_set_samples(
     host: Multigraph, sample: list[Colouring], rng: Random
 ) -> Iterator[list[set[int]]]:
@@ -396,11 +422,22 @@ def _edge_set_samples(
 
 # -- corpus recipes --------------------------------------------------------
 
-def _corpus_worker(args) -> tuple[int, str, int, Optional[tuple[int, ...]]]:
+_CorpusResult = tuple[int, str, int, Optional[tuple[int, ...]], Optional[str]]
+
+
+def _corpus_worker(args) -> _CorpusResult:
+    """(index, status, nodes, witness edge map, error) for one entry.
+
+    An exception while solving makes that entry "unknown" with the
+    exception named in error, so one entry cannot abort the batch.
+    """
     index, host, guest, node_limit = args
-    r = solve(host, guest, node_limit=node_limit)
+    try:
+        r = solve(host, guest, node_limit=node_limit)
+    except Exception as exc:
+        return index, "unknown", 0, None, f"{type(exc).__name__}: {exc}"
     em = r.witness.edge_map if r.witness else None
-    return index, r.status, r.nodes, em
+    return index, r.status, r.nodes, em, None
 
 
 def worker_count(requested: Optional[int] = None) -> int:
@@ -439,7 +476,9 @@ def run_corpus(
     Entries that are not connected bridgeless cubic simple graphs are
     reported as skipped.  Parse errors are reported per line with outcome
     "unknown" and the run continues.  Results are order-stable by input
-    index; start_index resumes a previous run.  Every SAT certificate is
+    index; start_index resumes a previous run.  An entry whose solve
+    raises is reported "unknown" with the exception in its "error" detail,
+    and the run continues.  Every SAT certificate is
     re-validated here, outside the solver.  Raises ValueError before
     reading the file when workers or HCOLOR_THREADS is not a positive
     integer.
@@ -478,12 +517,14 @@ def run_corpus(
     jobs = [(i, host, G, node_limit) for i, _, G in entries]
     by_index = {i: (lineno, G) for i, lineno, G in entries}
 
-    def consume(result: tuple[int, str, int, Optional[tuple[int, ...]]]) -> None:
-        index, status, nodes, em = result
+    def consume(result: _CorpusResult) -> None:
+        index, status, nodes, em, error = result
         lineno, G = by_index[index]
         ok = status == "sat"
         details = {"line": lineno, "n": G.n, "m": G.m, "status": status,
                    "host": host_name}
+        if error is not None:
+            details["error"] = error
         if ok:
             cert = Colouring(host, G, em)
             if not check_colouring(cert).ok:
@@ -540,14 +581,28 @@ RECIPES: dict[str, Callable[[dict], list[CheckResult]]] = {
 }
 
 
+_INT_PARAMS = ("node_limit", "seed", "k", "colourings_per_pair", "workers",
+               "start_index")
+
+
 def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
-    """Run a named recipe; see RECIPES for the available names."""
+    """Run a named recipe; see RECIPES for the available names.
+
+    Raises ValueError before running anything when the name is unknown or
+    a parameter of _INT_PARAMS is neither an integer nor None.
+    """
     if name not in RECIPES:
         raise ValueError(
             f"unknown recipe {name!r}; available: {', '.join(sorted(RECIPES))}"
         )
+    params = params or {}
+    for key in _INT_PARAMS:
+        value = params.get(key)
+        if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+            continue
+        raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
     start = time.perf_counter()
-    checks = RECIPES[name](params or {})
+    checks = RECIPES[name](params)
     report = VerificationReport(
         recipe=name, checks=checks, version=artifact_version()
     )

@@ -25,13 +25,13 @@ the sequence is worked out once per guest before the search.
 
 Every colouring the search finds is revalidated by check_colouring, which
 reads only the colouring, not this state; a failure raises, also under
-``python -O``.
+``python -O``.  Only then is the colouring listed or passed to visit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import Callable, Literal, Optional
 
 from .colouring import Colouring, check_colouring
 from .multigraph import Multigraph
@@ -69,14 +69,33 @@ def solve(
     guest: Multigraph,
     mode: Literal["first", "all", "count"] = "first",
     node_limit: Optional[int] = None,
+    visit: Optional[Callable[[Colouring], None]] = None,
 ) -> SolveResult:
     """Decide host ≺ guest; enumerate or count all labelled colourings.
 
-    Sound and complete: every returned colouring revalidates, and "unsat"
-    is only reported after exhaustive search.  Hitting the node limit gives
+    Sound and complete: every colouring found revalidates, and "unsat" is
+    only reported after exhaustive search.  Hitting the node limit gives
     status "unknown", never "unsat".
+
+    visit, when given, is called with each colouring in search order, after
+    it has revalidated and in every mode; with mode="count" it streams the
+    colourings without keeping them.  mode="all" keeps them all in
+    res.colourings, mode="first" only the first.
     """
     res = SolveResult(status="unsat")
+    keep = None if mode == "count" else res.colourings.append
+
+    def record(edge_map: tuple[int, ...]) -> None:
+        res.count += 1
+        c = Colouring(host, guest, edge_map)
+        report = check_colouring(c)
+        if not report.ok:
+            raise RuntimeError(f"solver produced an invalid colouring: {report}")
+        if keep is not None:
+            keep(c)
+        if visit is not None:
+            visit(c)
+
     if guest.m == 0:
         # only the empty map; valid iff every guest vertex finds an
         # isolated host vertex (or the guest is empty)
@@ -84,11 +103,8 @@ def solve(
             any(host.degree(v) == 0 for v in range(host.n)) for _ in range(guest.n)
         )
         if ok:
-            c = Colouring(host, guest, ())
+            record(())
             res.status = "sat"
-            res.count = 1
-            if mode != "count":
-                res.colourings.append(c)
         return res
 
     boundary = [0] * host.n
@@ -121,22 +137,13 @@ def solve(
     m = guest.m
     assignment: list[int] = [-1] * m
 
-    def record() -> None:
-        res.count += 1
-        c = Colouring(host, guest, tuple(assignment))
-        report = check_colouring(c)
-        if not report.ok:
-            raise RuntimeError(f"solver produced an invalid colouring: {report}")
-        if mode != "count":
-            res.colourings.append(c)
-
     def rec(depth: int) -> bool:
         """Returns True to abort the search (mode=first after a hit)."""
         res.nodes += 1
         if node_limit is not None and res.nodes > node_limit:
             raise _LimitExceeded
         if depth == m:
-            record()
+            record(tuple(assignment))
             return mode == "first"
         eid = sequence[depth]
         a, b = guest.edges[eid]

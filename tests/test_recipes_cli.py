@@ -1,4 +1,6 @@
 import json
+from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -8,6 +10,9 @@ from hcolour.images import enumerate_splitted_images
 from hcolour.multigraph import Multigraph
 from hcolour.named import petersen, s4, s12_plus_km
 from hcolour.recipes import run_corpus, run_recipe
+from hcolour.solver import solve
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def test_run_recipe_unknown_name():
@@ -41,9 +46,21 @@ def test_petersen_images_enumerates_the_atlas_once(monkeypatch):
     assert limits == [10**6]
 
 
-def test_lemma24_props_pass_and_coverage():
+def test_lemma24_props_pass_and_coverage(monkeypatch):
+    from hcolour import recipes
+
+    modes = []
+
+    def recording(host, guest, *args, **kwargs):
+        modes.append(kwargs.get("mode", args[0] if args else "first"))
+        return solve(host, guest, *args, **kwargs)
+
+    monkeypatch.setattr(recipes, "solve", recording)
     report = run_recipe("lemma24-props")
     assert report.status == "pass", report.to_json_lines()
+    # the colourings are streamed into a reservoir, never listed whole
+    assert len(modes) == len(recipes._LEMMA_PAIRS())
+    assert "all" not in modes
     coverage = report.checks[-1]
     assert coverage.details["colourings"] >= 100
     assert set(coverage.details["applications"]) == {
@@ -74,6 +91,65 @@ def test_run_corpus_mixed_entries(tmp_path):
     assert checks[1].outcome == "unknown"  # parse error, run continued
     assert checks[2].outcome == "pass"  # skipped: C4 is not cubic
     assert "skipped" in checks[2].details
+
+
+def test_run_corpus_survives_a_failing_entry(monkeypatch):
+    from hcolour import recipes
+
+    calls = []
+
+    def failing_third(host, guest, *args, **kwargs):
+        calls.append(guest)
+        if len(calls) == 3:
+            raise RecursionError("maximum recursion depth exceeded")
+        return solve(host, guest, *args, **kwargs)
+
+    monkeypatch.setattr(recipes, "solve", failing_third)
+    corpus = DATA / "cubic_bridgeless_10.g6"
+    checks = run_corpus(str(corpus), s4().graph, "s4", workers=1)
+    entries = len(corpus.read_text().split())
+    assert len(checks) == len(calls) == entries > 3
+    bad = checks[2]
+    assert bad.outcome == "unknown"
+    assert bad.details["status"] == "unknown"
+    assert bad.details["error"] == "RecursionError: maximum recursion depth exceeded"
+    assert "certificate" not in bad.details
+    assert all(c.outcome == "pass" for i, c in enumerate(checks) if i != 2)
+
+
+def test_reservoir_is_a_seeded_sample_of_the_stream():
+    from hcolour.recipes import _reservoir
+
+    host, guest = s4().graph, petersen().graph
+    every = [c.edge_map for c in solve(host, guest, mode="all").colourings]
+    for k in (1, 12, len(every), len(every) + 5):
+        runs = []
+        for _ in range(2):
+            sample, keep = _reservoir(k, Random(7))
+            res = solve(host, guest, mode="count", visit=keep)
+            runs.append([c.edge_map for c in sample])
+        assert res.colourings == [] and res.count == len(every)
+        assert runs[0] == runs[1]  # same seed, same sample
+        assert len(runs[0]) == len(set(runs[0])) == min(k, len(every))
+        assert set(runs[0]) <= set(every)
+    sample, keep = _reservoir(len(every), Random(7))
+    solve(host, guest, mode="count", visit=keep)
+    assert [c.edge_map for c in sample] == every  # a short stream is kept whole
+
+
+def test_reservoir_is_uniform():
+    from hcolour.recipes import _reservoir
+
+    hits = [0] * 10
+    for seed in range(3000):
+        sample, keep = _reservoir(3, Random(seed))
+        for item in range(10):
+            keep(item)
+        assert len(set(sample)) == 3
+        for item in sample:
+            hits[item] += 1
+    # each item is kept with probability 3/10: 900 of 3000, sd 25
+    assert all(abs(h - 900) < 125 for h in hits), hits
 
 
 def test_run_corpus_resume(tmp_path):
@@ -180,6 +256,27 @@ def test_cli_recipe(capsys):
     assert last["status"] == "pass"
     assert main(["recipe", "nonesuch"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("param", ["node_limit=x", "seed=1.5", "colourings_per_pair=many",
+                                   "k=", "start_index=0x10", "seed=--5"])
+def test_cli_recipe_rejects_a_non_integer_param(capsys, monkeypatch, param):
+    from hcolour import recipes
+
+    def never(params):
+        raise AssertionError("the recipe ran")
+
+    monkeypatch.setitem(recipes.RECIPES, "petersen-images", never)
+    assert main(["recipe", "petersen-images", "--param", param]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key, _, value = param.partition("=")
+    assert captured.err == f"error: parameter {key!r} must be an integer, got {value!r}\n"
+
+
+def test_run_recipe_rejects_a_non_integer_param():
+    with pytest.raises(ValueError, match="parameter 'workers' must be an integer"):
+        run_recipe("corpus-s4", {"path": "unused.g6", "workers": True})
 
 
 def test_cli_corpus(tmp_path, capsys):

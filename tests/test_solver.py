@@ -179,6 +179,44 @@ def test_search_shape_pinned(label):
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == EDGE_MAP_DIGESTS[label]
 
 
+def test_search_shape_pinned_deepest():
+    # S12+1M against itself: the deepest search the recipes run
+    g = s12_plus_km(1).graph
+    res = solve(g, g, mode="count")
+    assert (res.status, res.count, res.nodes) == ("sat", 82944, 857047)
+
+
+@pytest.mark.parametrize("label", sorted(PAIR_SHAPES))
+def test_visit_streams_the_all_mode_colourings(label):
+    host, guest = next((h, g) for lb, h, g in _LEMMA_PAIRS() if lb == label)
+    listed = solve(host, guest, mode="all")
+    seen = []
+    counted = solve(host, guest, mode="count", visit=seen.append)
+    assert [c.edge_map for c in seen] == [c.edge_map for c in listed.colourings]
+    assert counted.colourings == []
+    assert (counted.status, counted.count, counted.nodes) == PAIR_SHAPES[label]
+    # with mode="all" the visitor sees the very colourings that are listed
+    seen = []
+    both = solve(host, guest, mode="all", visit=seen.append)
+    assert [id(c) for c in seen] == [id(c) for c in both.colourings]
+    assert both.nodes == listed.nodes
+
+
+def test_visit_with_first_mode_and_node_limit():
+    seen = []
+    res = solve(s4().graph, petersen().graph, visit=seen.append)
+    assert seen == res.colourings and len(seen) == 1
+    seen = []
+    res = solve(s12().graph, s12().graph, mode="count", node_limit=500,
+                visit=seen.append)
+    assert res.status == "unknown" and res.nodes == 501
+    assert len(seen) == res.count and all(check_colouring(c).ok for c in seen)
+    seen = []
+    res = solve(Multigraph(2, []), empty_graph(3), mode="count", visit=seen.append)
+    assert (res.status, res.count, res.nodes) == ("sat", 1, 0)
+    assert [c.edge_map for c in seen] == [()]
+
+
 def test_search_shape_pinned_unsat():
     res = solve(star(3).graph, petersen().graph)
     assert (res.status, res.count, res.nodes) == ("unsat", 0, 202)
@@ -237,8 +275,11 @@ _FAILING_CHECK_SCRIPT = textwrap.dedent("""
 
     solver.check_colouring = failing
     images.check_colouring = failing
+    visited = []
     for name, call in [
         ("solve", lambda: solver.solve(complete(4).graph, complete(4).graph)),
+        ("visit", lambda: solver.solve(complete(4).graph, complete(4).graph,
+                                       mode="count", visit=visited.append)),
         ("realize_image", lambda: images.enumerate_splitted_images(cycle(4).graph)),
     ]:
         try:
@@ -247,6 +288,7 @@ _FAILING_CHECK_SCRIPT = textwrap.dedent("""
             print(name, "raised:", exc)
         else:
             print(name, "accepted an invalid colouring")
+    print("visited", len(visited))
 """)
 
 
@@ -260,5 +302,6 @@ def test_revalidation_raises_under_python_O():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert [line.split()[:2] for line in lines] == [
-        ["solve", "raised:"], ["realize_image", "raised:"]
+        ["solve", "raised:"], ["visit", "raised:"], ["realize_image", "raised:"],
+        ["visited", "0"],
     ], out.stdout
