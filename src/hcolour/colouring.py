@@ -54,14 +54,47 @@ class ColouringReport:
         return self.ok
 
 
+_VALID = ColouringReport(ok=True)
+
+
 def check_colouring(c: Colouring) -> ColouringReport:
     """Validate both H-colouring conditions, reporting every violation.
 
-    Reads only the colouring itself, so it is independent of the search
-    that produced it.  Properness violations are (first edge, later edge)
-    pairs sharing a colour at a guest vertex, by vertex and then incidence
-    order; vertex violations are the guest vertices whose image set is the
-    boundary of no host vertex.
+    Reads only the colouring itself and the host's boundary masks, so it is
+    independent of the search that produced it.  The verdict is taken on
+    edge masks: at each guest vertex u the OR of 1 << f(e) over u's edges
+    must have deg(u) bits (properness) and be the boundary mask of some host
+    vertex (vertex condition; an isolated host vertex has mask 0).  A valid
+    colouring gets one shared report.  A rejected one gets its full report
+    from naive_check_colouring, and if that calls the colouring valid the
+    two checks disagree and RuntimeError is raised, also under python -O.
+    """
+    f = c.edge_map
+    masks = c.host.boundary_masks()
+    for inc in c.guest._adj:
+        s = 0
+        for eid, _ in inc:
+            s |= 1 << f[eid]
+        if s not in masks or s.bit_count() != len(inc):
+            break
+    else:
+        return _VALID
+    report = naive_check_colouring(c)
+    if report.ok:
+        raise RuntimeError(
+            f"the mask check rejects a colouring the set-based check accepts: "
+            f"{c.edge_map}"
+        )
+    return report
+
+
+def naive_check_colouring(c: Colouring) -> ColouringReport:
+    """check_colouring on plain sets: the full report and the oracle.
+
+    Properness violations are (first edge, later edge) pairs sharing a
+    colour at a guest vertex, by vertex and then incidence order; vertex
+    violations are the guest vertices whose image set is the boundary of no
+    host vertex.
     """
     G, H, f = c.guest, c.host, c.edge_map
     bounds = H.boundaries()
@@ -111,6 +144,11 @@ def induced_vertex_map(c: Colouring) -> tuple[int, ...]:
     report = check_colouring(c)
     if not report:
         raise ValueError(f"invalid colouring: {report}")
+    return _induced_vertex_map(c)
+
+
+def _induced_vertex_map(c: Colouring) -> tuple[int, ...]:
+    """induced_vertex_map of a colouring already known to be valid."""
     out = []
     for u in range(c.guest.n):
         img = frozenset(c.edge_map[eid] for eid, _ in c.guest.incident(u))
@@ -131,6 +169,11 @@ def image_subgraph(c: Colouring) -> tuple[Multigraph, list[int], list[int]]:
     """
     if not check_colouring(c):
         raise ValueError("invalid colouring")
+    return _image_subgraph(c)
+
+
+def _image_subgraph(c: Colouring) -> tuple[Multigraph, list[int], list[int]]:
+    """image_subgraph of a colouring already known to be valid."""
     return c.host.edge_induced_subgraph(sorted(c.image_edges()))
 
 
@@ -259,7 +302,7 @@ def preimage(c: Colouring, F: Iterable[int]) -> PreimageReport:
     checks.append(PreimageCheck("perfect_matching", host_pm, guest_pm))
 
     try:
-        fv = induced_vertex_map(c)
+        fv = _induced_vertex_map(c)
         im_fv = set(fv)
         covers_image = host_matching and im_fv <= covered
         checks.append(PreimageCheck("covering_matching", covers_image, guest_pm))
@@ -271,7 +314,7 @@ def preimage(c: Colouring, F: Iterable[int]) -> PreimageReport:
     cut_applicable = False
     cut_holds = False
     if G.is_connected() and G.n > 1:
-        Hf, verts, eids = image_subgraph(c)
+        Hf, verts, eids = _image_subgraph(c)
         back = {old: new for new, old in enumerate(eids)}
         if Fset <= set(eids):
             X = {back[e] for e in Fset}

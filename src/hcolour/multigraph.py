@@ -15,7 +15,8 @@ from typing import Iterable, Iterator, Sequence
 class Multigraph:
     """A finite undirected loopless multigraph."""
 
-    __slots__ = ("n", "edges", "name", "_adj", "_canon", "_boundaries")
+    __slots__ = ("n", "edges", "name", "_adj", "_canon", "_boundaries",
+                 "_boundary_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str = ""):
         if n < 0:
@@ -37,6 +38,7 @@ class Multigraph:
         self._adj = tuple(tuple(x) for x in adj)
         self._canon = None
         self._boundaries = None
+        self._boundary_masks = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -61,6 +63,17 @@ class Multigraph:
                 frozenset(eid for eid, _ in inc) for inc in self._adj
             )
         return self._boundaries
+
+    def boundary_masks(self) -> frozenset[int]:
+        """The boundary of every vertex as an edge mask (bit e for edge e),
+        built on first use.  An isolated vertex contributes the mask 0."""
+        if self._boundary_masks is None:
+            masks = [0] * self.n
+            for eid, (a, b) in enumerate(self.edges):
+                masks[a] |= 1 << eid
+                masks[b] |= 1 << eid
+            self._boundary_masks = frozenset(masks)
+        return self._boundary_masks
 
     def degree(self, u: int) -> int:
         self._check_vertex(u)

@@ -583,19 +583,27 @@ RECIPES: dict[str, Callable[[dict], list[CheckResult]]] = {
 
 _INT_PARAMS = ("node_limit", "seed", "k", "colourings_per_pair", "workers",
                "start_index")
+_PARAMS = frozenset(_INT_PARAMS) | {"path", "progress", "witness"}
 
 
 def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
     """Run a named recipe; see RECIPES for the available names.
 
-    Raises ValueError before running anything when the name is unknown or
-    a parameter of _INT_PARAMS is neither an integer nor None.
+    Raises ValueError before running anything when the name is unknown, a
+    parameter is one no recipe reads (a misspelt key would otherwise run
+    the recipe at its default), or a parameter of _INT_PARAMS is neither an
+    integer nor None.
     """
     if name not in RECIPES:
         raise ValueError(
             f"unknown recipe {name!r}; available: {', '.join(sorted(RECIPES))}"
         )
     params = params or {}
+    for key in params:
+        if key not in _PARAMS:
+            raise ValueError(
+                f"unknown parameter {key!r}; known: {', '.join(sorted(_PARAMS))}"
+            )
     for key in _INT_PARAMS:
         value = params.get(key)
         if value is None or (isinstance(value, int) and not isinstance(value, bool)):

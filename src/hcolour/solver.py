@@ -24,8 +24,12 @@ choice depends only on which edges are assigned, never on their images, so
 the sequence is worked out once per guest before the search.
 
 Every colouring the search finds is revalidated by check_colouring, which
-reads only the colouring, not this state; a failure raises, also under
-``python -O``.  Only then is the colouring listed or passed to visit.
+reads only the colouring and the host's own cached boundary masks, not this
+state or its boundary table: it ORs the images of each guest vertex's edges
+into one edge mask and looks it up among the host's boundary masks, and
+falls back to a set-based check for the report when it rejects.  A
+rejection raises, also under ``python -O``.  Only then is the colouring
+listed or passed to visit.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional
 
-from .colouring import Colouring, check_colouring
+from .colouring import Colouring, check_colouring, naive_check_colouring
 from .multigraph import Multigraph
 from .structure import chromatic_index
 
@@ -249,7 +253,9 @@ def tk2_colourable(guest: Multigraph, t: int) -> bool:
 
 
 def naive_solve_all(host: Multigraph, guest: Multigraph) -> list[Colouring]:
-    """Independent oracle: filter all |E(H)|^|E(G)| maps by check_colouring.
+    """Independent oracle: filter all |E(H)|^|E(G)| maps by the set-based
+    naive_check_colouring, so it shares no code with the search or with
+    check_colouring's mask verdict.
 
     Only for tiny instances; used to cross-validate the backtracking
     solver.
@@ -259,6 +265,6 @@ def naive_solve_all(host: Multigraph, guest: Multigraph) -> list[Colouring]:
     out = []
     for f in itertools.product(range(host.m), repeat=guest.m):
         c = Colouring(host, guest, f)
-        if check_colouring(c).ok:
+        if naive_check_colouring(c).ok:
             out.append(c)
     return out

@@ -1,3 +1,6 @@
+import functools
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +12,13 @@ from hcolour.colouring import (
     check_colouring,
     image_subgraph,
     induced_vertex_map,
+    naive_check_colouring,
     preimage,
     splitted_image,
     unused_vertices,
 )
 from hcolour.multigraph import Multigraph
-from hcolour.named import cycle, petersen, s4, t_k2
+from hcolour.named import cycle, petersen, s4, s12_plus_km, t_k2
 from hcolour.solver import solve
 from hcolour.structure import perfect_matchings
 
@@ -154,6 +158,15 @@ def test_preimage_rejects_invalid_colouring():
         preimage(bad, {0})
 
 
+@functools.lru_cache(maxsize=64)
+def _definitional_boundaries(H: Multigraph) -> list[set[int]]:
+    """The edge set at every host vertex, from the edge list alone."""
+    return [
+        {h for h, (a, b) in enumerate(H.edges) if v in (a, b)}
+        for v in range(H.n)
+    ]
+
+
 def definitional_report(c: Colouring) -> ColouringReport:
     """check_colouring written out from the definition, for comparison.
 
@@ -172,12 +185,9 @@ def definitional_report(c: Colouring) -> ColouringReport:
                     proper.append((earlier, later))
                     break
     vertex = []
+    boundaries = _definitional_boundaries(H)
     for u in range(G.n):
         img = {f[eid] for eid, _ in G.incident(u)}
-        boundaries = [
-            {h for h, (a, b) in enumerate(H.edges) if v in (a, b)}
-            for v in range(H.n)
-        ]
         if img not in boundaries:
             vertex.append(u)
     return ColouringReport(
@@ -211,7 +221,9 @@ def total_edge_maps(draw):
 @settings(max_examples=400, deadline=None)
 @given(total_edge_maps())
 def test_check_colouring_matches_definition(c):
-    assert check_colouring(c) == definitional_report(c)
+    expected = definitional_report(c)
+    assert check_colouring(c) == expected
+    assert naive_check_colouring(c) == expected
 
 
 def test_check_colouring_matches_definition_on_solver_output():
@@ -219,3 +231,77 @@ def test_check_colouring_matches_definition_on_solver_output():
     for c in solve(host, guest, mode="all").colourings[:50]:
         assert check_colouring(c) == definitional_report(c)
         assert check_colouring(c).ok
+
+
+# Hosts with isolated vertices (boundary mask 0) and with parallel edges
+# (two edges, two bits, one pair of endpoints), each against guests with
+# and without isolated vertices.  Every total map is checked.
+EXPLICIT_PAIRS = [
+    # host isolated vertex 2 serves guest isolated vertex 2
+    (Multigraph(3, [(0, 1)]), Multigraph(3, [(0, 1)])),
+    # no isolated host vertex: the isolated guest vertex never matches
+    (Multigraph(2, [(0, 1)]), Multigraph(3, [(0, 1)])),
+    # edgeless guest against a host with and without isolated vertices
+    (Multigraph(3, [(0, 1)]), Multigraph(2, [])),
+    (Multigraph(2, [(0, 1)]), Multigraph(2, [])),
+    (Multigraph(2, []), Multigraph(3, [])),
+    (Multigraph(0, []), Multigraph(1, [])),
+    # parallel host edges
+    (t_k2(2).graph, cycle(4).graph),
+    (t_k2(3).graph, Multigraph(2, [(0, 1)] * 3)),
+    (Multigraph(3, [(0, 1), (0, 1), (1, 2)]),
+     Multigraph(6, [(1, 2), (1, 2), (0, 1), (4, 3), (4, 5), (4, 5)])),
+    # parallel host edges and an isolated host vertex together
+    (Multigraph(4, [(0, 1), (0, 1), (1, 2)]),
+     Multigraph(5, [(0, 1), (0, 1), (1, 2)])),
+]
+
+
+@pytest.mark.parametrize("host, guest", EXPLICIT_PAIRS)
+def test_check_colouring_explicit_isolated_and_parallel(host, guest):
+    for f in itertools.product(range(host.m), repeat=guest.m):
+        c = Colouring(host, guest, f)
+        expected = definitional_report(c)
+        assert check_colouring(c) == expected, f
+        assert naive_check_colouring(c) == expected, f
+
+
+def test_check_colouring_explicit_pairs_reach_both_verdicts():
+    ok_somewhere = {
+        i for i, (host, guest) in enumerate(EXPLICIT_PAIRS)
+        if any(check_colouring(Colouring(host, guest, f)).ok
+               for f in itertools.product(range(host.m), repeat=guest.m))
+    }
+    # pairs 1, 3 and 5 have an isolated guest vertex and no isolated host
+    # vertex; every other pair has a valid colouring
+    assert ok_somewhere == set(range(len(EXPLICIT_PAIRS))) - {1, 3, 5}
+
+
+def test_check_colouring_shares_one_report_for_valid_colourings():
+    a = check_colouring(paw_colouring())
+    b = check_colouring(solve(s4().graph, petersen().graph).witness)
+    assert a.ok and a is b
+
+
+def test_check_colouring_single_edge_recolourings_of_s12_plus_1m():
+    H = s12_plus_km(1).graph
+    sample = []
+    seen = itertools.count()
+
+    def every_415th(c):
+        if next(seen) % 415 == 0:
+            sample.append(c.edge_map)
+
+    res = solve(H, H, mode="count", visit=every_415th)
+    assert res.count == 82944 and len(sample) == 200
+    rejected = 0
+    for f in sample:
+        for e in range(H.m):
+            for h in range(H.m):
+                if h == f[e]:
+                    continue
+                c = Colouring(H, H, f[:e] + (h,) + f[e + 1:])
+                expected = definitional_report(c)
+                assert check_colouring(c) == expected, (f, e, h)
+                rejected += not expected.ok
+    assert rejected > 0  # the set-based report was compared, not only the verdict

@@ -274,6 +274,41 @@ def test_cli_recipe_rejects_a_non_integer_param(capsys, monkeypatch, param):
     assert captured.err == f"error: parameter {key!r} must be an integer, got {value!r}\n"
 
 
+@pytest.mark.parametrize("param", ["node_limt=5", "noequals", "Seed=1"])
+def test_cli_recipe_rejects_an_unknown_param(capsys, monkeypatch, param):
+    from hcolour import recipes
+
+    def never(params):
+        raise AssertionError("the recipe ran")
+
+    monkeypatch.setitem(recipes.RECIPES, "petersen-images", never)
+    assert main(["recipe", "petersen-images", "--param", param]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = param.partition("=")[0]
+    assert captured.err == (
+        f"error: unknown parameter {key!r}; known: colourings_per_pair, k, "
+        "node_limit, path, progress, seed, start_index, witness, workers\n"
+    )
+
+
+def test_run_recipe_rejects_an_unknown_param(monkeypatch):
+    from hcolour import recipes
+
+    def never(params):
+        raise AssertionError("the recipe ran")
+
+    monkeypatch.setitem(recipes.RECIPES, "lemma24-props", never)
+    with pytest.raises(ValueError, match=r"^unknown parameter 'node_limt'; known: "):
+        run_recipe("lemma24-props", {"seed": 0, "node_limt": 5})
+    # every known key passes the check and reaches the recipe
+    known = {"colourings_per_pair": 1, "k": 1, "node_limit": 1, "path": "x",
+             "progress": None, "seed": 0, "start_index": 0, "witness": None,
+             "workers": 1}
+    with pytest.raises(AssertionError, match="the recipe ran"):
+        run_recipe("lemma24-props", known)
+
+
 def test_run_recipe_rejects_a_non_integer_param():
     with pytest.raises(ValueError, match="parameter 'workers' must be an integer"):
         run_recipe("corpus-s4", {"path": "unused.g6", "workers": True})

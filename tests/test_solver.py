@@ -289,6 +289,26 @@ _FAILING_CHECK_SCRIPT = textwrap.dedent("""
         else:
             print(name, "accepted an invalid colouring")
     print("visited", len(visited))
+
+    from hcolour import colouring
+    from hcolour.colouring import Colouring
+    from hcolour.multigraph import Multigraph
+    from hcolour.named import t_k2
+
+    improper = Colouring(t_k2(2).graph, cycle(4).graph, (0, 0, 1, 0))
+    no_vertex = Colouring(Multigraph(4, [(0, 1), (1, 2), (2, 3)]), cycle(4).graph,
+                          (0, 2, 0, 2))
+    for name, c in [("improper", improper), ("no_vertex", no_vertex)]:
+        report = colouring.check_colouring(c)
+        print(name, report.ok, report == colouring.naive_check_colouring(c),
+              report.properness_violations, report.vertex_violations)
+    colouring.naive_check_colouring = lambda c: ColouringReport(ok=True)
+    try:
+        colouring.check_colouring(improper)
+    except RuntimeError as exc:
+        print("disagreement raised:", exc)
+    else:
+        print("disagreement accepted")
 """)
 
 
@@ -301,7 +321,14 @@ def test_revalidation_raises_under_python_O():
     )
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert [line.split()[:2] for line in lines] == [
+    assert [line.split()[:2] for line in lines[:4]] == [
         ["solve", "raised:"], ["visit", "raised:"], ["realize_image", "raised:"],
         ["visited", "0"],
     ], out.stdout
+    # the mask verdict rejects both maps and the oracle supplies the report
+    assert lines[4:6] == [
+        "improper False True ((0, 3), (0, 1)) (0, 1)",
+        "no_vertex False True () (0, 1, 2, 3)",
+    ], out.stdout
+    assert lines[6].startswith("disagreement raised:"), out.stdout
+    assert len(lines) == 7, out.stdout
