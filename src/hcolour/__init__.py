@@ -9,7 +9,13 @@ a guest admits up to isomorphism, and bundles the structural checks
 accompanying theory at small scale.
 """
 
-from .canonical import canonical_digest, canonical_form, is_isomorphic
+from .canonical import (
+    automorphism_generators,
+    automorphism_group_order,
+    canonical_digest,
+    canonical_form,
+    is_isomorphic,
+)
 from .colouring import (
     AmbiguousHostError,
     Colouring,

@@ -179,8 +179,8 @@ def _image_subgraph(c: Colouring) -> tuple[Multigraph, list[int], list[int]]:
 
 def unused_vertices(c: Colouring) -> frozenset[int]:
     """Host vertices of H_f outside the range of the induced vertex map."""
-    fv = induced_vertex_map(c)
-    _, verts, _ = image_subgraph(c)
+    fv = induced_vertex_map(c)  # validates c
+    _, verts, _ = _image_subgraph(c)
     return frozenset(verts) - frozenset(fv)
 
 
@@ -207,8 +207,8 @@ class ImageGraph:
 
 def splitted_image(c: Colouring) -> ImageGraph:
     """Replace every unused vertex of degree d >= 2 by d degree-1 vertices."""
-    fv = induced_vertex_map(c)
-    Hf, verts, eids = image_subgraph(c)
+    fv = induced_vertex_map(c)  # validates c
+    Hf, verts, eids = _image_subgraph(c)
     pos = {v: i for i, v in enumerate(verts)}
     used_old = sorted(set(fv))
     unused_old = [v for v in verts if v not in set(fv)]

@@ -29,8 +29,7 @@ from typing import Optional
 from .canonical import canonical_form
 from .colouring import Colouring, ImageGraph, check_colouring
 from .multigraph import Multigraph
-from .solver import _bfs_edge_order, tk2_colourable
-from .structure import CHROMATIC_INDEX_EDGE_GUARD
+from .solver import _bfs_edge_order
 
 
 def _class_list(mask: int) -> list[int]:
@@ -174,19 +173,19 @@ def enumerate_splitted_images(
     Every leaf is realized and revalidated by realize_image; the canonical
     form of each distinct labelled image is computed once per call.
 
-    Guests realizable by the degenerate two-vertex host are reported via
-    the tk2_realizable flag; the corresponding star image still appears as
-    a regular entry.
+    The tk2_realizable flag says whether the guest is coloured by t
+    parallel edges on two vertices, i.e. is t-regular and t-edge-colourable.
+    That holds iff some leaf has a single vertex type, whose image is the
+    star K_{1,t} with every edge pendant: one type of t classes makes the
+    classes a t-edge-colouring of a t-regular guest, and conversely in a
+    connected guest whose classes each lie in one type, adjacent vertices
+    share their type.  So a complete atlas decides the flag, and an
+    incomplete one gives True if such a leaf was reached and None if not.
+    The star image still appears as a regular entry.
     """
     if not guest.is_connected() or guest.n <= 2:
         raise ValueError("guest must be connected with more than 2 vertices")
     atlas = ImageAtlas(guest=guest)
-    if guest.m <= CHROMATIC_INDEX_EDGE_GUARD:
-        degs = set(guest.degrees())
-        if len(degs) == 1:
-            atlas.tk2_realizable = tk2_colourable(guest, degs.pop())
-        else:
-            atlas.tk2_realizable = False
 
     order = tuple(_bfs_edge_order(guest))
     edges = guest.edges
@@ -202,6 +201,7 @@ def enumerate_splitted_images(
     canon: dict[bytes, bytes] = {}  # labelled image encoding -> canonical form
     nodes = 0
     aborted = False
+    single_type = False  # some leaf has one vertex type: the tk2 colouring
 
     def fits(u: int, mask: int) -> bool:
         """Mask is a subset of a degree-sized type of each saturated class in it."""
@@ -247,7 +247,10 @@ def enumerate_splitted_images(
         return True
 
     def record() -> None:
+        nonlocal single_type
         img = realize_image(guest, tuple(cls), order)
+        if len(img.used) == 1:
+            single_type = True
         g = img.graph
         code = struct.pack(f">{2 * g.m + 1}I", g.n, *chain.from_iterable(g.edges))
         key = canon.get(code)
@@ -321,6 +324,7 @@ def enumerate_splitted_images(
     del rec
     atlas.nodes = nodes
     atlas.complete = not aborted
+    atlas.tk2_realizable = single_type or (None if aborted else False)
     atlas.entries = sorted(
         found.values(), key=lambda e: (e.graph.n, e.graph.m, e.canonical)
     )

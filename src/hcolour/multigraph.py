@@ -15,8 +15,8 @@ from typing import Iterable, Iterator, Sequence
 class Multigraph:
     """A finite undirected loopless multigraph."""
 
-    __slots__ = ("n", "edges", "name", "_adj", "_canon", "_boundaries",
-                 "_boundary_masks")
+    __slots__ = ("n", "edges", "name", "_adj", "_canon", "_aut",
+                 "_boundaries", "_boundary_masks")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str = ""):
         if n < 0:
@@ -37,6 +37,7 @@ class Multigraph:
             adj[b].append((eid, a))
         self._adj = tuple(tuple(x) for x in adj)
         self._canon = None
+        self._aut = None
         self._boundaries = None
         self._boundary_masks = None
 

@@ -591,8 +591,9 @@ def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
 
     Raises ValueError before running anything when the name is unknown, a
     parameter is one no recipe reads (a misspelt key would otherwise run
-    the recipe at its default), or a parameter of _INT_PARAMS is neither an
-    integer nor None.
+    the recipe at its default), a parameter of _INT_PARAMS is neither an
+    integer nor None, or one of the API-only parameters is of the wrong
+    kind: witness must be a Multigraph and progress callable, or None.
     """
     if name not in RECIPES:
         raise ValueError(
@@ -609,6 +610,12 @@ def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
         if value is None or (isinstance(value, int) and not isinstance(value, bool)):
             continue
         raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
+    witness = params.get("witness")
+    if witness is not None and not isinstance(witness, Multigraph):
+        raise ValueError(f"parameter 'witness' must be a Multigraph, got {witness!r}")
+    progress = params.get("progress")
+    if progress is not None and not callable(progress):
+        raise ValueError(f"parameter 'progress' must be callable, got {progress!r}")
     start = time.perf_counter()
     checks = RECIPES[name](params)
     report = VerificationReport(

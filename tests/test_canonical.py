@@ -1,13 +1,25 @@
 import hashlib
+import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcolour.canonical import canonical_digest, canonical_form, is_isomorphic
+from hcolour import canonical
+from hcolour.canonical import (
+    automorphism_generators,
+    automorphism_group_order,
+    canonical_digest,
+    canonical_form,
+    is_isomorphic,
+    naive_canonical_form,
+)
+from hcolour.graphio import ingest_graph6
 from hcolour.multigraph import Multigraph
 from hcolour.named import (
+    by_name,
     complete,
     cycle,
     j_graph,
@@ -143,3 +155,204 @@ def test_canonical_form_pinned(name):
     random.Random(1).shuffle(perm)
     for H in (G, G.relabelled(perm)):
         assert hashlib.sha256(canonical_form(H)).hexdigest() == expected
+
+
+# -- automorphism pruning against the unpruned search ------------------------
+
+CORPUS = Path(__file__).resolve().parents[1] / "data" / "cubic_bridgeless_le14.g6"
+
+# Registry names of the named constructions.  K8 is pinned above.  J6 and
+# larger are left out: the unpruned oracle would walk all |Aut| = 82,944,000
+# optimal leaves of J6.
+NAMED = [
+    "petersen", "s4", "s6", "s10", "s12", "pm10", "s4+0m", "s4+2m", "s6+1m",
+    "s12+1m", "s12+2m", "k1", "k2", "k3", "k4", "k5", "k6", "k7", "k4-e",
+    "k5-e", "c3", "c4", "c5", "c6", "c7", "c8", "path2", "path3", "path5",
+    "star2", "star3", "star5", "2k2", "3k2", "5k2", "j4", "kfamily-3-4",
+    "kfamily-5-4", "kfamily-4-5-1", "kfamily-4-7-3", "kfamily-3-6",
+]
+
+
+def _brute_force_aut_order(G: Multigraph) -> int:
+    edges = sorted(G.edges)
+    return sum(
+        1
+        for p in itertools.permutations(range(G.n))
+        if sorted((min(p[a], p[b]), max(p[a], p[b])) for a, b in G.edges) == edges
+    )
+
+
+def _is_automorphism(G: Multigraph, g) -> bool:
+    if sorted(g) != list(range(G.n)):
+        return False
+    moved = sorted((min(g[a], g[b]), max(g[a], g[b])) for a, b in G.edges)
+    return moved == sorted(G.edges)
+
+
+def _closure_order(gens, n: int) -> int:
+    """Order of the group the permutations generate, by breadth-first closure."""
+    identity = tuple(range(n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for g in gens:
+                q = tuple(g[p[v]] for v in range(n))
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return len(seen)
+
+
+def _check_group(G: Multigraph) -> None:
+    """Pruned and unpruned forms agree, |Aut| is brute force's and the
+    generators are automorphisms that generate a group of that order."""
+    assert canonical_form(G) == naive_canonical_form(G)
+    order = automorphism_group_order(G)
+    gens = automorphism_generators(G)
+    assert all(_is_automorphism(G, g) for g in gens)
+    if G.n <= 7:
+        assert order == _brute_force_aut_order(G)
+        assert _closure_order(gens, G.n) == order
+
+
+def test_canonical_form_matches_naive_on_corpus():
+    count = 0
+    for _, G in ingest_graph6(CORPUS):
+        assert isinstance(G, Multigraph), G
+        assert canonical_form(G) == naive_canonical_form(G)
+        gens = automorphism_generators(G)
+        assert all(_is_automorphism(G, g) for g in gens)
+        # the count and the generators come out of the search separately
+        assert _closure_order(gens, G.n) == automorphism_group_order(G)
+        count += 1
+    assert count == 587
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_named_graph_group_matches_oracles(name):
+    _check_group(by_name(name).graph)
+
+
+@st.composite
+def multigraphs_with_parallel_edges(draw):
+    n = draw(st.integers(min_value=1, max_value=7))
+    edges = []
+    if n > 1:
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+            lambda ab: ab[0] != ab[1]
+        )
+        for ab, mult in draw(st.lists(st.tuples(pair, st.integers(1, 3)), max_size=9)):
+            edges += [ab] * mult
+    return Multigraph(n, draw(st.permutations(edges)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs_with_parallel_edges())
+def test_group_matches_oracles_on_multigraphs(G):
+    _check_group(G)
+
+
+def test_empty_graph_group():
+    G = Multigraph(0, [])
+    assert canonical_form(G) == naive_canonical_form(G)
+    assert automorphism_group_order(G) == 1
+    assert automorphism_generators(G) == ()
+
+
+def _z4_squared_cayley(steps) -> Multigraph:
+    """Cayley graph of Z4 x Z4 with connection set steps and their negatives."""
+    edges = set()
+    for v in range(16):
+        i, j = divmod(v, 4)
+        for a, b in steps:
+            w = (i + a) % 4 * 4 + (j + b) % 4
+            edges.add((min(v, w), max(v, w)))
+    return Multigraph(16, sorted(edges))
+
+
+def _shrikhande() -> Multigraph:
+    return _z4_squared_cayley([(0, 1), (1, 0), (1, 1)])
+
+
+def _rook4() -> Multigraph:
+    """The 4 x 4 rook's graph: same row or same column."""
+    return _z4_squared_cayley([(0, 1), (0, 2), (1, 0), (2, 0)])
+
+
+def test_strongly_regular_16_vertex_pair():
+    # both are strongly regular with parameters (16, 6, 2, 2), so equitable
+    # refinement cannot tell their vertices apart; they are not isomorphic
+    S, R = _shrikhande(), _rook4()
+    assert sorted(S.degrees()) == sorted(R.degrees()) == [6] * 16
+    assert not is_isomorphic(S, R)
+    for G in (S, R):
+        assert canonical_form(G) == naive_canonical_form(G)
+        assert all(_is_automorphism(G, g) for g in automorphism_generators(G))
+
+
+@pytest.mark.parametrize("name, order", [("P", 120), ("Heawood", 336), ("K7", 5040),
+                                         ("K8", 40320), ("Shrikhande", 192),
+                                         ("Rook4", 1152)])
+def test_group_order_matches_networkx(name, order):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import MultiGraphMatcher
+
+    extra = {"Shrikhande": _shrikhande, "Rook4": _rook4}
+    G = (extra.get(name) or CANONICAL_SHA256[name][0])()
+    H = nx.MultiGraph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges)
+    assert sum(1 for _ in MultiGraphMatcher(H, H).isomorphisms_iter()) == order
+    assert automorphism_group_order(G) == order
+    assert all(_is_automorphism(G, g) for g in automorphism_generators(G))
+
+
+@pytest.mark.parametrize("name", ["j6", "j8", "k9", "s12+2m"])
+def test_generators_generate_a_group_of_the_counted_order(name):
+    sympy = pytest.importorskip("sympy")
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    G = by_name(name).graph
+    gens = automorphism_generators(G)
+    assert all(_is_automorphism(G, g) for g in gens)
+    group = PermutationGroup([Permutation(list(g)) for g in gens])
+    assert group.order() == automorphism_group_order(G)
+
+
+def test_group_comes_from_the_canonical_search(monkeypatch):
+    G = complete(6).graph
+    key = canonical_form(G)
+
+    def no_search(G):
+        raise AssertionError("searched again")
+
+    monkeypatch.setattr(canonical, "_search", no_search)
+    assert canonical_form(G) == key
+    assert automorphism_group_order(G) == 720
+    assert len(automorphism_generators(G)) > 0
+
+
+# Leaves the pruned search encodes; the unpruned search encodes every leaf
+# (120, 336, 5,040, 40,320 and 362,880 for the first five).  A change to the
+# pruning shows up here even where the bytes stay the same.
+PRUNED_LEAVES = {"P": 10, "Heawood": 15, "K7": 22, "K8": 29, "K9": 37,
+                 "J4": 12, "S12+1M": 7}
+
+
+@pytest.mark.parametrize("name", sorted(PRUNED_LEAVES))
+def test_pruned_search_leaf_count_pinned(monkeypatch, name):
+    build = {"K9": lambda: complete(9).graph}.get(name) or CANONICAL_SHA256[name][0]
+    G = build()
+    leaves = []
+    real = canonical._encode
+
+    def counting(mult, order):
+        leaves.append(order)
+        return real(mult, order)
+
+    monkeypatch.setattr(canonical, "_encode", counting)
+    canonical_form(G)
+    assert len(leaves) == PRUNED_LEAVES[name]

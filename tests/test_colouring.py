@@ -116,6 +116,35 @@ def test_splitted_image_keeps_pendant_unused():
     assert img.graph.n == 4 and img.graph.m == 5
 
 
+def _s4_colouring_of_petersen():
+    return solve(s4().graph, petersen().graph).witness
+
+
+@pytest.mark.parametrize("fn", [splitted_image, unused_vertices])
+@pytest.mark.parametrize("build", [paw_colouring, _s4_colouring_of_petersen])
+def test_image_functions_validate_once(monkeypatch, fn, build):
+    from hcolour import colouring
+
+    c = build()
+    calls = []
+    real = colouring.check_colouring
+
+    def counting(col):
+        calls.append(col)
+        return real(col)
+
+    monkeypatch.setattr(colouring, "check_colouring", counting)
+    fn(c)
+    assert calls == [c]
+
+
+@pytest.mark.parametrize("fn", [splitted_image, unused_vertices])
+def test_image_functions_reject_invalid_colouring(fn):
+    bad = Colouring(t_k2(2).graph, cycle(4).graph, (0, 0, 1, 0))
+    with pytest.raises(ValueError, match="invalid colouring"):
+        fn(bad)
+
+
 def test_preimage_matching_and_pm():
     res = solve(s4().graph, petersen().graph)
     c = res.witness

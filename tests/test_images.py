@@ -19,7 +19,7 @@ from hcolour.named import (
     s12_plus_km,
     complete,
 )
-from hcolour.solver import _bfs_edge_order, naive_solve_all, solve
+from hcolour.solver import _bfs_edge_order, naive_solve_all, solve, tk2_colourable
 
 
 def test_realize_image_validation():
@@ -298,6 +298,33 @@ def test_atlas_matches_naive_oracle(guest):
     atlas = enumerate_splitted_images(guest)
     assert atlas.complete
     assert {e.canonical: e.multiplicity for e in atlas.entries} == naive_atlas(guest)
+    assert atlas.tk2_realizable is _tk2_oracle(guest)
+
+
+def _tk2_oracle(guest: Multigraph) -> bool:
+    """The flag from its definition: t-regular with a t-edge-colouring."""
+    degrees = set(guest.degrees())
+    return len(degrees) == 1 and tk2_colourable(guest, degrees.pop())
+
+
+@pytest.mark.parametrize("guest", [cycle(4).graph, cycle(5).graph] + [
+    complete(t).graph for t in range(4, 8)], ids=["C4", "C5", "K4", "K5", "K6", "K7"])
+def test_tk2_flag_matches_chromatic_index(guest):
+    atlas = enumerate_splitted_images(guest)
+    assert atlas.complete
+    assert atlas.tk2_realizable is _tk2_oracle(guest)
+
+
+def test_tk2_flag_of_incomplete_atlas():
+    # the single-type leaf of Q3 is the 13th node; before it nothing is known
+    assert enumerate_splitted_images(_q3(), node_limit=12).tk2_realizable is None
+    atlas = enumerate_splitted_images(_q3(), node_limit=13)
+    assert not atlas.complete and atlas.tk2_realizable is True
+    # past the 64 edges up to which the chromatic index is computed
+    c66 = enumerate_splitted_images(cycle(66).graph, node_limit=200)
+    assert not c66.complete and c66.tk2_realizable is True
+    c67 = enumerate_splitted_images(cycle(67).graph, node_limit=200)
+    assert not c67.complete and c67.tk2_realizable is None
 
 
 def _k33() -> Multigraph:
@@ -381,3 +408,4 @@ def test_atlas_pinned(name):
     assert got == classes
     if nodes is not None:
         assert atlas.nodes == nodes
+    assert atlas.tk2_realizable is _tk2_oracle(build())

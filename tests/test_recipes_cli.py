@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 from random import Random
 
@@ -307,6 +308,37 @@ def test_run_recipe_rejects_an_unknown_param(monkeypatch):
              "workers": 1}
     with pytest.raises(AssertionError, match="the recipe ran"):
         run_recipe("lemma24-props", known)
+
+
+API_ONLY_PARAMS = [
+    ("thm44", {"witness": "foo"}, "parameter 'witness' must be a Multigraph, got 'foo'"),
+    ("corpus-s4", {"path": "unused.g6", "progress": 1},
+     "parameter 'progress' must be callable, got 1"),
+]
+
+
+@pytest.mark.parametrize("name, params, message", API_ONLY_PARAMS)
+def test_run_recipe_rejects_api_only_params_of_the_wrong_kind(monkeypatch, name, params,
+                                                               message):
+    from hcolour import recipes
+
+    def never(params):
+        raise AssertionError("the recipe ran")
+
+    monkeypatch.setitem(recipes.RECIPES, name, never)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_recipe(name, params)
+
+
+@pytest.mark.parametrize("name, params, message", API_ONLY_PARAMS)
+def test_cli_recipe_rejects_api_only_params(capsys, name, params, message):
+    argv = ["recipe", name]
+    for key, value in params.items():
+        argv += ["--path", value] if key == "path" else ["--param", f"{key}={value}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_run_recipe_rejects_a_non_integer_param():
