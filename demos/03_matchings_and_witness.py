@@ -22,8 +22,7 @@ print("perfect matchings of P:", len(pms))
 print("pairwise intersections:",
       sorted(len(a & b) for i, a in enumerate(pms) for b in pms[i + 1:]))
 
-cuts = [M.edges for M in enumerate_matchings(P)
-        if M.edges and P.is_edge_cut(set(M.edges))]
+cuts = [M for M in enumerate_matchings(P) if M and P.is_edge_cut(M)]
 print("matching edge-cuts of P:", len(cuts), "(all perfect:",
       all(2 * len(c) == P.n for c in cuts), ")")
 

@@ -47,7 +47,6 @@ from .multigraph import Multigraph, from_edge_list_text, to_edge_list_text
 from .recipes import RECIPES, VerificationReport, run_corpus, run_recipe
 from .solver import SolveResult, naive_solve_all, solve, tk2_colourable
 from .structure import (
-    Matching,
     chromatic_index,
     edge_colouring,
     enumerate_matchings,

@@ -2,8 +2,9 @@
 
 Subcommands: gen, solve, images, check, recipe, corpus.  Structured results
 (JSON objects, certificates, edge lists) go to stdout; timings and other
-diagnostics go to stderr.  Exit codes: 0 all pass / SAT, 1 any fail / UNSAT,
-2 any unknown or error.
+diagnostics go to stderr.  corpus prints one JSON object per input record,
+in input order as each is decided, then a summary object.  Exit codes: 0 all
+pass / SAT, 1 any fail / UNSAT, 2 any unknown or error.
 """
 
 from __future__ import annotations
@@ -28,12 +29,10 @@ from .images import enumerate_splitted_images
 from .multigraph import Multigraph, from_edge_list_text, to_edge_list_text
 from .recipes import (
     DEFAULT_NODE_BUDGET,
-    CheckResult,
     VerificationReport,
     artifact_version,
     run_corpus,
     run_recipe,
-    worker_count,
 )
 from .solver import solve
 
@@ -155,14 +154,8 @@ def _report_exit(report: VerificationReport) -> int:
 
 def _cmd_recipe(args) -> int:
     params: dict = {}
-    if args.path:
-        params["path"] = args.path
     if args.node_limit is not None:
         params["node_limit"] = args.node_limit
-    if args.workers is not None:
-        params["workers"] = args.workers
-    if args.start_index:
-        params["start_index"] = args.start_index
     for kv in args.param or []:
         k, _, v = kv.partition("=")
         try:
@@ -182,36 +175,23 @@ def _cmd_recipe(args) -> int:
 
 def _cmd_corpus(args) -> int:
     host = _resolve(load_graph, args.host)
-    try:
-        workers = worker_count(args.workers)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN
     t0 = time.perf_counter()
-
-    def stream(res: CheckResult) -> None:
-        print(res.to_json(), flush=True)
-
     try:
         checks = run_corpus(
             args.file,
             host,
             args.host,
-            node_limit=args.node_limit or DEFAULT_NODE_BUDGET,
-            workers=workers,
+            node_limit=args.node_limit,
+            workers=args.workers,
             start_index=args.start_index,
-            progress=stream,
+            progress=lambda res: print(res.to_json(), flush=True),
         )
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     report = VerificationReport(
         recipe=f"corpus:{args.host}", checks=checks, version=artifact_version()
     )
-    # entries already streamed; emit parse errors, skips, and the summary
-    for c in checks:
-        if "status" not in c.details:
-            print(c.to_json())
     print(report.to_json_lines().splitlines()[-1])
     print(
         f"corpus {args.file} vs {args.host}: {report.status}, "
@@ -257,17 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("recipe", help="run a named verification recipe")
     r.add_argument("name")
-    r.add_argument("--path", help="corpus file for corpus recipes")
     r.add_argument("--node-limit", type=int, default=None)
-    r.add_argument("--workers", type=int, default=None)
-    r.add_argument("--start-index", type=int, default=0)
     r.add_argument("--param", action="append", metavar="KEY=VALUE")
     r.set_defaults(func=_cmd_recipe)
 
     co = sub.add_parser("corpus", help="batch-solve a graph6 corpus against a host")
     co.add_argument("file")
     co.add_argument("--host", required=True)
-    co.add_argument("--node-limit", type=int, default=None)
+    co.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET)
     co.add_argument("--workers", type=int, default=None,
                     help="pool size (HCOLOR_THREADS overrides)")
     co.add_argument("--start-index", type=int, default=0)

@@ -133,17 +133,19 @@ def decode_record(line: str) -> Multigraph:
 def ingest_graph6(path: str | os.PathLike) -> Iterator[tuple[int, Multigraph | GraphFormatError]]:
     """Stream (line number, graph-or-error) pairs from a graph6/sparse6 file.
 
-    Malformed records are yielded as errors so batch runs can continue.
+    Malformed records, non-ASCII bytes among them, are yielded as errors so
+    batch runs can continue: each line is decoded on its own.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line or line.startswith(b"#"):
                 continue
             try:
-                yield lineno, decode_record(line)
-            except ValueError as exc:
-                yield lineno, GraphFormatError(str(exc), lineno)
+                item = decode_record(line.decode("ascii"))
+            except ValueError as exc:  # UnicodeDecodeError is one
+                item = GraphFormatError(str(exc), lineno)
+            yield lineno, item
 
 
 # -- colouring certificates ------------------------------------------------

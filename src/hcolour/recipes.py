@@ -14,8 +14,8 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterator, Optional, TypeVar
@@ -26,7 +26,6 @@ from .graphio import GraphFormatError, ingest_graph6
 from .images import ImageAtlas, enumerate_splitted_images
 from .multigraph import Multigraph
 from .named import (
-    by_name,
     complete,
     cycle,
     j_graph,
@@ -198,11 +197,7 @@ def _recipe_s12_images(params: dict) -> list[CheckResult]:
 def _recipe_p_matching_cuts(params: dict) -> list[CheckResult]:
     P = petersen().graph
     pms = {frozenset(M) for M in perfect_matchings(P)}
-    cuts = {
-        frozenset(M.edges)
-        for M in enumerate_matchings(P)
-        if M.edges and P.is_edge_cut(set(M.edges))
-    }
+    cuts = {M for M in enumerate_matchings(P) if M and P.is_edge_cut(M)}
     return [
         _check("p-perfect-matching-count", len(pms) == 6, count=len(pms)),
         _check(
@@ -404,7 +399,7 @@ def _edge_set_samples(
     """Per sampled colouring, host edge sets exercising each preimage
     classification.  The host's matchings are enumerated once for all."""
     pms = [set(M) for M in perfect_matchings(host)]
-    matchings = [set(M.edges) for M in enumerate_matchings(host) if M.edges]
+    matchings = [set(M) for M in enumerate_matchings(host) if M]
     for c in sample:
         out: list[set[int]] = []
         out.extend(rng.sample(pms, min(3, len(pms))))
@@ -420,24 +415,25 @@ def _edge_set_samples(
         yield [F for F in out if F]
 
 
-# -- corpus recipes --------------------------------------------------------
+# -- corpus ----------------------------------------------------------------
 
-_CorpusResult = tuple[int, str, int, Optional[tuple[int, ...]], Optional[str]]
+_CorpusResult = tuple[str, int, Optional[tuple[int, ...]], Optional[str]]
 
 
-def _corpus_worker(args) -> _CorpusResult:
-    """(index, status, nodes, witness edge map, error) for one entry.
+def _corpus_worker(job: tuple[Multigraph, Multigraph, int]) -> _CorpusResult:
+    """(status, nodes, witness edge map, error) for one (host, guest,
+    node_limit) job.
 
     An exception while solving makes that entry "unknown" with the
     exception named in error, so one entry cannot abort the batch.
     """
-    index, host, guest, node_limit = args
+    host, guest, node_limit = job
     try:
         r = solve(host, guest, node_limit=node_limit)
     except Exception as exc:
-        return index, "unknown", 0, None, f"{type(exc).__name__}: {exc}"
+        return "unknown", 0, None, f"{type(exc).__name__}: {exc}"
     em = r.witness.edge_map if r.witness else None
-    return index, r.status, r.nodes, em, None
+    return r.status, r.nodes, em, None
 
 
 def worker_count(requested: Optional[int] = None) -> int:
@@ -473,97 +469,76 @@ def run_corpus(
 ) -> list[CheckResult]:
     """Solve host ≺ G for every bridgeless cubic graph in a graph6 file.
 
-    Entries that are not connected bridgeless cubic simple graphs are
-    reported as skipped.  Parse errors are reported per line with outcome
-    "unknown" and the run continues.  Results are order-stable by input
-    index; start_index resumes a previous run.  An entry whose solve
-    raises is reported "unknown" with the exception in its "error" detail,
-    and the run continues.  Every SAT certificate is
+    Returns one check per input record from start_index on (which resumes a
+    previous run), named entry-<index>, in input order; progress, if given,
+    receives each check in that order as soon as it is decided.  Entries
+    that are not connected bridgeless cubic simple graphs are reported as
+    skipped, and parse errors per line with outcome "unknown".  An entry
+    whose solve raises is reported "unknown" with the exception in its
+    "error" detail.  None of these stops the run.  Every SAT certificate is
     re-validated here, outside the solver.  Raises ValueError before
     reading the file when workers or HCOLOR_THREADS is not a positive
     integer.
     """
     nworkers = worker_count(workers)
-    entries: list[tuple[int, int, Multigraph]] = []  # (index, lineno, G)
-    checks: list[CheckResult] = []
-    index = -1
-    for lineno, item in ingest_graph6(path):
-        index += 1
+    # a finished check, or (name, line number, graph) still to be solved
+    entries: list[CheckResult | tuple[str, int, Multigraph]] = []
+    for index, (lineno, G) in enumerate(ingest_graph6(path)):
         if index < start_index:
             continue
-        if isinstance(item, GraphFormatError):
-            checks.append(
-                CheckResult(
-                    f"entry-{index}", "unknown",
-                    {"line": lineno, "error": str(item)},
-                )
+        name = f"entry-{index}"
+        if isinstance(G, GraphFormatError):
+            entries.append(
+                CheckResult(name, "unknown", {"line": lineno, "error": str(G)})
             )
-            continue
-        G = item
-        if not (
+        elif not (
             G.is_regular(3) and G.is_connected()
             and not G.bridges()
             and all(G.multiplicity(a, b) == 1 for a, b in G.edges)
         ):
-            checks.append(
-                _check(
-                    f"entry-{index}", True, line=lineno,
-                    skipped="not a connected bridgeless cubic simple graph",
-                )
+            entries.append(
+                _check(name, True, line=lineno,
+                       skipped="not a connected bridgeless cubic simple graph")
             )
-            continue
-        entries.append((index, lineno, G))
+        else:
+            entries.append((name, lineno, G))
 
-    jobs = [(i, host, G, node_limit) for i, _, G in entries]
-    by_index = {i: (lineno, G) for i, lineno, G in entries}
-
-    def consume(result: _CorpusResult) -> None:
-        index, status, nodes, em, error = result
-        lineno, G = by_index[index]
-        ok = status == "sat"
-        details = {"line": lineno, "n": G.n, "m": G.m, "status": status,
-                   "host": host_name}
-        if error is not None:
-            details["error"] = error
-        if ok:
-            cert = Colouring(host, G, em)
-            if not check_colouring(cert).ok:
-                ok = False
-                details["error"] = "certificate failed revalidation"
-            else:
-                details["certificate"] = " ".join(
-                    f"{g}:{h}" for g, h in cert.pairs()
-                )
-        outcome = "pass" if ok else ("unknown" if status == "unknown" else "fail")
-        res = CheckResult(f"entry-{index}", outcome, details, nodes)
-        checks.append(res)
-        if progress is not None:
-            progress(res)
-
-    if nworkers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            for result in pool.map(_corpus_worker, jobs):
-                consume(result)
-    else:
-        for job in jobs:
-            consume(_corpus_worker(job))
-    checks.sort(key=lambda c: int(c.name.split("-")[1]))
+    jobs = [(host, e[2], node_limit) for e in entries if isinstance(e, tuple)]
+    parallel = nworkers > 1 and len(jobs) > 1
+    checks: list[CheckResult] = []
+    with ProcessPoolExecutor(max_workers=nworkers) if parallel else nullcontext() as pool:
+        results = (pool.map if parallel else map)(_corpus_worker, jobs)
+        for entry in entries:
+            if isinstance(entry, tuple):
+                entry = _solved_entry(*entry, next(results), host, host_name)
+            checks.append(entry)
+            if progress is not None:
+                progress(entry)
     return checks
 
 
-def _recipe_corpus(host: str, params: dict) -> list[CheckResult]:
-    """Run the corpus at params["path"] against the registry graph host."""
-    if "path" not in params:
-        raise ValueError("corpus recipes require --path, the graph6 corpus file")
-    return run_corpus(
-        params["path"],
-        by_name(host).graph,
-        host,
-        node_limit=params.get("node_limit", DEFAULT_NODE_BUDGET),
-        workers=params.get("workers"),
-        start_index=params.get("start_index", 0),
-        progress=params.get("progress"),
-    )
+def _solved_entry(
+    name: str, lineno: int, G: Multigraph, result: _CorpusResult,
+    host: Multigraph, host_name: str,
+) -> CheckResult:
+    """The check for one solved entry, its SAT certificate revalidated."""
+    status, nodes, em, error = result
+    ok = status == "sat"
+    details = {"line": lineno, "n": G.n, "m": G.m, "status": status,
+               "host": host_name}
+    if error is not None:
+        details["error"] = error
+    if ok:
+        cert = Colouring(host, G, em)
+        if not check_colouring(cert).ok:
+            ok = False
+            details["error"] = "certificate failed revalidation"
+        else:
+            details["certificate"] = " ".join(
+                f"{g}:{h}" for g, h in cert.pairs()
+            )
+    outcome = "pass" if ok else ("unknown" if status == "unknown" else "fail")
+    return CheckResult(name, outcome, details, nodes)
 
 
 RECIPES: dict[str, Callable[[dict], list[CheckResult]]] = {
@@ -575,15 +550,12 @@ RECIPES: dict[str, Callable[[dict], list[CheckResult]]] = {
     "j4-exclusion": _recipe_j4_exclusion,
     "s12kM-rigidity": _recipe_s12km_rigidity,
     "thm44": _recipe_thm44,
-    "corpus-s4": partial(_recipe_corpus, "s4"),
-    "corpus-p": partial(_recipe_corpus, "petersen"),
     "lemma24-props": _recipe_lemma24_props,
 }
 
 
-_INT_PARAMS = ("node_limit", "seed", "k", "colourings_per_pair", "workers",
-               "start_index")
-_PARAMS = frozenset(_INT_PARAMS) | {"path", "progress", "witness"}
+_INT_PARAMS = ("node_limit", "seed", "k", "colourings_per_pair")
+_PARAMS = frozenset(_INT_PARAMS) | {"witness"}
 
 
 def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
@@ -592,8 +564,8 @@ def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
     Raises ValueError before running anything when the name is unknown, a
     parameter is one no recipe reads (a misspelt key would otherwise run
     the recipe at its default), a parameter of _INT_PARAMS is neither an
-    integer nor None, or one of the API-only parameters is of the wrong
-    kind: witness must be a Multigraph and progress callable, or None.
+    integer nor None, or the API-only parameter witness is neither a
+    Multigraph nor None.
     """
     if name not in RECIPES:
         raise ValueError(
@@ -613,9 +585,6 @@ def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
     witness = params.get("witness")
     if witness is not None and not isinstance(witness, Multigraph):
         raise ValueError(f"parameter 'witness' must be a Multigraph, got {witness!r}")
-    progress = params.get("progress")
-    if progress is not None and not callable(progress):
-        raise ValueError(f"parameter 'progress' must be callable, got {progress!r}")
     start = time.perf_counter()
     checks = RECIPES[name](params)
     report = VerificationReport(

@@ -2,28 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .canonical import is_isomorphic
 from .multigraph import Multigraph
 
 CHROMATIC_INDEX_EDGE_GUARD = 64
-
-
-@dataclass(frozen=True)
-class Matching:
-    """An edge set no two members of which share an endpoint."""
-
-    edges: frozenset[int]
-    is_perfect: bool
-
-
-def _as_matching(G: Multigraph, edges: frozenset[int]) -> Matching:
-    covered = set()
-    for e in edges:
-        covered.update(G.edges[e])
-    return Matching(edges, len(covered) == G.n and 2 * len(edges) == G.n)
 
 
 def is_matching(G: Multigraph, F) -> bool:
@@ -37,39 +21,35 @@ def is_matching(G: Multigraph, F) -> bool:
     return True
 
 
-def enumerate_matchings(G: Multigraph, min_size: int = 0) -> Iterator[Matching]:
-    """All matchings with at least min_size edges, each exactly once.
+def enumerate_matchings(G: Multigraph) -> Iterator[frozenset[int]]:
+    """All matchings, the empty one included, each exactly once as a set of
+    edge ids.
 
-    Deterministic include/exclude recursion over edge ids; a branch is cut
-    as soon as the remaining edges cannot reach min_size.
+    Deterministic include/exclude recursion over edge ids: a matching with
+    edge i comes before the same choice without it.
     """
-    yield from _matchings_from(G, G.edges, 0, [], set(), min_size)
+    yield from _matchings_from(G.edges, 0, [], set())
 
 
 def _matchings_from(
-    G: Multigraph,
     edges: tuple[tuple[int, int], ...],
     i: int,
     chosen: list[int],
     covered: set[int],
-    min_size: int,
-) -> Iterator[Matching]:
-    if len(chosen) + (len(edges) - i) < min_size:
-        return
+) -> Iterator[frozenset[int]]:
     if i == len(edges):
-        if len(chosen) >= min_size:
-            yield _as_matching(G, frozenset(chosen))
+        yield frozenset(chosen)
         return
     a, b = edges[i]
     if a not in covered and b not in covered:
         chosen.append(i)
         covered.add(a)
         covered.add(b)
-        yield from _matchings_from(G, edges, i + 1, chosen, covered, min_size)
+        yield from _matchings_from(edges, i + 1, chosen, covered)
         chosen.pop()
         covered.discard(a)
         covered.discard(b)
-    yield from _matchings_from(G, edges, i + 1, chosen, covered, min_size)
+    yield from _matchings_from(edges, i + 1, chosen, covered)
 
 
 def perfect_matchings(G: Multigraph) -> Iterator[frozenset[int]]:

@@ -95,11 +95,7 @@ def test_criterion_04_bridge_and_degree_invariants():
 def test_criterion_05_matching_cut_fact():
     P = petersen().graph
     pms = {frozenset(M) for M in perfect_matchings(P)}
-    cuts = {
-        frozenset(M.edges)
-        for M in enumerate_matchings(P)
-        if M.edges and P.is_edge_cut(set(M.edges))
-    }
+    cuts = {M for M in enumerate_matchings(P) if M and P.is_edge_cut(M)}
     ok = cuts == pms and len(pms) == 6
     report(5, ok, "matching edge-cuts of P = its 6 perfect matchings")
 

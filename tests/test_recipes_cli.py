@@ -9,7 +9,7 @@ from hcolour.cli import load_graph, main
 from hcolour.graphio import encode_graph6
 from hcolour.images import enumerate_splitted_images
 from hcolour.multigraph import Multigraph
-from hcolour.named import petersen, s4, s12_plus_km
+from hcolour.named import complete, petersen, s4, s12_plus_km
 from hcolour.recipes import run_corpus, run_recipe
 from hcolour.solver import solve
 
@@ -78,20 +78,31 @@ def test_reports_are_deterministic():
         json.loads(line)  # every line is one JSON object
 
 
-def test_run_corpus_mixed_entries(tmp_path):
-    path = tmp_path / "corpus.g6"
+def _mixed_corpus(path: Path) -> None:
+    """A cubic graph, a parse error, C4 (skipped) and a second cubic graph."""
     path.write_text(
         encode_graph6(petersen().graph) + "\n"
         + "!!bad!!\n"
         + encode_graph6(Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])) + "\n"
+        + encode_graph6(complete(4).graph) + "\n"
     )
-    checks = run_corpus(str(path), s4().graph, "s4", workers=1)
-    assert [c.name for c in checks] == ["entry-0", "entry-1", "entry-2"]
-    assert checks[0].outcome == "pass"
-    assert "certificate" in checks[0].details
-    assert checks[1].outcome == "unknown"  # parse error, run continued
-    assert checks[2].outcome == "pass"  # skipped: C4 is not cubic
-    assert "skipped" in checks[2].details
+
+
+def test_run_corpus_mixed_entries(tmp_path, monkeypatch):
+    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
+    path = tmp_path / "corpus.g6"
+    _mixed_corpus(path)
+    for workers in (1, 2):
+        seen = []
+        checks = run_corpus(str(path), s4().graph, "s4", workers=workers,
+                            progress=seen.append)
+        assert seen == checks  # every entry, in input order
+        assert [c.name for c in checks] == ["entry-0", "entry-1", "entry-2", "entry-3"]
+        assert checks[0].outcome == checks[3].outcome == "pass"
+        assert "certificate" in checks[0].details
+        assert checks[1].outcome == "unknown"  # parse error, run continued
+        assert checks[2].outcome == "pass"  # skipped: C4 is not cubic
+        assert "skipped" in checks[2].details
 
 
 def test_run_corpus_survives_a_failing_entry(monkeypatch):
@@ -260,7 +271,7 @@ def test_cli_recipe(capsys):
 
 
 @pytest.mark.parametrize("param", ["node_limit=x", "seed=1.5", "colourings_per_pair=many",
-                                   "k=", "start_index=0x10", "seed=--5"])
+                                   "k=", "node_limit=0x10", "seed=--5"])
 def test_cli_recipe_rejects_a_non_integer_param(capsys, monkeypatch, param):
     from hcolour import recipes
 
@@ -289,7 +300,7 @@ def test_cli_recipe_rejects_an_unknown_param(capsys, monkeypatch, param):
     key = param.partition("=")[0]
     assert captured.err == (
         f"error: unknown parameter {key!r}; known: colourings_per_pair, k, "
-        "node_limit, path, progress, seed, start_index, witness, workers\n"
+        "node_limit, seed, witness\n"
     )
 
 
@@ -303,17 +314,14 @@ def test_run_recipe_rejects_an_unknown_param(monkeypatch):
     with pytest.raises(ValueError, match=r"^unknown parameter 'node_limt'; known: "):
         run_recipe("lemma24-props", {"seed": 0, "node_limt": 5})
     # every known key passes the check and reaches the recipe
-    known = {"colourings_per_pair": 1, "k": 1, "node_limit": 1, "path": "x",
-             "progress": None, "seed": 0, "start_index": 0, "witness": None,
-             "workers": 1}
+    known = {"colourings_per_pair": 1, "k": 1, "node_limit": 1, "seed": 0,
+             "witness": None}
     with pytest.raises(AssertionError, match="the recipe ran"):
         run_recipe("lemma24-props", known)
 
 
 API_ONLY_PARAMS = [
     ("thm44", {"witness": "foo"}, "parameter 'witness' must be a Multigraph, got 'foo'"),
-    ("corpus-s4", {"path": "unused.g6", "progress": 1},
-     "parameter 'progress' must be callable, got 1"),
 ]
 
 
@@ -334,7 +342,7 @@ def test_run_recipe_rejects_api_only_params_of_the_wrong_kind(monkeypatch, name,
 def test_cli_recipe_rejects_api_only_params(capsys, name, params, message):
     argv = ["recipe", name]
     for key, value in params.items():
-        argv += ["--path", value] if key == "path" else ["--param", f"{key}={value}"]
+        argv += ["--param", f"{key}={value}"]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -342,8 +350,8 @@ def test_cli_recipe_rejects_api_only_params(capsys, name, params, message):
 
 
 def test_run_recipe_rejects_a_non_integer_param():
-    with pytest.raises(ValueError, match="parameter 'workers' must be an integer"):
-        run_recipe("corpus-s4", {"path": "unused.g6", "workers": True})
+    with pytest.raises(ValueError, match="parameter 'seed' must be an integer"):
+        run_recipe("lemma24-props", {"seed": True})
 
 
 def test_cli_corpus(tmp_path, capsys):
@@ -363,7 +371,7 @@ def test_cli_corpus_bad_hcolor_threads(tmp_path, capsys, monkeypatch):
     assert main(["corpus", str(path), "--host", "s4"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "HCOLOR_THREADS must be a positive integer, got 'abc'" in captured.err
+    assert captured.err == "error: HCOLOR_THREADS must be a positive integer, got 'abc'\n"
 
 
 @pytest.mark.parametrize("bad", [0, -1])
@@ -378,19 +386,15 @@ def test_worker_count_rejects_non_positive_request(monkeypatch, bad):
         worker_count(bad)
 
 
-@pytest.mark.parametrize("cmd", ["corpus", "recipe"])
+@pytest.mark.parametrize("cmd", ["corpus"])
 def test_cli_workers_zero_is_an_error(tmp_path, capsys, monkeypatch, cmd):
     monkeypatch.delenv("HCOLOR_THREADS", raising=False)
     path = tmp_path / "c.g6"
     path.write_text(encode_graph6(petersen().graph) + "\n")
-    argv = {
-        "corpus": ["corpus", str(path), "--host", "s4", "--workers", "0"],
-        "recipe": ["recipe", "corpus-s4", "--path", str(path), "--workers", "0"],
-    }[cmd]
-    assert main(argv) == 2
+    assert main([cmd, str(path), "--host", "s4", "--workers", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error: --workers must be a positive integer, got 0" in captured.err
+    assert captured.err == "error: --workers must be a positive integer, got 0\n"
 
 
 def test_cli_solve_all_and_count_conflict(capsys):
@@ -400,39 +404,59 @@ def test_cli_solve_all_and_count_conflict(capsys):
     assert "not allowed with" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("recipe, host, graph", [("corpus-s4", "s4", s4),
-                                                 ("corpus-p", "petersen", petersen)])
-def test_corpus_recipes_match_run_corpus(tmp_path, monkeypatch, recipe, host, graph):
-    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
-    tiny = tmp_path / "tiny.g6"
-    tiny.write_text(
-        encode_graph6(petersen().graph) + "\n"
-        + "!!bad!!\n"
-        + encode_graph6(Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])) + "\n"
-    )
-    report = run_recipe(recipe, {"path": str(tiny)})
-    direct = run_corpus(str(tiny), graph().graph, host, workers=1)
-    assert [c.to_json() for c in report.checks] == [c.to_json() for c in direct]
-    assert report.checks[0].details["host"] == host
-
-
-@pytest.mark.parametrize("cmd", ["corpus", "recipe"])
+@pytest.mark.parametrize("cmd", ["corpus"])
 def test_cli_corpus_missing_file_is_an_error(tmp_path, capsys, monkeypatch, cmd):
     monkeypatch.delenv("HCOLOR_THREADS", raising=False)
     missing = str(tmp_path / "missing.g6")
-    argv = {
-        "corpus": ["corpus", missing, "--host", "s4", "--workers", "1"],
-        "recipe": ["recipe", "corpus-s4", "--path", missing, "--workers", "1"],
-    }[cmd]
-    assert main(argv) == 2
+    assert main([cmd, missing, "--host", "s4", "--workers", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and missing in captured.err
     assert len(captured.err.splitlines()) == 1
 
 
-def test_cli_corpus_recipe_requires_path(capsys):
-    assert main(["recipe", "corpus-s4"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: corpus recipes require --path, the graph6 corpus file\n"
+
+def test_cli_corpus_streams_in_input_order(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
+    path = tmp_path / "mixed.g6"
+    _mixed_corpus(path)
+    outs = []
+    for workers in ("1", "2"):
+        assert main(["corpus", str(path), "--host", "s4", "--workers", workers]) == 2
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    rows = [json.loads(line) for line in outs[0].splitlines()]
+    assert [r.get("check") for r in rows] == [
+        "entry-0", "entry-1", "entry-2", "entry-3", None,
+    ]
+    assert rows[-1]["status"] == "unknown" and rows[-1]["checks"] == 4
+
+
+def test_cli_corpus_node_limit_zero_is_honoured(tmp_path, capsys):
+    path = tmp_path / "c.g6"
+    path.write_text(encode_graph6(petersen().graph) + "\n")
+    assert main(["corpus", str(path), "--host", "s4", "--workers", "1",
+                 "--node-limit", "0"]) == 2
+    entry = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert entry["status"] == "unknown" and entry["outcome"] == "unknown"
+
+
+def test_corpus_survives_a_non_ascii_byte(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
+    path = tmp_path / "latin1.g6"
+    g6 = encode_graph6(petersen().graph).encode()
+    path.write_bytes(g6 + b"\nI\xe9bad\n" + g6 + b"\n# caf\xc3\xa9, a comment\n")
+    checks = run_corpus(str(path), s4().graph, "s4", workers=1)
+    assert [c.outcome for c in checks] == ["pass", "unknown", "pass"]
+    assert checks[1].details["line"] == 2
+    assert "can't decode byte 0xe9" in checks[1].details["error"]
+    assert main(["corpus", str(path), "--host", "s4", "--workers", "1"]) == 2
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_readme_lists_every_recipe():
+    from hcolour.recipes import RECIPES
+
+    readme = (DATA.parent / "README.md").read_text()
+    sentence = re.search(r"^Recipes: (.*?)\.\s", readme, re.M | re.S).group(1)
+    assert re.findall(r"`([^`]+)`", sentence) == sorted(RECIPES)

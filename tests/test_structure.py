@@ -46,20 +46,24 @@ def test_enumerate_matchings_counts_c4():
     # C4: empty, 4 singletons, 2 perfect -> 7 matchings
     ms = list(enumerate_matchings(cycle(4).graph))
     assert len(ms) == 7
-    assert sum(1 for M in ms if M.is_perfect) == 2
-    assert len({M.edges for M in ms}) == 7  # each exactly once
+    assert sum(1 for M in ms if 2 * len(M) == 4) == 2
+    assert len(set(ms)) == 7  # each exactly once
 
 
-def test_enumerate_matchings_min_size():
-    ms = list(enumerate_matchings(cycle(4).graph, min_size=2))
-    assert {frozenset(M.edges) for M in ms} == {frozenset({0, 2}), frozenset({1, 3})}
+def test_enumerate_matchings_order():
+    # include edge i before excluding it; the lemma24 samples depend on this
+    C4 = cycle(4).graph
+    assert C4.edges == ((0, 1), (1, 2), (2, 3), (0, 3))
+    assert list(enumerate_matchings(C4)) == [
+        {0, 2}, {0}, {1, 3}, {1}, {2}, {3}, set(),
+    ]
 
 
 def test_petersen_has_six_perfect_matchings():
     # frozen after independent enumeration of all matchings of size 5
     P = petersen().graph
     assert perfect_matching_count(P) == 6
-    direct = {M.edges for M in enumerate_matchings(P, min_size=5) if M.is_perfect}
+    direct = {M for M in enumerate_matchings(P) if 2 * len(M) == P.n}
     assert direct == {frozenset(M) for M in perfect_matchings(P)}
 
 
