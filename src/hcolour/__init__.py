@@ -54,7 +54,6 @@ from .structure import (
     has_perfect_matching,
     has_two_disjoint_perfect_matchings,
     is_matching,
-    perfect_matching_count,
     perfect_matchings,
     spanning_regular_check,
 )

@@ -40,8 +40,8 @@ EXIT_PASS, EXIT_FAIL, EXIT_UNKNOWN = 0, 1, 2
 
 
 def load_graph(ref: str) -> Multigraph:
-    """A graph from a registry name (named.by_name), else from an edge-list,
-    graph6 or sparse6 file.  Raises ValueError naming ref if it is none."""
+    """A graph from a registry name (named.by_name), else from an edge-list
+    or one-record graph6/sparse6 file.  Raises ValueError naming ref if not."""
     try:
         return named.by_name(ref).graph
     except named.UnknownGraphName:
@@ -51,11 +51,13 @@ def load_graph(ref: str) -> Multigraph:
         raise ValueError(f"{ref!r} is neither a known graph name nor a file")
     try:
         text = path.read_text()
-        records = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
+        records = [l for l in map(str.strip, text.splitlines()) if l and not l.startswith("#")]
         if not records:
             raise ValueError("no graph data found")
         if re.fullmatch(r"\d+(\s+\d+)?", records[0]):
             return from_edge_list_text(text, name=path.stem)
+        if len(records) > 1:
+            raise ValueError(f"{len(records)} graph records; expected one")
         return decode_record(records[0])
     except (OSError, ValueError) as exc:
         raise ValueError(f"{ref}: {exc}") from None
@@ -89,13 +91,13 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     host = _resolve(load_graph, args.host)
     guest = _resolve(load_graph, args.guest)
-    mode = "all" if args.all else ("count" if args.count else "first")
     t0 = time.perf_counter()
-    res = solve(host, guest, mode=mode, node_limit=args.node_limit)
+    res = solve(host, guest, mode="count" if args.count else "first",
+                node_limit=args.node_limit)
     dt = time.perf_counter() - t0
     print(f"solved in {dt:.3f}s, {res.nodes} nodes", file=sys.stderr)
     print(f"status {res.status}")
-    if mode in ("all", "count"):
+    if args.count:
         print(f"count {res.count}")
     if res.witness is not None:
         sys.stdout.write(certificate_text(res.witness, args.host, args.guest))
@@ -107,7 +109,11 @@ def _cmd_solve(args) -> int:
 def _cmd_images(args) -> int:
     guest = _resolve(load_graph, args.guest)
     t0 = time.perf_counter()
-    atlas = enumerate_splitted_images(guest, node_limit=args.node_limit)
+    try:
+        atlas = enumerate_splitted_images(guest, node_limit=args.node_limit)
+    except ValueError as exc:  # a disconnected guest, or one on 2 vertices or fewer
+        print(f"error: {args.guest}: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
     dt = time.perf_counter() - t0
     print(f"enumerated in {dt:.3f}s, {atlas.nodes} nodes", file=sys.stderr)
     print(f"guest {args.guest} canonical {canonical_digest(guest)}")
@@ -154,8 +160,6 @@ def _report_exit(report: VerificationReport) -> int:
 
 def _cmd_recipe(args) -> int:
     params: dict = {}
-    if args.node_limit is not None:
-        params["node_limit"] = args.node_limit
     for kv in args.param or []:
         k, _, v = kv.partition("=")
         try:
@@ -216,9 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="decide host ≺ guest")
     s.add_argument("--host", required=True)
     s.add_argument("--guest", required=True)
-    mode = s.add_mutually_exclusive_group()
-    mode.add_argument("--all", action="store_true", help="enumerate all colourings")
-    mode.add_argument("--count", action="store_true", help="count colourings only")
+    s.add_argument("--count", action="store_true", help="count all colourings")
     s.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET)
     s.set_defaults(func=_cmd_solve)
 
@@ -237,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("recipe", help="run a named verification recipe")
     r.add_argument("name")
-    r.add_argument("--node-limit", type=int, default=None)
     r.add_argument("--param", action="append", metavar="KEY=VALUE")
     r.set_defaults(func=_cmd_recipe)
 
@@ -246,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--host", required=True)
     co.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET)
     co.add_argument("--workers", type=int, default=None,
-                    help="pool size (HCOLOR_THREADS overrides)")
+                    help="pool size (default: the CPU count)")
     co.add_argument("--start-index", type=int, default=0)
     co.set_defaults(func=_cmd_corpus)
     return ap

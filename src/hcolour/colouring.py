@@ -200,10 +200,6 @@ class ImageGraph:
     pendant_unused: tuple[int, ...] = ()
     source: Optional[Colouring] = None
 
-    @property
-    def split_vertex_count(self) -> int:
-        return len(self.split)
-
 
 def splitted_image(c: Colouring) -> ImageGraph:
     """Replace every unused vertex of degree d >= 2 by d degree-1 vertices."""

@@ -287,11 +287,3 @@ def from_edge_list_text(text: str, name: str = "") -> Multigraph:
     if len(edges) != m:
         raise ValueError(f"header announces {m} edges but {len(edges)} were given")
     return Multigraph(n, edges, name=name)
-
-
-def empty_graph(n: int = 0) -> Multigraph:
-    return Multigraph(n, [])
-
-
-def sum_of_degrees(G: Multigraph) -> int:
-    return sum(G.degrees())

@@ -21,7 +21,7 @@ from random import Random
 from typing import Callable, Iterator, Optional, TypeVar
 
 from .canonical import canonical_digest, canonical_form
-from .colouring import Colouring, check_colouring, preimage
+from .colouring import Colouring, check_colouring, naive_check_colouring, preimage
 from .graphio import GraphFormatError, ingest_graph6
 from .images import ImageAtlas, enumerate_splitted_images
 from .multigraph import Multigraph
@@ -81,10 +81,6 @@ class VerificationReport:
         if any(c.outcome == "unknown" for c in self.checks):
             return "unknown"
         return "pass"
-
-    @property
-    def passed(self) -> bool:
-        return self.status == "pass"
 
     @property
     def total_nodes(self) -> int:
@@ -147,10 +143,11 @@ def _atlas_checks(
             },
         )
     )
+    # realize_image's check_colouring accepted each witness; recheck with an oracle
     bad = [
         i
         for i, e in enumerate(atlas.entries)
-        if not check_colouring(e.witness).ok
+        if not naive_check_colouring(e.witness).ok
     ]
     out.append(_check(f"{guest_name}-atlas-witnesses-revalidate", not bad, bad=bad))
     return out
@@ -267,10 +264,9 @@ def _recipe_thm44(params: dict) -> list[CheckResult]:
 
     Exhaustive search shows no 4-regular multigraph on at most 8 vertices
     has a perfect matching but no two disjoint ones, so the witness here is
-    the order-10 construction (see poorly_matchable_ten_vertices); an
-    explicit witness graph may be supplied via params["witness"].
+    the order-10 construction (see poorly_matchable_ten_vertices).
     """
-    witness: Multigraph = params.get("witness") or poorly_matchable_ten_vertices().graph
+    witness = poorly_matchable_ten_vertices().graph
     host = s12_plus_km(1).graph
     checks = [
         _check("witness-4-regular", witness.is_regular(4), n=witness.n),
@@ -315,21 +311,20 @@ _LEMMA_PAIRS: Callable[[], list[tuple[str, Multigraph, Multigraph]]] = lambda: [
 def _recipe_lemma24_props(params: dict) -> list[CheckResult]:
     """Preimage classification properties over sampled solver colourings.
 
-    For each (host, guest) pair, sample colourings_per_pair colourings with
-    a reservoir as the solver streams them, and host edge sets F, and assert
-    every applicable preimage classification holds: matchings pull back to
+    For each (host, guest) pair, sample 12 colourings with a reservoir as
+    the solver streams them, and host edge sets F, and assert every
+    applicable preimage classification holds: matchings pull back to
     matchings, host perfect matchings and image-covering matchings to guest
     perfect matchings, isolated-free edge-cuts of the used subgraph to guest
     edge-cuts, and k-regular host sets meeting the vertex image to k-regular
     guest sets.
     """
     rng = Random(int(params.get("seed", 0)))
-    per_pair = int(params.get("colourings_per_pair", 12))
     checks: list[CheckResult] = []
     applied: dict[str, int] = {}
     total_colourings = 0
     for label, host, guest in _LEMMA_PAIRS():
-        sample, keep = _reservoir(per_pair, rng)
+        sample, keep = _reservoir(12, rng)
         res = solve(host, guest, mode="count", node_limit=params.get("node_limit"),
                     visit=keep)
         if res.status != "sat":
@@ -437,24 +432,10 @@ def _corpus_worker(job: tuple[Multigraph, Multigraph, int]) -> _CorpusResult:
 
 
 def worker_count(requested: Optional[int] = None) -> int:
-    """Pool size: HCOLOR_THREADS if set, else the request, else the CPU count.
-
-    Raises ValueError when the request (--workers) or HCOLOR_THREADS is not
-    a positive integer.
-    """
+    """Pool size: the request (--workers), else the CPU count.  Raises
+    ValueError when the request is not a positive integer."""
     if requested is not None and requested < 1:
         raise ValueError(f"--workers must be a positive integer, got {requested}")
-    env = os.environ.get("HCOLOR_THREADS")
-    if env:
-        try:
-            count = int(env)
-        except ValueError:
-            count = 0
-        if count < 1:
-            raise ValueError(
-                f"HCOLOR_THREADS must be a positive integer, got {env!r}"
-            )
-        return count
     return requested or os.cpu_count() or 1
 
 
@@ -477,8 +458,7 @@ def run_corpus(
     whose solve raises is reported "unknown" with the exception in its
     "error" detail.  None of these stops the run.  Every SAT certificate is
     re-validated here, outside the solver.  Raises ValueError before
-    reading the file when workers or HCOLOR_THREADS is not a positive
-    integer.
+    reading the file when workers is not a positive integer.
     """
     nworkers = worker_count(workers)
     # a finished check, or (name, line number, graph) still to be solved
@@ -554,8 +534,7 @@ RECIPES: dict[str, Callable[[dict], list[CheckResult]]] = {
 }
 
 
-_INT_PARAMS = ("node_limit", "seed", "k", "colourings_per_pair")
-_PARAMS = frozenset(_INT_PARAMS) | {"witness"}
+_PARAMS = ("k", "node_limit", "seed")
 
 
 def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
@@ -563,9 +542,8 @@ def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
 
     Raises ValueError before running anything when the name is unknown, a
     parameter is one no recipe reads (a misspelt key would otherwise run
-    the recipe at its default), a parameter of _INT_PARAMS is neither an
-    integer nor None, or the API-only parameter witness is neither a
-    Multigraph nor None.
+    the recipe at its default), or a parameter is neither an integer nor
+    None.
     """
     if name not in RECIPES:
         raise ValueError(
@@ -575,16 +553,13 @@ def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
     for key in params:
         if key not in _PARAMS:
             raise ValueError(
-                f"unknown parameter {key!r}; known: {', '.join(sorted(_PARAMS))}"
+                f"unknown parameter {key!r}; known: {', '.join(_PARAMS)}"
             )
-    for key in _INT_PARAMS:
+    for key in _PARAMS:
         value = params.get(key)
         if value is None or (isinstance(value, int) and not isinstance(value, bool)):
             continue
         raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
-    witness = params.get("witness")
-    if witness is not None and not isinstance(witness, Multigraph):
-        raise ValueError(f"parameter 'witness' must be a Multigraph, got {witness!r}")
     start = time.perf_counter()
     checks = RECIPES[name](params)
     report = VerificationReport(

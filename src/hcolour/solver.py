@@ -29,12 +29,12 @@ state or its boundary table: it ORs the images of each guest vertex's edges
 into one edge mask and looks it up among the host's boundary masks, and
 falls back to a set-based check for the report when it rejects.  A
 rejection raises, also under ``python -O``.  Only then is the colouring
-listed or passed to visit.
+counted, kept as the witness or passed to visit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
 from .colouring import Colouring, check_colouring, naive_check_colouring
@@ -48,20 +48,17 @@ Status = Literal["sat", "unsat", "unknown"]
 class SolveResult:
     """Outcome of one search.
 
-    nodes counts search-tree nodes, the root and the leaves included.
+    witness is the first colouring found, in either mode.  nodes counts
+    search-tree nodes, the root and the leaves included.
     prunes is always 0: no branch can empty a domain (see the module
     docstring); the field stays for callers that report it.
     """
 
     status: Status
-    colourings: list[Colouring] = field(default_factory=list)
+    witness: Optional[Colouring] = None
     count: int = 0
     nodes: int = 0
     prunes: int = 0
-
-    @property
-    def witness(self) -> Optional[Colouring]:
-        return self.colourings[0] if self.colourings else None
 
 
 class _LimitExceeded(Exception):
@@ -71,23 +68,24 @@ class _LimitExceeded(Exception):
 def solve(
     host: Multigraph,
     guest: Multigraph,
-    mode: Literal["first", "all", "count"] = "first",
+    mode: Literal["first", "count"] = "first",
     node_limit: Optional[int] = None,
     visit: Optional[Callable[[Colouring], None]] = None,
 ) -> SolveResult:
-    """Decide host ≺ guest; enumerate or count all labelled colourings.
+    """Decide host ≺ guest; with mode="count", count all labelled colourings.
 
     Sound and complete: every colouring found revalidates, and "unsat" is
     only reported after exhaustive search.  Hitting the node limit gives
     status "unknown", never "unsat".
 
-    visit, when given, is called with each colouring in search order, after
-    it has revalidated and in every mode; with mode="count" it streams the
-    colourings without keeping them.  mode="all" keeps them all in
-    res.colourings, mode="first" only the first.
+    mode="first" stops at the first colouring; either mode keeps only that
+    one, as res.witness.  visit, when given, is called with each colouring
+    in search order, after it has revalidated; with mode="count" it streams
+    every colouring.
     """
+    if mode not in ("first", "count"):
+        raise ValueError(f"mode must be 'first' or 'count', got {mode!r}")
     res = SolveResult(status="unsat")
-    keep = None if mode == "count" else res.colourings.append
 
     def record(edge_map: tuple[int, ...]) -> None:
         res.count += 1
@@ -95,8 +93,8 @@ def solve(
         report = check_colouring(c)
         if not report.ok:
             raise RuntimeError(f"solver produced an invalid colouring: {report}")
-        if keep is not None:
-            keep(c)
+        if res.witness is None:
+            res.witness = c
         if visit is not None:
             visit(c)
 
@@ -142,7 +140,7 @@ def solve(
     assignment: list[int] = [-1] * m
 
     def rec(depth: int) -> bool:
-        """Returns True to abort the search (mode=first after a hit)."""
+        """Returns True to abort the search (mode="first" after a hit)."""
         res.nodes += 1
         if node_limit is not None and res.nodes > node_limit:
             raise _LimitExceeded

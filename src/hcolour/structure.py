@@ -76,10 +76,6 @@ def _perfect_matchings_from(
     covered[u] = False
 
 
-def perfect_matching_count(G: Multigraph) -> int:
-    return sum(1 for _ in perfect_matchings(G))
-
-
 def has_perfect_matching(G: Multigraph) -> bool:
     return next(perfect_matchings(G), None) is not None
 

@@ -184,7 +184,9 @@ def test_criterion_11_oracle_equivalence():
     for guest in guests:
         extracted = set()
         for host in hosts:
-            fast = {c.edge_map for c in solve(host, guest, mode="all").colourings}
+            found = []
+            solve(host, guest, mode="count", visit=found.append)
+            fast = {c.edge_map for c in found}
             slow = {c.edge_map for c in naive_solve_all(host, guest)}
             if fast != slow:
                 ok = False

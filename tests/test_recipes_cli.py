@@ -60,8 +60,7 @@ def test_lemma24_props_pass_and_coverage(monkeypatch):
     report = run_recipe("lemma24-props")
     assert report.status == "pass", report.to_json_lines()
     # the colourings are streamed into a reservoir, never listed whole
-    assert len(modes) == len(recipes._LEMMA_PAIRS())
-    assert "all" not in modes
+    assert modes == ["count"] * len(recipes._LEMMA_PAIRS())
     coverage = report.checks[-1]
     assert coverage.details["colourings"] >= 100
     assert set(coverage.details["applications"]) == {
@@ -88,8 +87,7 @@ def _mixed_corpus(path: Path) -> None:
     )
 
 
-def test_run_corpus_mixed_entries(tmp_path, monkeypatch):
-    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
+def test_run_corpus_mixed_entries(tmp_path):
     path = tmp_path / "corpus.g6"
     _mixed_corpus(path)
     for workers in (1, 2):
@@ -133,14 +131,16 @@ def test_reservoir_is_a_seeded_sample_of_the_stream():
     from hcolour.recipes import _reservoir
 
     host, guest = s4().graph, petersen().graph
-    every = [c.edge_map for c in solve(host, guest, mode="all").colourings]
+    found = []
+    solve(host, guest, mode="count", visit=found.append)
+    every = [c.edge_map for c in found]
     for k in (1, 12, len(every), len(every) + 5):
         runs = []
         for _ in range(2):
             sample, keep = _reservoir(k, Random(7))
             res = solve(host, guest, mode="count", visit=keep)
             runs.append([c.edge_map for c in sample])
-        assert res.colourings == [] and res.count == len(every)
+        assert res.count == len(every)
         assert runs[0] == runs[1]  # same seed, same sample
         assert len(runs[0]) == len(set(runs[0])) == min(k, len(every))
         assert set(runs[0]) <= set(every)
@@ -173,22 +173,15 @@ def test_run_corpus_resume(tmp_path):
 
 
 def test_hcolor_threads_env(monkeypatch):
+    # the pool size is --workers alone; no environment variable overrides it
+    import os
+
     from hcolour.recipes import worker_count
 
     monkeypatch.setenv("HCOLOR_THREADS", "3")
-    assert worker_count() == 3
-    assert worker_count(8) == 3  # env overrides the request
-    monkeypatch.delenv("HCOLOR_THREADS")
+    assert worker_count(8) == 8
     assert worker_count(2) == 2
-
-
-@pytest.mark.parametrize("bad", ["abc", "0", "-2", "1.5"])
-def test_hcolor_threads_rejects_bad_values(monkeypatch, bad):
-    from hcolour.recipes import worker_count
-
-    monkeypatch.setenv("HCOLOR_THREADS", bad)
-    with pytest.raises(ValueError, match=f"HCOLOR_THREADS.*{bad!r}"):
-        worker_count(2)
+    assert worker_count() == (os.cpu_count() or 1)
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -270,7 +263,7 @@ def test_cli_recipe(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("param", ["node_limit=x", "seed=1.5", "colourings_per_pair=many",
+@pytest.mark.parametrize("param", ["node_limit=x", "seed=1.5", "k=many",
                                    "k=", "node_limit=0x10", "seed=--5"])
 def test_cli_recipe_rejects_a_non_integer_param(capsys, monkeypatch, param):
     from hcolour import recipes
@@ -286,7 +279,8 @@ def test_cli_recipe_rejects_a_non_integer_param(capsys, monkeypatch, param):
     assert captured.err == f"error: parameter {key!r} must be an integer, got {value!r}\n"
 
 
-@pytest.mark.parametrize("param", ["node_limt=5", "noequals", "Seed=1"])
+@pytest.mark.parametrize("param", ["node_limt=5", "noequals", "Seed=1",
+                                   "colourings_per_pair=12", "witness=pm10"])
 def test_cli_recipe_rejects_an_unknown_param(capsys, monkeypatch, param):
     from hcolour import recipes
 
@@ -299,8 +293,7 @@ def test_cli_recipe_rejects_an_unknown_param(capsys, monkeypatch, param):
     assert captured.out == ""
     key = param.partition("=")[0]
     assert captured.err == (
-        f"error: unknown parameter {key!r}; known: colourings_per_pair, k, "
-        "node_limit, seed, witness\n"
+        f"error: unknown parameter {key!r}; known: k, node_limit, seed\n"
     )
 
 
@@ -314,39 +307,9 @@ def test_run_recipe_rejects_an_unknown_param(monkeypatch):
     with pytest.raises(ValueError, match=r"^unknown parameter 'node_limt'; known: "):
         run_recipe("lemma24-props", {"seed": 0, "node_limt": 5})
     # every known key passes the check and reaches the recipe
-    known = {"colourings_per_pair": 1, "k": 1, "node_limit": 1, "seed": 0,
-             "witness": None}
+    known = {"k": 1, "node_limit": 1, "seed": 0}
     with pytest.raises(AssertionError, match="the recipe ran"):
         run_recipe("lemma24-props", known)
-
-
-API_ONLY_PARAMS = [
-    ("thm44", {"witness": "foo"}, "parameter 'witness' must be a Multigraph, got 'foo'"),
-]
-
-
-@pytest.mark.parametrize("name, params, message", API_ONLY_PARAMS)
-def test_run_recipe_rejects_api_only_params_of_the_wrong_kind(monkeypatch, name, params,
-                                                               message):
-    from hcolour import recipes
-
-    def never(params):
-        raise AssertionError("the recipe ran")
-
-    monkeypatch.setitem(recipes.RECIPES, name, never)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_recipe(name, params)
-
-
-@pytest.mark.parametrize("name, params, message", API_ONLY_PARAMS)
-def test_cli_recipe_rejects_api_only_params(capsys, name, params, message):
-    argv = ["recipe", name]
-    for key, value in params.items():
-        argv += ["--param", f"{key}={value}"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {message}\n"
 
 
 def test_run_recipe_rejects_a_non_integer_param():
@@ -365,30 +328,26 @@ def test_cli_corpus(tmp_path, capsys):
 
 
 def test_cli_corpus_bad_hcolor_threads(tmp_path, capsys, monkeypatch):
+    # the environment is not read, so a bad value there cannot abort a run
     path = tmp_path / "c.g6"
     path.write_text(encode_graph6(petersen().graph) + "\n")
     monkeypatch.setenv("HCOLOR_THREADS", "abc")
-    assert main(["corpus", str(path), "--host", "s4"]) == 2
+    assert main(["corpus", str(path), "--host", "s4", "--workers", "1"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: HCOLOR_THREADS must be a positive integer, got 'abc'\n"
+    assert json.loads(captured.out.splitlines()[0])["outcome"] == "pass"
+    assert "error" not in captured.err
 
 
 @pytest.mark.parametrize("bad", [0, -1])
-def test_worker_count_rejects_non_positive_request(monkeypatch, bad):
+def test_worker_count_rejects_non_positive_request(bad):
     from hcolour.recipes import worker_count
 
-    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
     with pytest.raises(ValueError, match=f"--workers must be a positive integer, got {bad}"):
-        worker_count(bad)
-    monkeypatch.setenv("HCOLOR_THREADS", "2")
-    with pytest.raises(ValueError, match="--workers"):
         worker_count(bad)
 
 
 @pytest.mark.parametrize("cmd", ["corpus"])
-def test_cli_workers_zero_is_an_error(tmp_path, capsys, monkeypatch, cmd):
-    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
+def test_cli_workers_zero_is_an_error(tmp_path, capsys, cmd):
     path = tmp_path / "c.g6"
     path.write_text(encode_graph6(petersen().graph) + "\n")
     assert main([cmd, str(path), "--host", "s4", "--workers", "0"]) == 2
@@ -397,16 +356,19 @@ def test_cli_workers_zero_is_an_error(tmp_path, capsys, monkeypatch, cmd):
     assert captured.err == "error: --workers must be a positive integer, got 0\n"
 
 
-def test_cli_solve_all_and_count_conflict(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["solve", "--host", "s4", "--guest", "petersen", "--all", "--count"])
-    assert info.value.code == 2
-    assert "not allowed with" in capsys.readouterr().err
+def test_cli_solve_count_prints_a_certificate(tmp_path, capsys):
+    assert main(["solve", "--host", "s4", "--guest", "petersen", "--count"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:2] == ["status sat", "count 480"]
+    f = tmp_path / "cert.txt"
+    f.write_text(out[out.index("# hcolour certificate"):])
+    assert main(["check", "--host", "s4", "--guest", "petersen",
+                 "--certificate", str(f)]) == 0
+    assert capsys.readouterr().out == "valid\n"
 
 
 @pytest.mark.parametrize("cmd", ["corpus"])
-def test_cli_corpus_missing_file_is_an_error(tmp_path, capsys, monkeypatch, cmd):
-    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
+def test_cli_corpus_missing_file_is_an_error(tmp_path, capsys, cmd):
     missing = str(tmp_path / "missing.g6")
     assert main([cmd, missing, "--host", "s4", "--workers", "1"]) == 2
     captured = capsys.readouterr()
@@ -416,8 +378,7 @@ def test_cli_corpus_missing_file_is_an_error(tmp_path, capsys, monkeypatch, cmd)
 
 
 
-def test_cli_corpus_streams_in_input_order(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
+def test_cli_corpus_streams_in_input_order(tmp_path, capsys):
     path = tmp_path / "mixed.g6"
     _mixed_corpus(path)
     outs = []
@@ -441,8 +402,7 @@ def test_cli_corpus_node_limit_zero_is_honoured(tmp_path, capsys):
     assert entry["status"] == "unknown" and entry["outcome"] == "unknown"
 
 
-def test_corpus_survives_a_non_ascii_byte(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("HCOLOR_THREADS", raising=False)
+def test_corpus_survives_a_non_ascii_byte(tmp_path, capsys):
     path = tmp_path / "latin1.g6"
     g6 = encode_graph6(petersen().graph).encode()
     path.write_bytes(g6 + b"\nI\xe9bad\n" + g6 + b"\n# caf\xc3\xa9, a comment\n")
@@ -460,3 +420,73 @@ def test_readme_lists_every_recipe():
     readme = (DATA.parent / "README.md").read_text()
     sentence = re.search(r"^Recipes: (.*?)\.\s", readme, re.M | re.S).group(1)
     assert re.findall(r"`([^`]+)`", sentence) == sorted(RECIPES)
+
+
+def test_readme_lists_every_option_and_param():
+    import argparse
+
+    from hcolour.cli import build_parser
+    from hcolour.recipes import _PARAMS
+
+    readme = (DATA.parent / "README.md").read_text()
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        opt
+        for command in sub.choices.values()
+        for action in command._actions
+        if not isinstance(action, argparse._HelpAction)
+        for opt in action.option_strings
+        if opt.startswith("--")
+    }
+    assert "--witness" in options and "--param" in options
+    assert sorted(o for o in options if o not in readme) == []
+    assert [key for key in _PARAMS if f"`{key}`" not in readme] == []
+
+
+@pytest.mark.parametrize("guest", ["3k2", "<disconnected>", "<two vertices>"])
+def test_cli_images_rejects_an_unsuitable_guest(tmp_path, capsys, guest):
+    files = {"<disconnected>": "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n",
+             "<two vertices>": "2 3\n0 1\n0 1\n0 1\n"}
+    if guest in files:
+        (tmp_path / "g.txt").write_text(files[guest])
+        guest = str(tmp_path / "g.txt")
+    assert main(["images", "--guest", guest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: {guest}: guest must be connected with more than 2 vertices\n"
+    )
+
+
+def test_load_graph_rejects_a_multi_record_file(capsys):
+    corpus = DATA / "cubic_bridgeless_10.g6"
+    with pytest.raises(ValueError, match=r"cubic_bridgeless_10\.g6: 18 graph records; "
+                                         r"expected one$"):
+        load_graph(str(corpus))
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--host", "s4", "--guest", str(corpus)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {corpus}: 18 graph records; expected one\n"
+
+
+def test_load_graph_skips_an_indented_comment(tmp_path):
+    f = tmp_path / "triangle.txt"
+    f.write_text("  # an indented note\n3 3\n0 1\n1 2\n\t# another\n0 2\n")
+    assert load_graph(str(f)) == Multigraph(3, [(0, 1), (1, 2), (0, 2)])
+
+
+def test_atlas_witness_revalidation_is_independent_of_check_colouring(monkeypatch):
+    from hcolour import recipes
+    from hcolour.colouring import Colouring, ColouringReport
+
+    monkeypatch.setattr(recipes, "check_colouring", lambda c: ColouringReport(ok=True))
+    P = petersen().graph
+    atlas = enumerate_splitted_images(P)
+    e = atlas.entries[1]
+    e.witness = Colouring(e.witness.host, P, (0,) * P.m)  # every edge one colour
+    checks = {c.name: c for c in recipes._atlas_checks("p", atlas, {"p": P})}
+    assert checks["p-atlas-witnesses-revalidate"].outcome == "fail"
+    assert checks["p-atlas-witnesses-revalidate"].details == {"bad": [1]}

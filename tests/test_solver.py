@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import hcolour
 from hcolour.colouring import check_colouring
 from hcolour.graphio import ingest_graph6
-from hcolour.multigraph import Multigraph, empty_graph
+from hcolour.multigraph import Multigraph
 from hcolour.named import (
     complete,
     cycle,
@@ -54,14 +54,25 @@ def test_count_mode_s4_petersen():
     # frozen after cross-checking the full enumeration
     res = solve(s4().graph, petersen().graph, mode="count")
     assert res.count == 480
-    assert res.colourings == []
+    # the witness is the first colouring, as in mode="first"
+    first = solve(s4().graph, petersen().graph)
+    assert first.count == 1
+    assert res.witness.edge_map == first.witness.edge_map
 
 
 def test_all_mode_matches_count():
-    res_all = solve(s4().graph, cycle(5).graph, mode="all")
-    res_cnt = solve(s4().graph, cycle(5).graph, mode="count")
-    assert len(res_all.colourings) == res_all.count == res_cnt.count
-    assert len({c.edge_map for c in res_all.colourings}) == res_all.count
+    # all colourings, collected through visit, are distinct and counted
+    seen = []
+    res = solve(s4().graph, cycle(5).graph, mode="count", visit=seen.append)
+    assert seen == [] and res.count == 0 and res.witness is None
+    res = solve(complete(4).graph, complete(4).graph, mode="count", visit=seen.append)
+    assert len(seen) == len({c.edge_map for c in seen}) == res.count == 48
+    assert res.witness is seen[0]
+
+
+def test_solve_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="mode must be 'first' or 'count', got 'all'"):
+        solve(s4().graph, cycle(5).graph, mode="all")
 
 
 def test_node_limit_gives_unknown_not_unsat():
@@ -71,9 +82,9 @@ def test_node_limit_gives_unknown_not_unsat():
 
 def test_empty_guest():
     host_with_isolated = Multigraph(2, [])
-    res = solve(host_with_isolated, empty_graph(3))
+    res = solve(host_with_isolated, Multigraph(3, []))
     assert res.status == "sat"
-    res2 = solve(s4().graph, empty_graph(1))
+    res2 = solve(s4().graph, Multigraph(1, []))
     assert res2.status == "unsat"  # S4 has no isolated vertex
 
 
@@ -99,9 +110,10 @@ def test_degree_mismatch_immediately_unsat():
     ],
 )
 def test_solver_agrees_with_naive_oracle(host, guest):
-    fast = solve(host, guest, mode="all")
+    found = []
+    fast = solve(host, guest, mode="count", visit=found.append)
     slow = naive_solve_all(host, guest)
-    assert {c.edge_map for c in fast.colourings} == {c.edge_map for c in slow}
+    assert {c.edge_map for c in found} == {c.edge_map for c in slow}
     assert fast.count == len(slow)
     assert (fast.status == "sat") == bool(slow)
 
@@ -171,11 +183,12 @@ EDGE_MAP_DIGESTS = {"s4<p": "161610f2b87149a0", "p<p": "2efe2eb10b93ebf1"}
 @pytest.mark.parametrize("label", sorted(PAIR_SHAPES))
 def test_search_shape_pinned(label):
     host, guest = next((h, g) for lb, h, g in _LEMMA_PAIRS() if lb == label)
-    res = solve(host, guest, mode="all")
+    found = []
+    res = solve(host, guest, mode="count", visit=found.append)
     assert (res.status, res.count, res.nodes) == PAIR_SHAPES[label]
     assert res.prunes == 0
     if label in EDGE_MAP_DIGESTS:
-        text = repr([c.edge_map for c in res.colourings])
+        text = repr([c.edge_map for c in found])
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == EDGE_MAP_DIGESTS[label]
 
 
@@ -188,31 +201,31 @@ def test_search_shape_pinned_deepest():
 
 @pytest.mark.parametrize("label", sorted(PAIR_SHAPES))
 def test_visit_streams_the_all_mode_colourings(label):
+    # visit sees all colourings, each once; the witness is the first of them
     host, guest = next((h, g) for lb, h, g in _LEMMA_PAIRS() if lb == label)
-    listed = solve(host, guest, mode="all")
     seen = []
     counted = solve(host, guest, mode="count", visit=seen.append)
-    assert [c.edge_map for c in seen] == [c.edge_map for c in listed.colourings]
-    assert counted.colourings == []
     assert (counted.status, counted.count, counted.nodes) == PAIR_SHAPES[label]
-    # with mode="all" the visitor sees the very colourings that are listed
-    seen = []
-    both = solve(host, guest, mode="all", visit=seen.append)
-    assert [id(c) for c in seen] == [id(c) for c in both.colourings]
-    assert both.nodes == listed.nodes
+    assert len({c.edge_map for c in seen}) == len(seen) == counted.count
+    assert counted.witness is seen[0]
+    # mode="first" stops after the same first colouring
+    first_seen = []
+    first = solve(host, guest, visit=first_seen.append)
+    assert first_seen == [first.witness]
+    assert first.witness.edge_map == seen[0].edge_map
 
 
 def test_visit_with_first_mode_and_node_limit():
     seen = []
     res = solve(s4().graph, petersen().graph, visit=seen.append)
-    assert seen == res.colourings and len(seen) == 1
+    assert seen == [res.witness]
     seen = []
     res = solve(s12().graph, s12().graph, mode="count", node_limit=500,
                 visit=seen.append)
     assert res.status == "unknown" and res.nodes == 501
     assert len(seen) == res.count and all(check_colouring(c).ok for c in seen)
     seen = []
-    res = solve(Multigraph(2, []), empty_graph(3), mode="count", visit=seen.append)
+    res = solve(Multigraph(2, []), Multigraph(3, []), mode="count", visit=seen.append)
     assert (res.status, res.count, res.nodes) == ("sat", 1, 0)
     assert [c.edge_map for c in seen] == [()]
 
@@ -251,9 +264,10 @@ def tiny_multigraphs(draw, max_edges):
 @settings(max_examples=300, deadline=None)
 @given(tiny_multigraphs(4), tiny_multigraphs(5))
 def test_solver_matches_naive_oracle_random(host, guest):
-    fast = solve(host, guest, mode="all")
+    found = []
+    fast = solve(host, guest, mode="count", visit=found.append)
     slow = naive_solve_all(host, guest)
-    assert sorted(c.edge_map for c in fast.colourings) == [c.edge_map for c in slow]
+    assert sorted(c.edge_map for c in found) == [c.edge_map for c in slow]
     assert fast.count == len(slow)
     assert fast.status == ("sat" if slow else "unsat")
 
