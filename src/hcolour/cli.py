@@ -37,6 +37,9 @@ from .recipes import (
 from .solver import solve
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNKNOWN = 0, 1, 2
+# the exit code of a recipe or corpus status, or of a solver status
+EXIT = {"pass": EXIT_PASS, "sat": EXIT_PASS, "fail": EXIT_FAIL, "unsat": EXIT_FAIL,
+        "unknown": EXIT_UNKNOWN}
 
 
 def load_graph(ref: str) -> Multigraph:
@@ -101,9 +104,7 @@ def _cmd_solve(args) -> int:
         print(f"count {res.count}")
     if res.witness is not None:
         sys.stdout.write(certificate_text(res.witness, args.host, args.guest))
-    if res.status == "sat":
-        return EXIT_PASS
-    return EXIT_FAIL if res.status == "unsat" else EXIT_UNKNOWN
+    return EXIT[res.status]
 
 
 def _cmd_images(args) -> int:
@@ -154,10 +155,6 @@ def _cmd_check(args) -> int:
     return EXIT_FAIL
 
 
-def _report_exit(report: VerificationReport) -> int:
-    return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "unknown": EXIT_UNKNOWN}[report.status]
-
-
 def _cmd_recipe(args) -> int:
     params: dict = {}
     for kv in args.param or []:
@@ -166,15 +163,16 @@ def _cmd_recipe(args) -> int:
             params[k] = int(v)
         except ValueError:
             params[k] = v  # run_recipe rejects it where it must be an integer
+    t0 = time.perf_counter()
     try:
         report = run_recipe(args.name, params)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
+    dt = time.perf_counter() - t0
     sys.stdout.write(report.to_json_lines())
-    print(f"recipe {args.name}: {report.status} in {report.elapsed:.3f}s",
-          file=sys.stderr)
-    return _report_exit(report)
+    print(f"recipe {args.name}: {report.status} in {dt:.3f}s", file=sys.stderr)
+    return EXIT[report.status]
 
 
 def _cmd_corpus(args) -> int:
@@ -202,7 +200,7 @@ def _cmd_corpus(args) -> int:
         f"{len(checks)} entries in {time.perf_counter() - t0:.1f}s",
         file=sys.stderr,
     )
-    return _report_exit(report)
+    return EXIT[report.status]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,9 +21,7 @@ unused degree-1 vertices arise, e.g. the S4 image of the Petersen graph.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Optional
 
 from .canonical import canonical_form
@@ -198,7 +196,7 @@ def enumerate_splitted_images(
     added: list[int] = []  # classes whose type list grew, for undo
     sat = 0  # class mask of the saturated classes
     found: dict[bytes, AtlasEntry] = {}
-    canon: dict[bytes, bytes] = {}  # labelled image encoding -> canonical form
+    canon: dict[Multigraph, bytes] = {}  # labelled image -> canonical form
     nodes = 0
     aborted = False
     single_type = False  # some leaf has one vertex type: the tk2 colouring
@@ -252,10 +250,9 @@ def enumerate_splitted_images(
         if len(img.used) == 1:
             single_type = True
         g = img.graph
-        code = struct.pack(f">{2 * g.m + 1}I", g.n, *chain.from_iterable(g.edges))
-        key = canon.get(code)
+        key = canon.get(g)
         if key is None:
-            key = canon[code] = canonical_form(g)
+            key = canon[g] = canonical_form(g)
         entry = found.get(key)
         if entry is None:
             found[key] = AtlasEntry(

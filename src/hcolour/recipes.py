@@ -4,7 +4,7 @@ tools into reproducible pass/fail reports.
 Each recipe runs a fixed list of checks and returns a VerificationReport.
 Reports are deterministic for identical inputs and limits: every value that
 lands in the serialized output is derived from the computation itself, never
-from the clock (timings are kept separately for diagnostics).
+from the clock.  _check is the one rule that turns evidence into an outcome.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -72,7 +71,6 @@ class VerificationReport:
     recipe: str
     checks: list[CheckResult] = field(default_factory=list)
     version: str = ""
-    elapsed: float = 0.0  # diagnostics only; never serialized
 
     @property
     def status(self) -> Outcome:
@@ -113,8 +111,22 @@ def artifact_version() -> str:
     return h.hexdigest()[:12]
 
 
-def _check(name: str, ok: bool, nodes: int = 0, **details) -> CheckResult:
-    return CheckResult(name, "pass" if ok else "fail", details, nodes)
+def _check(name: str, ok: bool | str | None, nodes: int = 0, *,
+           expect: Optional[str] = None, **details) -> CheckResult:
+    """The one rule that turns a check's evidence into its outcome.
+
+    ok is the claim: True or False once settled, None when the search it
+    rests on ran out of budget (an atlas that is not complete).  With
+    expect ("sat" or "unsat"), ok is a solver status instead, kept as the
+    "status" detail, and the claim is that it equals expect.  Evidence
+    short of settled is "unknown", never "fail": a spent budget refutes
+    nothing.
+    """
+    if expect is not None:
+        details["status"] = ok
+        ok = None if ok == "unknown" else ok == expect
+    outcome = "unknown" if ok is None else "pass" if ok else "fail"
+    return CheckResult(name, outcome, details, nodes)
 
 
 def _atlas_checks(
@@ -124,7 +136,7 @@ def _atlas_checks(
     out = [
         _check(
             f"{guest_name}-atlas-complete",
-            atlas.complete,
+            atlas.complete or None,
             nodes=atlas.nodes,
             entries=len(atlas.entries),
         )
@@ -134,7 +146,7 @@ def _atlas_checks(
     out.append(
         _check(
             f"{guest_name}-atlas-classes",
-            got == set(expected_keys.values()) and atlas.complete,
+            got == set(expected_keys.values()) if atlas.complete else None,
             expected=sorted(expected_keys),
             found=[canonical_digest(e.graph) for e in atlas.entries],
             multiplicities={
@@ -160,7 +172,8 @@ def _recipe_petersen_images(params: dict) -> list[CheckResult]:
     atlas = enumerate_splitted_images(P, node_limit=params.get("node_limit"))
     checks = _atlas_checks("petersen", atlas, {"petersen": P, "s4": s4().graph})
     checks.append(
-        _check("petersen-atlas-exactly-two", len(atlas.entries) == 2,
+        _check("petersen-atlas-exactly-two",
+               len(atlas.entries) == 2 if atlas.complete else None,
                entries=len(atlas.entries))
     )
     # bridge property: in every image, each bridge uv has exactly one
@@ -174,6 +187,8 @@ def _recipe_petersen_images(params: dict) -> list[CheckResult]:
                 bridge_ok = False
         if not all(g.degree(v) in (1, 3) for v in range(g.n)):
             deg_ok = False
+    if not atlas.complete:
+        bridge_ok = deg_ok = None
     checks.append(_check("petersen-image-bridge-endpoints", bridge_ok))
     checks.append(_check("petersen-image-degrees-1-or-3", deg_ok))
     return checks
@@ -210,7 +225,7 @@ def _recipe_k5_images(params: dict) -> list[CheckResult]:
     atlas = enumerate_splitted_images(K5, node_limit=params.get("node_limit"))
     family: dict[int, set[bytes]] = {}
     checks = [
-        _check("k5-atlas-complete", atlas.complete, nodes=atlas.nodes,
+        _check("k5-atlas-complete", atlas.complete or None, nodes=atlas.nodes,
                entries=len(atlas.entries))
     ]
     all_in_family = True
@@ -226,7 +241,9 @@ def _recipe_k5_images(params: dict) -> list[CheckResult]:
             all_in_family = False
         if any(e.graph.degree(v) != 4 for v in range(e.graph.n)):
             no_unused = False
-    checks.append(_check("k5-images-in-k-family-odd-t", all_in_family and atlas.complete))
+    if not atlas.complete:
+        all_in_family = no_unused = None
+    checks.append(_check("k5-images-in-k-family-odd-t", all_in_family))
     checks.append(_check("k5-images-no-unused-vertex", no_unused))
     return checks
 
@@ -244,9 +261,9 @@ def _recipe_j4_exclusion(params: dict) -> list[CheckResult]:
         checks.append(
             _check(
                 f"j4-unsat-vs-{h.name or f'kfamily-{t}'}",
-                r.status == "unsat",
+                r.status,
                 nodes=r.nodes,
-                status=r.status,
+                expect="unsat",
             )
         )
     return checks
@@ -287,8 +304,8 @@ def _recipe_thm44(params: dict) -> list[CheckResult]:
     checks.append(_check("s12+1M-two-disjoint-pms", pair is not None))
     r = solve(host, witness, node_limit=params.get("node_limit"))
     checks.append(
-        _check("s12+1M-does-not-colour-witness", r.status == "unsat",
-               nodes=r.nodes, status=r.status)
+        _check("s12+1M-does-not-colour-witness", r.status, nodes=r.nodes,
+               expect="unsat")
     )
     return checks
 
@@ -329,8 +346,8 @@ def _recipe_lemma24_props(params: dict) -> list[CheckResult]:
                     visit=keep)
         if res.status != "sat":
             checks.append(
-                _check(f"lemma24-{label}-sat", False, status=res.status,
-                       nodes=res.nodes)
+                _check(f"lemma24-{label}-sat", res.status, nodes=res.nodes,
+                       expect="sat")
             )
             continue
         total_colourings += len(sample)
@@ -356,7 +373,9 @@ def _recipe_lemma24_props(params: dict) -> list[CheckResult]:
     checks.append(
         _check(
             "lemma24-coverage",
-            total_colourings >= 100 and len(applied) == 5,
+            # the tally is partial when a solve ran out of budget
+            None if any(c.outcome == "unknown" for c in checks)
+            else total_colourings >= 100 and len(applied) == 5,
             colourings=total_colourings,
             applications=dict(sorted(applied.items())),
         )
@@ -412,23 +431,41 @@ def _edge_set_samples(
 
 # -- corpus ----------------------------------------------------------------
 
-_CorpusResult = tuple[str, int, Optional[tuple[int, ...]], Optional[str]]
+def _corpus_entry(job: tuple) -> CheckResult:
+    """The check entry-<index> for one corpus record.
 
-
-def _corpus_worker(job: tuple[Multigraph, Multigraph, int]) -> _CorpusResult:
-    """(status, nodes, witness edge map, error) for one (host, guest,
-    node_limit) job.
-
-    An exception while solving makes that entry "unknown" with the
-    exception named in error, so one entry cannot abort the batch.
+    job is (index, line number, graph or parse error, host, host name,
+    node limit).  A parse error is "unknown" with the error in its details;
+    a graph that is not connected bridgeless cubic simple passes as
+    skipped.  Otherwise host ≺ G is solved: SAT passes with its certificate
+    once check_colouring has revalidated it on G itself, UNSAT fails, and a
+    hit node limit, or an exception while solving (named in "error", so one
+    entry cannot abort the batch), is "unknown".
     """
-    host, guest, node_limit = job
+    index, lineno, G, host, host_name, node_limit = job
+    name = f"entry-{index}"
+    if isinstance(G, GraphFormatError):
+        return _check(name, None, line=lineno, error=str(G))
+    if not (
+        G.is_regular(3) and G.is_connected()
+        and not G.bridges()
+        and all(G.multiplicity(a, b) == 1 for a, b in G.edges)
+    ):
+        return _check(name, True, line=lineno,
+                      skipped="not a connected bridgeless cubic simple graph")
+    details = {"line": lineno, "n": G.n, "m": G.m, "host": host_name}
     try:
-        r = solve(host, guest, node_limit=node_limit)
+        r = solve(host, G, node_limit=node_limit)
     except Exception as exc:
-        return "unknown", 0, None, f"{type(exc).__name__}: {exc}"
-    em = r.witness.edge_map if r.witness else None
-    return r.status, r.nodes, em, None
+        return _check(name, "unknown", expect="sat",
+                      error=f"{type(exc).__name__}: {exc}", **details)
+    if r.witness is not None:
+        cert = Colouring(host, G, r.witness.edge_map)
+        if not check_colouring(cert).ok:
+            return _check(name, False, r.nodes, status=r.status,
+                          error="certificate failed revalidation", **details)
+        details["certificate"] = " ".join(f"{g}:{h}" for g, h in cert.pairs())
+    return _check(name, r.status, r.nodes, expect="sat", **details)
 
 
 def worker_count(requested: Optional[int] = None) -> int:
@@ -452,73 +489,27 @@ def run_corpus(
 
     Returns one check per input record from start_index on (which resumes a
     previous run), named entry-<index>, in input order; progress, if given,
-    receives each check in that order as soon as it is decided.  Entries
-    that are not connected bridgeless cubic simple graphs are reported as
-    skipped, and parse errors per line with outcome "unknown".  An entry
-    whose solve raises is reported "unknown" with the exception in its
-    "error" detail.  None of these stops the run.  Every SAT certificate is
-    re-validated here, outside the solver.  Raises ValueError before
-    reading the file when workers is not a positive integer.
+    receives each check in that order as soon as it is decided.  Each
+    record is mapped through _corpus_entry, serially or, with more than one
+    worker and record, in a process pool; parse errors, skipped graphs, hit
+    node limits and solves that raise are per-entry outcomes and never stop
+    the run.  Raises ValueError before reading the file when workers is not
+    a positive integer.
     """
     nworkers = worker_count(workers)
-    # a finished check, or (name, line number, graph) still to be solved
-    entries: list[CheckResult | tuple[str, int, Multigraph]] = []
-    for index, (lineno, G) in enumerate(ingest_graph6(path)):
-        if index < start_index:
-            continue
-        name = f"entry-{index}"
-        if isinstance(G, GraphFormatError):
-            entries.append(
-                CheckResult(name, "unknown", {"line": lineno, "error": str(G)})
-            )
-        elif not (
-            G.is_regular(3) and G.is_connected()
-            and not G.bridges()
-            and all(G.multiplicity(a, b) == 1 for a, b in G.edges)
-        ):
-            entries.append(
-                _check(name, True, line=lineno,
-                       skipped="not a connected bridgeless cubic simple graph")
-            )
-        else:
-            entries.append((name, lineno, G))
-
-    jobs = [(host, e[2], node_limit) for e in entries if isinstance(e, tuple)]
+    jobs = [
+        (index, lineno, G, host, host_name, node_limit)
+        for index, (lineno, G) in enumerate(ingest_graph6(path))
+        if index >= start_index
+    ]
     parallel = nworkers > 1 and len(jobs) > 1
     checks: list[CheckResult] = []
     with ProcessPoolExecutor(max_workers=nworkers) if parallel else nullcontext() as pool:
-        results = (pool.map if parallel else map)(_corpus_worker, jobs)
-        for entry in entries:
-            if isinstance(entry, tuple):
-                entry = _solved_entry(*entry, next(results), host, host_name)
-            checks.append(entry)
+        for check in (pool.map if parallel else map)(_corpus_entry, jobs):
+            checks.append(check)
             if progress is not None:
-                progress(entry)
+                progress(check)
     return checks
-
-
-def _solved_entry(
-    name: str, lineno: int, G: Multigraph, result: _CorpusResult,
-    host: Multigraph, host_name: str,
-) -> CheckResult:
-    """The check for one solved entry, its SAT certificate revalidated."""
-    status, nodes, em, error = result
-    ok = status == "sat"
-    details = {"line": lineno, "n": G.n, "m": G.m, "status": status,
-               "host": host_name}
-    if error is not None:
-        details["error"] = error
-    if ok:
-        cert = Colouring(host, G, em)
-        if not check_colouring(cert).ok:
-            ok = False
-            details["error"] = "certificate failed revalidation"
-        else:
-            details["certificate"] = " ".join(
-                f"{g}:{h}" for g, h in cert.pairs()
-            )
-    outcome = "pass" if ok else ("unknown" if status == "unknown" else "fail")
-    return CheckResult(name, outcome, details, nodes)
 
 
 RECIPES: dict[str, Callable[[dict], list[CheckResult]]] = {
@@ -560,10 +551,5 @@ def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
         if value is None or (isinstance(value, int) and not isinstance(value, bool)):
             continue
         raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
-    start = time.perf_counter()
     checks = RECIPES[name](params)
-    report = VerificationReport(
-        recipe=name, checks=checks, version=artifact_version()
-    )
-    report.elapsed = time.perf_counter() - start
-    return report
+    return VerificationReport(recipe=name, checks=checks, version=artifact_version())

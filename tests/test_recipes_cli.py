@@ -1,16 +1,20 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from random import Random
 
 import pytest
 
+import hcolour
 from hcolour.cli import load_graph, main
 from hcolour.graphio import encode_graph6
 from hcolour.images import enumerate_splitted_images
 from hcolour.multigraph import Multigraph
 from hcolour.named import complete, petersen, s4, s12_plus_km
-from hcolour.recipes import run_corpus, run_recipe
+from hcolour.recipes import RECIPES, run_corpus, run_recipe
 from hcolour.solver import solve
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -30,6 +34,41 @@ def test_named_recipes_pass(name):
     report = run_recipe(name)
     assert report.status == "pass", report.to_json_lines()
     assert report.version
+
+
+@pytest.mark.parametrize("node_limit", [0, 1])
+@pytest.mark.parametrize("name", sorted(RECIPES))
+def test_a_spent_budget_is_unknown_never_fail(name, node_limit):
+    report = run_recipe(name, {"node_limit": node_limit})
+    assert [c.name for c in report.checks if c.outcome == "fail"] == []
+    # p-matching-cuts runs no budgeted search
+    want = "pass" if name == "p-matching-cuts" else "unknown"
+    assert report.status == want, report.to_json_lines()
+
+
+def test_a_settled_contradiction_still_fails(monkeypatch):
+    from hcolour import recipes
+    from hcolour.solver import SolveResult
+
+    monkeypatch.setattr(recipes, "solve", lambda *a, **kw: SolveResult("sat"))
+    report = run_recipe("j4-exclusion")
+    unsat = [c for c in report.checks if c.name.startswith("j4-unsat-")]
+    assert len(unsat) == 2
+    assert all(c.outcome == "fail" and c.details["status"] == "sat" for c in unsat)
+    assert report.status == "fail"
+
+
+def test_cli_recipe_spent_budget_exits_unknown_under_python_O():
+    src = Path(hcolour.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "hcolour.cli", "recipe", "thm44",
+         "--param", "node_limit=10"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 2, out.stderr
+    assert '"fail"' not in out.stdout
+    assert json.loads(out.stdout.splitlines()[-1])["status"] == "unknown"
 
 
 def test_petersen_images_enumerates_the_atlas_once(monkeypatch):
@@ -125,6 +164,19 @@ def test_run_corpus_survives_a_failing_entry(monkeypatch):
     assert bad.details["error"] == "RecursionError: maximum recursion depth exceeded"
     assert "certificate" not in bad.details
     assert all(c.outcome == "pass" for i, c in enumerate(checks) if i != 2)
+
+
+def test_run_corpus_fails_an_entry_whose_certificate_does_not_revalidate(monkeypatch):
+    from hcolour import recipes
+    from hcolour.colouring import ColouringReport
+
+    monkeypatch.setattr(recipes, "check_colouring", lambda c: ColouringReport(ok=False))
+    [entry] = run_corpus(str(DATA / "cubic_bridgeless_04.g6"), s4().graph, "s4",
+                         workers=1)
+    assert entry.outcome == "fail"
+    assert entry.details["status"] == "sat"
+    assert entry.details["error"] == "certificate failed revalidation"
+    assert "certificate" not in entry.details
 
 
 def test_reservoir_is_a_seeded_sample_of_the_stream():
