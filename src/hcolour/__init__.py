@@ -50,7 +50,6 @@ from .structure import (
     chromatic_index,
     edge_colouring,
     enumerate_matchings,
-    exposed_copies,
     has_perfect_matching,
     has_two_disjoint_perfect_matchings,
     is_matching,

@@ -261,72 +261,92 @@ def _compositions(total: int, lo: list[int], hi: tuple[int, ...]) -> list[tuple[
     return out
 
 
-def _regular_multigraphs(n: int, r: int):
+def _regular_leaves(n: int, r: int):
     """All labelled loopless multigraphs on n vertices with all degrees r.
 
-    Yields edge lists in lexicographic order of the upper-triangle
-    multiplicity vector, pairs taken as (0,1), (0,2), ..., (n-2,n-1).  The
-    matrix is filled row by row: row i is a composition of vertex i's
-    remaining degree t over vertices i+1..n-1, each part capped by that
-    vertex's remaining degree d.  A row is kept only if the residual
-    degrees of i+1..n-1 stay realisable (_realisable).  Every pair among
-    those vertices is still free, so that test is exact and every branch
-    reaches a leaf.  The residual sum S is fixed by the row's total, so
-    the test is a lower bound d - S // 2 on each part, and the kept rows
-    are generated directly as bounded compositions.
+    Yields (above, row, support, double) per multigraph: the edges of the
+    rows above the last walked one, that row's edges, and the pair masks
+    (structure.support_masks) of the support and of the pairs joined at
+    least twice.  Multigraphs come in lexicographic order of the
+    upper-triangle multiplicity vector, pairs taken as (0,1), (0,2), ...,
+    (n-2,n-1).  The matrix is filled row by row: row i is a composition of
+    vertex i's remaining degree t over vertices i+1..n-1, each part capped
+    by that vertex's remaining degree d.  A row is kept only if the
+    residual degrees of i+1..n-1 stay realisable (_realisable).  Every pair
+    among those vertices is still free, so that test is exact and every
+    branch reaches a leaf.  The residual sum S is fixed by the row's total,
+    so the test is a lower bound d - S // 2 on each part, and the kept rows
+    are generated directly as bounded compositions.  The row of vertex
+    n-2 is forced (its remaining degree all goes to n-1), so it is
+    appended, edges and bits, to each row of vertex n-3, where the walk
+    ends (at vertex 0 when n = 2).
 
     The kept rows of a state (the remaining degrees of i..n-1) are
-    memoised for the duration of the call from vertex 2 on.  Vertex 0 has
-    one state and each of its rows leaves a different state for vertex 1,
-    so states before vertex 2 never recur and are not kept.
+    memoised with their edges and pair-mask bits for the duration of the
+    call from vertex 2 on; each level adds its row's edges and bits to
+    those of the rows above.  Vertex 0 has one state and each of its rows
+    leaves a different state for vertex 1, so states before vertex 2
+    never recur and are not kept.
     """
     degrees = (r,) * n
     if not _realisable(degrees):
         return
     if n < 2:
-        yield []
+        yield [], [], 0, 0
         return
     pair = [[(i, j) for j in range(n)] for i in range(n)]
-    memo: dict[tuple[int, ...], tuple[list, list]] = {}
+    memo: dict[tuple[int, ...], tuple[tuple, tuple]] = {}
     shared: dict = {}  # one copy of each memoised row and residual tuple
 
     def options(rem: tuple[int, ...]):
-        """(row edges, residual degrees) of each kept row of vertex n - len(rem)."""
+        """The (row edges, support bits, doubled bits) of each kept row of
+        vertex n - len(rem), and the residual degrees each row leaves."""
         found = memo.get(rem)
         if found is None:
             i = n - len(rem)
             t, tail = rem[0], rem[1:]
             half = (sum(tail) - t) // 2
-            rows, children = [], []
+            rows, children = found = ([], [])
             for comp in _compositions(t, [max(0, d - half) for d in tail], tail):
-                row = [pair[i][i + 1 + k] for k, p in enumerate(comp) for _ in range(p)]
                 child = tuple(d - p for d, p in zip(tail, comp))
+                forced = child[0] if i == n - 3 else 0
+                parts = [(i, j, p) for j, p in enumerate(comp, i + 1)] + [(n - 2, n - 1, forced)]
+                row = (
+                    [pair[a][b] for a, b, p in parts for _ in range(p)],
+                    sum(1 << (a * n + b) for a, b, p in parts if p),
+                    sum(1 << (a * n + b) for a, b, p in parts if p > 1),
+                )
                 if i >= 2:
-                    row = shared.setdefault((i, comp), row)
+                    row = shared.setdefault((i, comp, forced), row)
                     child = shared.setdefault(child, child)
                 rows.append(row)
                 children.append(child)
-            found = (rows, children)
             if i >= 2:
-                memo[rem] = found
-        return zip(*found)
+                memo[rem] = found = (tuple(rows), tuple(children))  # no spare capacity
+        return found
 
-    last = n - 2
-    stack = [options(degrees)]
-    prefix: list[list[tuple[int, int]]] = [[]]  # edges of the rows above each level
+    last = max(n - 3, 0)
+    # one iterator per level over its rows, with the edges, support and
+    # doubled pairs of the rows above; an empty row leads to vertex 0
+    stack = [(zip([([], 0, 0)], [degrees]), [], 0, 0)]
     while stack:
-        step = next(stack[-1], None)
+        rows, edges, support, double = stack[-1]
+        step = next(rows, None)
         if step is None:
             stack.pop()
-            prefix.pop()
             continue
-        row, child = step
-        edges = prefix[-1] + row
+        (row, sup, dbl), child = step
+        edges, support, double = edges + row, support | sup, double | dbl
         if len(stack) - 1 == last:
-            yield edges
+            for row, sup, dbl in options(child)[0]:
+                yield edges, row, support | sup, double | dbl
         else:
-            stack.append(options(child))
-            prefix.append(edges)
+            stack.append((zip(*options(child)), edges, support, double))
+
+
+def _regular_multigraphs(n: int, r: int):
+    """The edge lists of _regular_leaves(n, r), in its order."""
+    return (edges + row for edges, row, _, _ in _regular_leaves(n, r))
 
 
 def k_family_members(t: int, r: int) -> list[Multigraph]:
@@ -365,6 +385,45 @@ def poorly_matchable_ten_vertices() -> LabelledGraph:
     return LabelledGraph(graph, dict(base.vertex_labels), dict(base.edge_labels))
 
 
+# Support summaries a witness search keeps per order: every support on 6
+# vertices (15 pairs) fits; on 8, where supports hardly repeat, memory
+# stays bounded.
+_SUPPORT_CACHE_LIMIT = 1 << 15
+
+
+def _witness_leaves(n: int, r: int):
+    """(above, row) of each poorly matchable candidate of _regular_leaves(n, r).
+
+    A candidate's verdict depends only on its support and doubled pairs.
+    Each support is summarised once: None when no doubling makes it a
+    witness (it is disconnected, has no perfect matching, or has two
+    disjoint ones), else its perfect matchings as pair masks; a candidate
+    on it is a witness iff disjoint_pair finds no two of them sharing only
+    doubled pairs.  At most _SUPPORT_CACHE_LIMIT summaries are kept per
+    call; a support past that is summarised again at each of its leaves.
+    """
+    from .structure import (
+        disjoint_pair,
+        support_connected,
+        support_masks,
+        support_perfect_matchings,
+    )
+
+    summaries: dict[int, tuple[int, ...] | None] = {}
+    matchings: dict[int, int] = {}  # shared copies: 8 vertices have only 105 perfect matchings
+    for above, row, support, double in _regular_leaves(n, r):
+        pms = summaries.get(support, False)
+        if pms is False:
+            adj, _ = support_masks(n, above + row)
+            pms = support_perfect_matchings(n, adj) if support_connected(adj) else []
+            if not pms or disjoint_pair(pms, 0) is not None:
+                pms = None
+            if len(summaries) < _SUPPORT_CACHE_LIMIT:
+                summaries[support] = pms and tuple(matchings.setdefault(m, m) for m in pms)
+        if pms is not None and disjoint_pair(pms, double) is None:
+            yield above, row
+
+
 def poorly_matchable_witness(r: int, max_order: int) -> Multigraph | None:
     """Smallest-order r-regular multigraph with a perfect matching but no
     two disjoint ones, or None if there is none up to max_order.
@@ -374,31 +433,18 @@ def poorly_matchable_witness(r: int, max_order: int) -> Multigraph | None:
     A disconnected witness would contain a smaller witness component, so
     restricting to connected graphs keeps the order minimal.
 
-    Candidates are decided on the support's masks (structure.support_masks);
-    a Multigraph is built only for the hit, which is revalidated by
-    is_connected, is_regular and the all-pairs check over the edge-id
-    perfect matchings before it is returned.
+    Candidates are decided on pair masks, once per support and doubled
+    pairs (_witness_leaves); a Multigraph is built only for the hit, which
+    is revalidated by is_connected, is_regular and the all-pairs check over
+    the edge-id perfect matchings before it is returned.
     """
-    from .structure import (
-        disjoint_pair,
-        has_perfect_matching,
-        pairwise_intersecting_perfect_matchings,
-        support_connected,
-        support_masks,
-        support_perfect_matchings,
-    )
+    from .structure import has_perfect_matching, pairwise_intersecting_perfect_matchings
 
     if r < 4:
         raise ValueError("poorly matchable search is defined for r >= 4")
     for n in range(2, max_order + 1, 2):
-        for edges in _regular_multigraphs(n, r):
-            adj, double = support_masks(n, edges)
-            if not support_connected(adj):
-                continue
-            pms = support_perfect_matchings(n, adj)
-            if not pms or disjoint_pair(pms, double) is not None:
-                continue
-            G = Multigraph(n, edges, name=f"poorly-matchable-{r}")
+        for above, row in _witness_leaves(n, r):
+            G = Multigraph(n, above + row, name=f"poorly-matchable-{r}")
             if not (
                 G.is_connected()
                 and G.is_regular(r)

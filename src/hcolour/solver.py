@@ -242,7 +242,8 @@ def _bfs_edge_order(G: Multigraph) -> list[int]:
 
 def tk2_colourable(guest: Multigraph, t: int) -> bool:
     """Colourability by t parallel edges on two vertices: t-regular and
-    t-edge-colourable."""
+    t-edge-colourable.  The public definitional oracle for the atlas's
+    tk2_realizable flag, bound by chromatic_index's edge guard."""
     if not guest.is_regular(t):
         return False
     if guest.m == 0:

@@ -1,10 +1,9 @@
-"""Matchings, chromatic index, regular-subgraph and exposed-copy predicates."""
+"""Matchings, chromatic index and regular-subgraph predicates."""
 
 from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .canonical import is_isomorphic
 from .multigraph import Multigraph
 
 CHROMATIC_INDEX_EDGE_GUARD = 64
@@ -243,7 +242,7 @@ def chromatic_index(G: Multigraph) -> int:
     return k
 
 
-# -- regular subgraphs and exposed copies ----------------------------------
+# -- regular subgraphs ------------------------------------------------------
 
 def spanning_regular_check(G: Multigraph, F, k: int) -> bool:
     """True iff every vertex touched by F has exactly k incident F-edges."""
@@ -253,33 +252,3 @@ def spanning_regular_check(G: Multigraph, F, k: int) -> bool:
         count[a] += 1
         count[b] += 1
     return all(c in (0, k) for c in count)
-
-
-def exposed_copies(G: Multigraph, k: int = 0) -> list[frozenset[int]]:
-    """All 4-vertex sets inducing a copy of S4+kM with full-degree heavy vertices.
-
-    The three vertices playing the degree-(k+3) role must have all their
-    edges inside the copy; the fourth vertex is unconstrained.
-    """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    from .named import s4_plus_km
-    from itertools import combinations
-
-    template = s4_plus_km(k).graph
-    heavy = k + 3
-    out = []
-    for X in combinations(range(G.n), 4):
-        sub, verts = G.induced_subgraph(X)
-        if sub.m != template.m:
-            continue
-        if not is_isomorphic(sub, template):
-            continue
-        ok = True
-        for i, v in enumerate(verts):
-            if sub.degree(i) == heavy and G.degree(v) != heavy:
-                ok = False
-                break
-        if ok:
-            out.append(frozenset(X))
-    return out

@@ -7,11 +7,13 @@ from pathlib import Path
 import pytest
 
 import hcolour
-
+from hcolour import named
 from hcolour.canonical import canonical_form, is_isomorphic
 from hcolour.multigraph import Multigraph
 from hcolour.named import (
+    _regular_leaves,
     _regular_multigraphs,
+    _witness_leaves,
     complete,
     complete_minus_edge,
     cycle,
@@ -32,9 +34,13 @@ from hcolour.named import (
     t_k2,
 )
 from hcolour.structure import (
+    disjoint_pair,
     has_perfect_matching,
     has_two_disjoint_perfect_matchings,
     perfect_matchings,
+    support_connected,
+    support_masks,
+    support_perfect_matchings,
 )
 
 
@@ -223,6 +229,53 @@ def test_poorly_matchable_witness_order_six():
         (1, 3), (1, 4), (2, 3), (2, 3), (2, 3), (4, 5), (4, 5),
     )
     assert has_perfect_matching(G) and has_two_disjoint_perfect_matchings(G) is None
+
+
+# -- the per-support witness verdict against the per-candidate rule --------
+
+def _per_candidate_witness(n: int, edges) -> bool:
+    """The witness rule recomputed from one candidate's edges alone."""
+    adj, double = support_masks(n, edges)
+    if not support_connected(adj):
+        return False
+    pms = support_perfect_matchings(n, adj)
+    return bool(pms) and disjoint_pair(pms, double) is None
+
+
+def test_regular_leaves_masks_match_support_masks():
+    for n in range(7):
+        for r in (3, 4, 5):
+            for above, row, support, double in _regular_leaves(n, r):
+                adj, dbl = support_masks(n, above + row)
+                pairs = sum(
+                    1 << (a * n + b) for a in range(n) for b in range(a + 1, n) if adj[a] >> b & 1
+                )
+                assert (support, double) == (pairs, dbl), (n, r, above + row)
+
+
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_witness_verdict_per_support_matches_per_candidate_rule(r):
+    # every labelled candidate of orders 2, 4 and 6 in walk order: the
+    # search yields exactly those the per-candidate rule calls witnesses
+    for n in (2, 4, 6):
+        expected = [e for e in _regular_multigraphs(n, r) if _per_candidate_witness(n, e)]
+        assert [above + row for above, row in _witness_leaves(n, r)] == expected, n
+        assert (r == 5 and n == 6) == bool(expected)
+
+
+@pytest.mark.parametrize("limit", [0, 100])
+def test_witness_answers_do_not_depend_on_the_support_cache(monkeypatch, limit):
+    # 0: no summary is kept; 100: the cache fills in the middle of order 6
+    monkeypatch.setattr(named, "_SUPPORT_CACHE_LIMIT", limit)
+    assert poorly_matchable_witness(4, 6) is None
+    assert poorly_matchable_witness(6, 6) is None
+    assert poorly_matchable_witness(5, 6).edges == (
+        (0, 4), (0, 4), (0, 5), (0, 5), (0, 5), (1, 2), (1, 2), (1, 3),
+        (1, 3), (1, 4), (2, 3), (2, 3), (2, 3), (4, 5), (4, 5),
+    )
+    assert [above + row for above, row in _witness_leaves(6, 5)] == [
+        e for e in _regular_multigraphs(6, 5) if _per_candidate_witness(6, e)
+    ]
 
 
 _DISAGREEING_REVALIDATION_SCRIPT = textwrap.dedent("""

@@ -1,10 +1,11 @@
 import gc
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcolour.canonical import is_isomorphic
 from hcolour.multigraph import Multigraph
 from hcolour.named import (
     _regular_multigraphs,
@@ -14,6 +15,7 @@ from hcolour.named import (
     poorly_matchable_ten_vertices,
     s4,
     s10,
+    s4_plus_km,
     s12_plus_km,
     t_k2,
 )
@@ -22,7 +24,6 @@ from hcolour.structure import (
     chromatic_index,
     edge_colouring,
     enumerate_matchings,
-    exposed_copies,
     has_perfect_matching,
     has_two_disjoint_perfect_matchings,
     is_matching,
@@ -126,6 +127,24 @@ def test_spanning_regular_check():
     assert spanning_regular_check(C4, [0, 2], 1)
     assert not spanning_regular_check(C4, [0, 1], 1)
     assert spanning_regular_check(C4, [], 3)
+
+
+def exposed_copies(G: Multigraph, k: int = 0) -> list[frozenset[int]]:
+    """All 4-vertex sets inducing a copy of S4+kM with full-degree heavy vertices.
+
+    The three vertices playing the degree-(k+3) role must have all their
+    edges inside the copy; the fourth vertex is unconstrained.
+    """
+    template = s4_plus_km(k).graph
+    heavy = k + 3
+    out = []
+    for X in combinations(range(G.n), 4):
+        sub, verts = G.induced_subgraph(X)
+        if sub.m == template.m and is_isomorphic(sub, template) and all(
+            G.degree(v) == heavy for i, v in enumerate(verts) if sub.degree(i) == heavy
+        ):
+            out.append(frozenset(X))
+    return out
 
 
 def test_exposed_copies_counts():
