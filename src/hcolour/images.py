@@ -162,11 +162,19 @@ def enumerate_splitted_images(
     holding a saturated class must end with one of those two types, or the
     class would gain a third type when the vertex completes.  So its
     partial type must be a subset of one of them whose size is the
-    vertex's degree.  This is checked for every saturated class at the
-    vertex whenever a class is added to it, and for every open vertex
-    holding a class when that class becomes saturated.  The rule only cuts
-    subtrees that contain no complete partition, so every leaf survives and
-    multiplicities stay exact.
+    vertex's degree.  The rule only cuts subtrees that contain no complete
+    partition, so every leaf survives and multiplicities stay exact.
+
+    The rule is applied as a room mask per edge endpoint, once per node.
+    Every completed type that contains class c is listed in types[c], so
+    the completed types containing a nonempty partial type at[u] are all
+    in the list of its lowest class, which has at most two entries.  The
+    union of those of size deg[u] is cover(u); u may take exactly the
+    classes in cover(u) if at[u] holds a saturated class, and otherwise
+    any unsaturated class or one in cover(u).  An empty vertex may take
+    any unsaturated class and each saturated class with a completed type
+    of size deg[u]; an open vertex holding a newly saturated class needs
+    a nonempty cover.
 
     Every leaf is realized and revalidated by realize_image; the canonical
     form of each distinct labelled image is computed once per call.
@@ -201,19 +209,32 @@ def enumerate_splitted_images(
     aborted = False
     single_type = False  # some leaf has one vertex type: the tk2 colouring
 
-    def fits(u: int, mask: int) -> bool:
-        """Mask is a subset of a degree-sized type of each saturated class in it."""
+    def cover(u: int) -> int:
+        """The union of the completed types of size deg[u] that contain at[u]."""
+        A = at[u]
         d = deg[u]
-        s = mask & sat
+        out = 0
+        for T in types[(A & -A).bit_length() - 1]:
+            if not A & ~T and T.bit_count() == d:
+                out |= T
+        return out
+
+    def room(u: int) -> int:
+        """The classes that can join at[u] without breaking a saturated class."""
+        if at[u]:
+            got = cover(u)
+            return got if at[u] & sat else ~sat | got
+        d = deg[u]
+        out = ~sat
+        s = sat
         while s:
             low = s & -s
             s ^= low
             for T in types[low.bit_length() - 1]:
-                if not mask & ~T and T.bit_count() == d:
+                if T.bit_count() == d:
+                    out |= low
                     break
-            else:
-                return False
-        return True
+        return out
 
     def complete_vertex(u: int) -> int:
         """Register u's final type; the newly saturated classes, or -1."""
@@ -238,9 +259,9 @@ def enumerate_splitted_images(
         return newly
 
     def recheck(newly: int) -> bool:
-        """Every open vertex holding a newly saturated class still fits."""
+        """Every open vertex holding a newly saturated class still has room."""
         for v in range(n):
-            if left[v] and at[v] & newly and not fits(v, at[v]):
+            if left[v] and at[v] & newly and not cover(v):
                 return False
         return True
 
@@ -276,17 +297,15 @@ def enumerate_splitted_images(
         eid = order[i]
         a, b = edges[eid]
         free = ~(at[a] | at[b]) & ((2 << next_new) - 1)
+        if sat:
+            free &= room(a) & room(b)
         while free:
             bit = free & -free
             free ^= bit
-            ma = at[a] | bit
-            mb = at[b] | bit
-            if (ma | mb) & sat and not (fits(a, ma) and fits(b, mb)):
-                continue
             c = bit.bit_length() - 1
             cls[eid] = c
-            at[a] = ma
-            at[b] = mb
+            at[a] |= bit
+            at[b] |= bit
             left[a] -= 1
             left[b] -= 1
             mark = len(added)

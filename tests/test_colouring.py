@@ -49,6 +49,19 @@ def test_colouring_totality_enforced():
         Colouring(host, guest, (0, 1, 99))  # out of range
 
 
+def test_colouring_range_error_names_first_bad_id():
+    host = s4().graph  # edge ids 0..4
+    guest = cycle(4).graph
+    with pytest.raises(ValueError, match=r"host edge id 7 out of range"):
+        Colouring(host, guest, (0, 1, 7, 9))
+    with pytest.raises(ValueError, match=r"host edge id -1 out of range"):
+        Colouring(host, guest, (2, 4, -1, 6))
+    with pytest.raises(ValueError, match=r"host edge id 5 out of range"):
+        Colouring(host, guest, (0, 5, 1, -3))
+    assert Colouring(host, guest, (0, 4, 2, 3)).edge_map == (0, 4, 2, 3)
+    assert Colouring(host, Multigraph(1, []), ()).edge_map == ()
+
+
 def test_check_colouring_accepts_valid():
     c = paw_colouring()
     rep = check_colouring(c)

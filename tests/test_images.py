@@ -18,6 +18,7 @@ from hcolour.named import (
     s12,
     s12_plus_km,
     complete,
+    complete_minus_edge,
 )
 from hcolour.solver import _bfs_edge_order, naive_solve_all, solve, tk2_colourable
 
@@ -337,8 +338,9 @@ def _q3() -> Multigraph:
 
 
 # (canonical digest, multiplicity) per image class, recorded with the
-# set-based search that had no saturated-class propagation; node counts of
-# the current search, so a change to its pruning shows up.
+# set-based search that had no saturated-class propagation (S4 and K_n minus
+# an edge with the mask search before room masks); node counts of the
+# current search, so a change to its pruning shows up.
 ATLAS_PINS = {
     "K3,3": (
         _k33,
@@ -389,11 +391,41 @@ ATLAS_PINS = {
     ),
     "K7": (
         lambda: complete(7).graph,
-        None,
+        29641,
         {
             ("8bd051b63979b043", 1),
             ("c4d7ed4e2cda6575", 140),
         },
+    ),
+    # non-regular guests: only their node counts see the degree-size test
+    # of a saturated class's types, which never cuts a leaf
+    "S4": (lambda: s4().graph, 7, {("29f43a0b91a4278d", 1)}),
+    "K5-e": (
+        lambda: complete_minus_edge(5).graph,
+        22,
+        {("d9e113351ba4e06f", 1)},
+    ),
+    "K6-e": (
+        lambda: complete_minus_edge(6).graph,
+        169,
+        {
+            ("358c5b1f405da031", 3),
+            ("51239b9032599262", 1),
+            ("6429e695b2e21301", 6),
+            ("d080eea16363ca22", 3),
+        },
+    ),
+    "K7-e": (
+        lambda: complete_minus_edge(7).graph,
+        2336,
+        {("0dd3a21ef4d943d3", 1)},
+    ),
+    # the first edge at vertex 4 meets a saturated class with no completed
+    # type of size 2
+    "K1,3+digon": (
+        lambda: Multigraph(5, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 4)]),
+        6,
+        {("6c7e974a79534a5e", 1)},
     ),
 }
 
@@ -406,6 +438,5 @@ def test_atlas_pinned(name):
     got = {(hashlib.sha256(e.canonical).hexdigest()[:16], e.multiplicity)
            for e in atlas.entries}
     assert got == classes
-    if nodes is not None:
-        assert atlas.nodes == nodes
+    assert atlas.nodes == nodes
     assert atlas.tk2_realizable is _tk2_oracle(build())
