@@ -160,7 +160,6 @@ def _search(G: Multigraph) -> tuple[bytes, int, tuple[tuple[int, ...], ...]]:
 
     search(_initial_cells(G, mult), [])
     del search  # it reaches itself through its closure; free it now
-    assert best is not None
     return best, count, tuple(tuple(g) for g in gens)
 
 
@@ -169,9 +168,6 @@ def _ensure(G: Multigraph) -> None:
     if G._canon is not None:
         return
     header = struct.pack(">II", G.n, G.m)
-    if G.n == 0:
-        G._canon, G._aut = header, (1, ())
-        return
     if max((G.multiplicity(a, b) for a, b in G.edges), default=0) > 255:
         raise ValueError("edge multiplicities above 255 are not supported")
     best, aut_order, gens = _search(G)
@@ -205,8 +201,6 @@ def naive_canonical_form(G: Multigraph) -> bytes:
     """canonical_form without automorphism pruning or caching: the least
     encoding over every leaf of the search tree.  Test oracle."""
     header = struct.pack(">II", G.n, G.m)
-    if G.n == 0:
-        return header
     mult = _mult_matrix(G)
     best: bytes | None = None
     stack = [_initial_cells(G, mult)]

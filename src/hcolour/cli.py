@@ -4,7 +4,8 @@ Subcommands: gen, solve, images, check, recipe, corpus.  Structured results
 (JSON objects, certificates, edge lists) go to stdout; timings and other
 diagnostics go to stderr.  corpus prints one JSON object per input record,
 in input order as each is decided, then a summary object.  Exit codes: 0 all
-pass / SAT, 1 any fail / UNSAT, 2 any unknown or error.
+pass / SAT, 1 any fail / UNSAT, 2 any unknown or error; a command that
+raises exits 2 with the traceback on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import re
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -185,7 +187,6 @@ def _cmd_corpus(args) -> int:
             args.host,
             node_limit=args.node_limit,
             workers=args.workers,
-            start_index=args.start_index,
             progress=lambda res: print(res.to_json(), flush=True),
         )
     except (OSError, ValueError) as exc:
@@ -246,14 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET)
     co.add_argument("--workers", type=int, default=None,
                     help="pool size (default: the CPU count)")
-    co.add_argument("--start-index", type=int, default=0)
     co.set_defaults(func=_cmd_corpus)
     return ap
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception:  # a crash decides nothing: never report it as fail
+        traceback.print_exc()
+        return EXIT_UNKNOWN
 
 
 if __name__ == "__main__":

@@ -28,16 +28,7 @@ from .canonical import canonical_form
 from .colouring import Colouring, ImageGraph, check_colouring
 from .multigraph import Multigraph
 from .solver import _bfs_edge_order
-
-
-def _class_list(mask: int) -> list[int]:
-    """The classes in a type mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+from .structure import bits
 
 
 def realize_image(
@@ -81,7 +72,7 @@ def realize_image(
             if at[u] & bit:
                 raise ValueError(f"adjacent edges at vertex {u} share class {c}")
             at[u] |= bit
-    classes_of = {T: _class_list(T) for T in set(at)}
+    classes_of = {T: bits(T) for T in set(at)}
     holders: list[list[int]] = [[] for _ in range(k)]
     for T, cs in classes_of.items():
         for c in cs:
@@ -199,7 +190,6 @@ def enumerate_splitted_images(
     n, m = guest.n, guest.m
     cls = [-1] * m
     at = [0] * n  # class mask of the assigned edges at each vertex
-    left = list(deg)  # unassigned edges at each vertex
     types: list[list[int]] = [[] for _ in range(m)]  # completed types per class
     added: list[int] = []  # classes whose type list grew, for undo
     sat = 0  # class mask of the saturated classes
@@ -261,7 +251,7 @@ def enumerate_splitted_images(
     def recheck(newly: int) -> bool:
         """Every open vertex holding a newly saturated class still has room."""
         for v in range(n):
-            if left[v] and at[v] & newly and not cover(v):
+            if at[v] & newly and at[v].bit_count() < deg[v] and not cover(v):
                 return False
         return True
 
@@ -306,13 +296,11 @@ def enumerate_splitted_images(
             cls[eid] = c
             at[a] |= bit
             at[b] |= bit
-            left[a] -= 1
-            left[b] -= 1
             mark = len(added)
             ok = True
             newly = 0
             for u in (a, b):
-                if left[u] == 0:
+                if at[u].bit_count() == deg[u]:
                     got = complete_vertex(u)
                     if got < 0:
                         ok = False
@@ -328,11 +316,8 @@ def enumerate_splitted_images(
                 c2 = added.pop()
                 types[c2].pop()
                 sat &= ~(1 << c2)
-            left[a] += 1
-            left[b] += 1
             at[a] ^= bit
             at[b] ^= bit
-            cls[eid] = -1
 
     rec(0, 0)
     # rec reaches itself through its closure; unbinding it frees the search

@@ -111,50 +111,41 @@ class Multigraph:
 
     # -- connectivity ------------------------------------------------------
 
+    def _reach(self, s: int, cut: int = 0) -> int:
+        """The vertex mask of the vertices reachable from s by walks that use
+        no edge in the edge mask cut."""
+        reach = 1 << s
+        stack = [s]
+        while stack:
+            for eid, w in self._adj[stack.pop()]:
+                bit = 1 << w
+                if not reach & bit and not cut >> eid & 1:
+                    reach |= bit
+                    stack.append(w)
+        return reach
+
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by minimum."""
-        seen = [False] * self.n
         comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for _, w in self._adj[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
+        rest = (1 << self.n) - 1
+        while rest:
+            comp = self._reach((rest & -rest).bit_length() - 1)
+            comps.append([v for v in range(self.n) if comp >> v & 1])
+            rest &= ~comp
         return comps
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or len(self.components()) == 1
+        return self.n <= 1 or self._reach(0) == (1 << self.n) - 1
 
     def is_edge_cut(self, X: Iterable[int]) -> bool:
         """True iff removing the edge set X disconnects this connected graph."""
         if not self.is_connected():
             raise ValueError("is_edge_cut requires a connected graph")
-        cut = set(X)
-        for eid in cut:
+        cut = 0
+        for eid in X:
             self._check_edge(eid)
-        if self.n <= 1:
-            return False
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for eid, w in self._adj[v]:
-                if eid not in cut and not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        return count < self.n
+            cut |= 1 << eid
+        return self.n > 1 and self._reach(0, cut) != (1 << self.n) - 1
 
     def bridges(self) -> frozenset[int]:
         """All edges whose removal disconnects their component.

@@ -46,13 +46,14 @@ def petersen() -> LabelledGraph:
     return LabelledGraph(Multigraph(10, edges, name="P"), vlabels, elabels)
 
 
-def _gadget_edges(base: int, k: int, with_z: bool, z: int | None, sup: str):
+def _gadget_edges(base: int, k: int, z: int | None, sup: str):
     """Edges and labels of one S4+kM copy.
 
     Vertex offsets within the copy: u=base, v=base+1, w=base+2; z is the
-    caller-supplied attachment vertex (own vertex for S4, centre/triangle
-    vertex otherwise).  Bold matching edges get their k parallel copies
-    here: k+2 copies of vw and, when the copy owns z, k+1 copies of uz.
+    caller-supplied attachment vertex (own vertex for S4, triangle vertex
+    for S12+kM), or None when the copy does not own one.  Bold matching
+    edges get their k parallel copies here: k+2 copies of vw and, when the
+    copy owns z, k+1 copies of uz.
     """
     u, v, w = base, base + 1, base + 2
     edges = []
@@ -64,8 +65,7 @@ def _gadget_edges(base: int, k: int, with_z: bool, z: int | None, sup: str):
     for j in range(k + 2):
         labels[f"l{sup}_{j + 1}"] = len(edges)
         edges.append((v, w))
-    if with_z:
-        assert z is not None
+    if z is not None:
         for j in range(k + 1):
             labels[f"r{sup}_{j + 1}"] = len(edges)
             edges.append((u, z))
@@ -77,7 +77,7 @@ def s4_plus_km(k: int) -> LabelledGraph:
     if k < 0:
         raise ValueError("k must be non-negative")
     # z=0, u=1, v=2, w=3
-    edges, labels = _gadget_edges(1, k, with_z=True, z=0, sup="")
+    edges, labels = _gadget_edges(1, k, z=0, sup="")
     vlabels = {"z": 0, "u": 1, "v": 2, "w": 3}
     name = "S4" if k == 0 else f"S4+{k}M"
     return LabelledGraph(Multigraph(4, edges, name=name), vlabels, labels)
@@ -99,7 +99,7 @@ def s6_plus_km(k: int) -> LabelledGraph:
         vlabels[f"u^{i}"] = base
         vlabels[f"v^{i}"] = base + 1
         vlabels[f"w^{i}"] = base + 2
-        part, plabels = _gadget_edges(base, k, with_z=False, z=None, sup=f"^{i}")
+        part, plabels = _gadget_edges(base, k, z=None, sup=f"^{i}")
         off = len(edges)
         edges.extend(part)
         labels.update({lab: off + e for lab, e in plabels.items()})
@@ -124,7 +124,7 @@ def s10() -> LabelledGraph:
         vlabels[f"u^{i}"] = base
         vlabels[f"v^{i}"] = base + 1
         vlabels[f"w^{i}"] = base + 2
-        part, plabels = _gadget_edges(base, 0, with_z=False, z=None, sup=f"^{i}")
+        part, plabels = _gadget_edges(base, 0, z=None, sup=f"^{i}")
         off = len(edges)
         edges.extend(part)
         labels.update({lab: off + e for lab, e in plabels.items()})
@@ -147,7 +147,7 @@ def s12_plus_km(k: int) -> LabelledGraph:
         vlabels[f"u^{i}"] = u
         vlabels[f"v^{i}"] = v
         vlabels[f"w^{i}"] = w
-        part, plabels = _gadget_edges(u, k, with_z=True, z=z, sup=f"^{i}")
+        part, plabels = _gadget_edges(u, k, z=z, sup=f"^{i}")
         off = len(edges)
         edges.extend(part)
         labels.update({lab: off + e for lab, e in plabels.items()})

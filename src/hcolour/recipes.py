@@ -482,26 +482,21 @@ def run_corpus(
     host_name: str,
     node_limit: int = DEFAULT_NODE_BUDGET,
     workers: Optional[int] = None,
-    start_index: int = 0,
     progress: Optional[Callable[[CheckResult], None]] = None,
 ) -> list[CheckResult]:
     """Solve host ≺ G for every bridgeless cubic graph in a graph6 file.
 
-    Returns one check per input record from start_index on (which resumes a
-    previous run), named entry-<index>, in input order; progress, if given,
-    receives each check in that order as soon as it is decided.  Each
-    record is mapped through _corpus_entry, serially or, with more than one
-    worker and record, in a process pool; parse errors, skipped graphs, hit
-    node limits and solves that raise are per-entry outcomes and never stop
-    the run.  Raises ValueError before reading the file when workers is not
-    a positive integer.
+    Returns one check per input record, named entry-<index>, in input
+    order; progress, if given, receives each check in that order as soon
+    as it is decided.  Each record is mapped through _corpus_entry, serially
+    or, with more than one worker and record, in a process pool; parse
+    errors, skipped graphs, hit node limits and solves that raise are
+    per-entry outcomes and never stop the run.  Raises ValueError before
+    reading the file when workers is not a positive integer.
     """
     nworkers = worker_count(workers)
-    jobs = [
-        (index, lineno, G, host, host_name, node_limit)
-        for index, (lineno, G) in enumerate(ingest_graph6(path))
-        if index >= start_index
-    ]
+    jobs = [(index, lineno, G, host, host_name, node_limit)
+            for index, (lineno, G) in enumerate(ingest_graph6(path))]
     parallel = nworkers > 1 and len(jobs) > 1
     checks: list[CheckResult] = []
     with ProcessPoolExecutor(max_workers=nworkers) if parallel else nullcontext() as pool:

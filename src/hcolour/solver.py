@@ -49,7 +49,8 @@ class SolveResult:
     """Outcome of one search.
 
     witness is the first colouring found, in either mode.  nodes counts
-    search-tree nodes, the root and the leaves included.
+    search-tree nodes, the root and the leaves included, so an edgeless
+    guest, whose root is its only leaf, takes 1 node.
     prunes is always 0: no branch can empty a domain (see the module
     docstring); the field stays for callers that report it.
     """
@@ -97,17 +98,6 @@ def solve(
             res.witness = c
         if visit is not None:
             visit(c)
-
-    if guest.m == 0:
-        # only the empty map; valid iff every guest vertex finds an
-        # isolated host vertex (or the guest is empty)
-        ok = all(
-            any(host.degree(v) == 0 for v in range(host.n)) for _ in range(guest.n)
-        )
-        if ok:
-            record(())
-            res.status = "sat"
-        return res
 
     boundary = [0] * host.n
     for h, (x, y) in enumerate(host.edges):
@@ -169,7 +159,6 @@ def solve(
         domain[a], domain[b] = dom_a, dom_b
         pool[a], pool[b] = pool_a, pool_b
         used[a], used[b] = used_a, used_b
-        assignment[eid] = -1
         return False
 
     try:

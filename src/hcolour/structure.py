@@ -27,52 +27,41 @@ def enumerate_matchings(G: Multigraph) -> Iterator[frozenset[int]]:
     Deterministic include/exclude recursion over edge ids: a matching with
     edge i comes before the same choice without it.
     """
-    yield from _matchings_from(G.edges, 0, [], set())
+    yield from _matchings_from(tuple(1 << a | 1 << b for a, b in G.edges), 0, (), 0)
 
 
 def _matchings_from(
-    edges: tuple[tuple[int, int], ...],
-    i: int,
-    chosen: list[int],
-    covered: set[int],
+    ends: tuple[int, ...], i: int, chosen: tuple[int, ...], covered: int
 ) -> Iterator[frozenset[int]]:
-    if i == len(edges):
+    """The matchings that extend chosen by edges i.. ; ends[e] is the vertex
+    mask of edge e's endpoints and covered the vertex mask of chosen's."""
+    if i == len(ends):
         yield frozenset(chosen)
         return
-    a, b = edges[i]
-    if a not in covered and b not in covered:
-        chosen.append(i)
-        covered.add(a)
-        covered.add(b)
-        yield from _matchings_from(edges, i + 1, chosen, covered)
-        chosen.pop()
-        covered.discard(a)
-        covered.discard(b)
-    yield from _matchings_from(edges, i + 1, chosen, covered)
+    if not covered & ends[i]:
+        yield from _matchings_from(ends, i + 1, chosen + (i,), covered | ends[i])
+    yield from _matchings_from(ends, i + 1, chosen, covered)
 
 
 def perfect_matchings(G: Multigraph) -> Iterator[frozenset[int]]:
     """All perfect matchings, matching the lowest uncovered vertex first."""
     if G.n % 2 == 0:
-        yield from _perfect_matchings_from(G, [False] * G.n, [])
+        yield from _perfect_matchings_from(G, (1 << G.n) - 1, ())
 
 
 def _perfect_matchings_from(
-    G: Multigraph, covered: list[bool], chosen: list[int]
+    G: Multigraph, free: int, chosen: tuple[int, ...]
 ) -> Iterator[frozenset[int]]:
-    if 2 * len(chosen) == G.n:
+    """The perfect matchings that extend chosen; free is the vertex mask of
+    the vertices chosen leaves uncovered."""
+    if not free:
         yield frozenset(chosen)
         return
-    u = covered.index(False)
-    covered[u] = True
-    for eid, w in G.incident(u):
-        if not covered[w]:
-            covered[w] = True
-            chosen.append(eid)
-            yield from _perfect_matchings_from(G, covered, chosen)
-            chosen.pop()
-            covered[w] = False
-    covered[u] = False
+    low = free & -free
+    free ^= low
+    for eid, w in G.incident(low.bit_length() - 1):
+        if free >> w & 1:
+            yield from _perfect_matchings_from(G, free ^ 1 << w, chosen + (eid,))
 
 
 def has_perfect_matching(G: Multigraph) -> bool:
@@ -180,18 +169,21 @@ def has_two_disjoint_perfect_matchings(
     ids: dict[int, list[int]] = {}
     for eid, (a, b) in enumerate(G.edges):
         ids.setdefault(a * G.n + b, []).append(eid)
-    first = frozenset(ids[p][0] for p in _pair_bits(found[0]))
+    first = frozenset(ids[p][0] for p in bits(found[0]))
     second = frozenset(
-        next(e for e in ids[p] if e not in first) for p in _pair_bits(found[1])
+        next(e for e in ids[p] if e not in first) for p in bits(found[1])
     )
     return first, second
 
 
-def _pair_bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return out
 
 
 # -- exact edge colouring --------------------------------------------------
@@ -202,29 +194,34 @@ def edge_colouring(G: Multigraph, k: int) -> Optional[list[int]]:
     Exact backtracking over edges in static id order with the usual
     symmetry break (edge i may open at most one fresh colour).
     """
-    colour = [-1] * G.m
-    at_vertex: list[set[int]] = [set() for _ in range(G.n)]
-    return colour if _colour_from(G, k, colour, at_vertex, 0, 0) else None
+    found = _colour_from(G.edges, max(k, 0), (), [0] * G.n, 0)
+    return None if found is None else list(found)
 
 
 def _colour_from(
-    G: Multigraph, k: int, colour: list[int], at_vertex: list[set[int]], i: int, used: int
-) -> bool:
-    if i == G.m:
-        return True
-    a, b = G.edges[i]
-    for c in range(min(k, used + 1)):
-        if c in at_vertex[a] or c in at_vertex[b]:
-            continue
-        colour[i] = c
-        at_vertex[a].add(c)
-        at_vertex[b].add(c)
-        if _colour_from(G, k, colour, at_vertex, i + 1, max(used, c + 1)):
-            return True
-        at_vertex[a].discard(c)
-        at_vertex[b].discard(c)
-        colour[i] = -1
-    return False
+    edges: tuple[tuple[int, int], ...], k: int, colour: tuple[int, ...],
+    at: list[int], used: int,
+) -> Optional[tuple[int, ...]]:
+    """The first extension of colour, the colours of the first len(colour)
+    edges, to all edges, or None.  used is the number of colours opened so
+    far and at[v] the colour mask of v's coloured edges; each child gets its
+    own copy of at, so nothing is undone on the way back."""
+    i = len(colour)
+    if i == len(edges):
+        return colour
+    a, b = edges[i]
+    free = ~(at[a] | at[b]) & ((1 << min(k, used + 1)) - 1)
+    while free:
+        bit = free & -free
+        free ^= bit
+        c = bit.bit_length() - 1
+        child = at.copy()
+        child[a] |= bit
+        child[b] |= bit
+        found = _colour_from(edges, k, colour + (c,), child, max(used, c + 1))
+        if found is not None:
+            return found
+    return None
 
 
 def chromatic_index(G: Multigraph) -> int:
@@ -234,9 +231,7 @@ def chromatic_index(G: Multigraph) -> int:
             f"graph has {G.m} edges; exact chromatic index is guarded at "
             f"{CHROMATIC_INDEX_EDGE_GUARD}"
         )
-    if G.m == 0:
-        return 0
-    k = max(G.degrees())
+    k = max(G.degrees(), default=0)
     while edge_colouring(G, k) is None:
         k += 1
     return k

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcolour.multigraph import (
     Multigraph,
@@ -91,6 +93,44 @@ def test_parallel_edges_are_never_bridges():
 def test_bridges_across_components():
     G = Multigraph(5, [(0, 1), (2, 3), (3, 4), (2, 4), (2, 3)])
     assert G.bridges() == frozenset({0})
+
+
+@st.composite
+def multigraphs(draw, connected=False):
+    """Multigraphs on 1..8 vertices; connected ones get a spanning tree in a
+    random vertex order before the extra edges."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = []
+    if connected:
+        order = draw(st.permutations(range(n)))
+        for i in range(1, n):
+            edges.append((order[draw(st.integers(0, i - 1))], order[i]))
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        a, b = draw(vertex), draw(vertex)
+        if a != b:
+            edges.append((a, b))
+    return Multigraph(n, draw(st.permutations(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs(connected=True))
+def test_single_edge_cuts_are_the_bridges(G):
+    assert G.is_connected()
+    assert frozenset(e for e in range(G.m) if G.is_edge_cut({e})) == G.bridges()
+
+
+@settings(max_examples=300, deadline=None)
+@given(multigraphs())
+def test_components_partition_the_vertices(G):
+    comps = G.components()
+    assert sorted(v for c in comps for v in c) == list(range(G.n))
+    assert all(c == sorted(c) for c in comps)
+    assert [c[0] for c in comps] == sorted(c[0] for c in comps)
+    part = {v: i for i, c in enumerate(comps) for v in c}
+    assert all(part[a] == part[b] for a, b in G.edges)
+    assert all(G.induced_subgraph(c)[0].is_connected() for c in comps)
+    assert G.is_connected() == (len(comps) <= 1)
 
 
 def test_induced_subgraph():

@@ -71,6 +71,22 @@ def test_cli_recipe_spent_budget_exits_unknown_under_python_O():
     assert json.loads(out.stdout.splitlines()[-1])["status"] == "unknown"
 
 
+@pytest.mark.parametrize("args", [["solve", "--host", "c3", "--guest", "c3000"],
+                                  ["images", "--guest", "c3000"]])
+def test_cli_crash_exits_unknown_with_traceback(args):
+    # a search deeper than the recursion limit decides nothing: exit 2, not
+    # the fail/UNSAT code 1
+    src = Path(hcolour.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-m", "hcolour.cli", *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.splitlines()[-1].startswith("RecursionError")
+    assert "unsat" not in out.stdout
+
+
 def test_petersen_images_enumerates_the_atlas_once(monkeypatch):
     from hcolour import recipes
 
@@ -214,14 +230,6 @@ def test_reservoir_is_uniform():
             hits[item] += 1
     # each item is kept with probability 3/10: 900 of 3000, sd 25
     assert all(abs(h - 900) < 125 for h in hits), hits
-
-
-def test_run_corpus_resume(tmp_path):
-    path = tmp_path / "corpus.g6"
-    path.write_text(encode_graph6(petersen().graph) + "\n"
-                    + encode_graph6(petersen().graph) + "\n")
-    checks = run_corpus(str(path), s4().graph, "s4", workers=1, start_index=1)
-    assert [c.name for c in checks] == ["entry-1"]
 
 
 def test_hcolor_threads_env(monkeypatch):

@@ -226,8 +226,14 @@ def test_visit_with_first_mode_and_node_limit():
     assert len(seen) == res.count and all(check_colouring(c).ok for c in seen)
     seen = []
     res = solve(Multigraph(2, []), Multigraph(3, []), mode="count", visit=seen.append)
-    assert (res.status, res.count, res.nodes) == ("sat", 1, 0)
+    assert (res.status, res.count, res.nodes) == ("sat", 1, 1)
     assert [c.edge_map for c in seen] == [()]
+
+
+def test_edgeless_guest_obeys_the_node_limit():
+    # the root is a node, so a budget of 0 decides nothing
+    res = solve(Multigraph(2, []), Multigraph(3, []), node_limit=0)
+    assert (res.status, res.count, res.nodes) == ("unknown", 0, 1)
 
 
 def test_search_shape_pinned_unsat():

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -9,6 +10,7 @@ from hcolour.canonical import is_isomorphic
 from hcolour.multigraph import Multigraph
 from hcolour.named import (
     _regular_multigraphs,
+    complete,
     cycle,
     k_family_members,
     petersen,
@@ -209,6 +211,35 @@ def small_multigraphs(draw):
 @given(small_multigraphs())
 def test_mask_core_matches_edge_ids_random(G):
     _assert_mask_core_matches_edge_ids(G)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_multigraphs())
+def test_perfect_matchings_are_the_matchings_of_half_order(G):
+    pms = list(perfect_matchings(G))
+    assert len(set(pms)) == len(pms)
+    assert set(pms) == {M for M in enumerate_matchings(G) if 2 * len(M) == G.n}
+
+
+# The ordered matching streams and the first k-edge-colourings, hashed.  The
+# lemma24 reservoir indexes into these streams, so their order is behaviour.
+ORDER_DIGEST = "58f7f94430cc127827878a8144f9abb98468f080c42ea9218777f6e41bbda4dc"
+
+
+def test_search_orders_are_pinned():
+    h = hashlib.sha256()
+    for G in (petersen().graph, s12_plus_km(1).graph, s4_plus_km(1).graph,
+              complete(6).graph, s10().graph, poorly_matchable_ten_vertices().graph):
+        for M in perfect_matchings(G):
+            h.update(repr(sorted(M)).encode())
+        h.update(b";")
+        for M in enumerate_matchings(G):
+            h.update(repr(sorted(M)).encode())
+        h.update(b";")
+        for k in (3, 4, 5):
+            h.update(repr(edge_colouring(G, k)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == ORDER_DIGEST
 
 
 def test_searches_leave_no_cyclic_garbage():
