@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import named
 from .canonical import canonical_digest
-from .colouring import Colouring, check_colouring
+from .colouring import check_colouring
 from .graphio import (
     GraphFormatError,
     certificate_text,
@@ -29,19 +29,14 @@ from .graphio import (
 )
 from .images import enumerate_splitted_images
 from .multigraph import Multigraph, from_edge_list_text, to_edge_list_text
-from .recipes import (
-    DEFAULT_NODE_BUDGET,
-    VerificationReport,
-    artifact_version,
-    run_corpus,
-    run_recipe,
-)
-from .solver import solve
+from .recipes import VerificationReport, artifact_version, run_corpus, run_recipe
+from .solver import DEFAULT_NODE_BUDGET, solve
 
 EXIT_PASS, EXIT_FAIL, EXIT_UNKNOWN = 0, 1, 2
 # the exit code of a recipe or corpus status, or of a solver status
 EXIT = {"pass": EXIT_PASS, "sat": EXIT_PASS, "fail": EXIT_FAIL, "unsat": EXIT_FAIL,
         "unknown": EXIT_UNKNOWN}
+BUDGET_HELP = "nodes a search may visit before it answers unknown (default: %(default)s)"
 
 
 def load_graph(ref: str) -> Multigraph:
@@ -220,12 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--host", required=True)
     s.add_argument("--guest", required=True)
     s.add_argument("--count", action="store_true", help="count all colourings")
-    s.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET)
+    s.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET,
+                   help=BUDGET_HELP)
     s.set_defaults(func=_cmd_solve)
 
     i = sub.add_parser("images", help="enumerate all splitted images of a guest")
     i.add_argument("--guest", required=True)
-    i.add_argument("--node-limit", type=int, default=None)
+    i.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET,
+                   help=BUDGET_HELP)
     i.add_argument("--witness", action="store_true",
                    help="print a witness certificate per image class")
     i.set_defaults(func=_cmd_images)
@@ -244,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("corpus", help="batch-solve a graph6 corpus against a host")
     co.add_argument("file")
     co.add_argument("--host", required=True)
-    co.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET)
+    co.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET,
+                    help=BUDGET_HELP)
     co.add_argument("--workers", type=int, default=None,
                     help="pool size (default: the CPU count)")
     co.set_defaults(func=_cmd_corpus)

@@ -8,7 +8,7 @@ vertex (set equality of edge-id sets).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .multigraph import Multigraph

@@ -167,8 +167,12 @@ def parse_certificate(
 ) -> Colouring:
     """Parse a certificate and bind it to the given graphs.
 
-    Raises on digest mismatch or malformed mapping lines; validity of the
-    colouring itself is the caller's business (check_colouring).
+    The digest is the last field of the host and guest lines, so a graph
+    reference may contain spaces.  The "status sat" and "count N" lines
+    that hcolour solve prints before the certificate are accepted, so its
+    stdout checks as it is.  Raises on digest mismatch, any other header
+    line or malformed mapping lines; validity of the colouring itself is
+    the caller's business (check_colouring).
     """
     host_digest = guest_digest = None
     mapping: dict[int, int] = {}
@@ -182,11 +186,14 @@ def parse_certificate(
             continue
         parts = line.split()
         if not in_map:
-            if parts[0] == "host" and len(parts) == 3:
-                host_digest = parts[2]
-            elif parts[0] == "guest" and len(parts) == 3:
-                guest_digest = parts[2]
-            else:
+            if parts[0] == "host" and len(parts) >= 3:
+                host_digest = parts[-1]
+            elif parts[0] == "guest" and len(parts) >= 3:
+                guest_digest = parts[-1]
+            elif parts != ["status", "sat"] and not (
+                parts[0] == "count" and len(parts) == 2
+                and parts[1].isascii() and parts[1].isdigit()
+            ):
                 raise GraphFormatError(f"bad header line {line!r}", lineno)
         else:
             if len(parts) != 2:

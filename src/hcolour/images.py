@@ -27,7 +27,7 @@ from typing import Optional
 from .canonical import canonical_form
 from .colouring import Colouring, ImageGraph, check_colouring
 from .multigraph import Multigraph
-from .solver import _bfs_edge_order
+from .solver import DEFAULT_NODE_BUDGET, _LimitExceeded, _bfs_edge_order
 from .structure import bits
 
 
@@ -138,7 +138,7 @@ class ImageAtlas:
 
 
 def enumerate_splitted_images(
-    guest: Multigraph, node_limit: Optional[int] = None
+    guest: Multigraph, node_limit: int = DEFAULT_NODE_BUDGET
 ) -> ImageAtlas:
     """All splitted images of the guest up to isomorphism, with multiplicities.
 
@@ -147,7 +147,8 @@ def enumerate_splitted_images(
     the assigned edges at each guest vertex, and per class the completed
     vertex types that contain it.  The free classes at an edge are those
     on neither endpoint, tried lowest first.  Multiplicity counts labelled
-    partitions.  If the node limit is hit the atlas is marked incomplete.
+    partitions.  Past node_limit nodes the search stops, as the solver's
+    does, and the atlas is incomplete with the classes found so far.
 
     A class is saturated once it occurs in two completed types.  Any vertex
     holding a saturated class must end with one of those two types, or the
@@ -196,7 +197,6 @@ def enumerate_splitted_images(
     found: dict[bytes, AtlasEntry] = {}
     canon: dict[Multigraph, bytes] = {}  # labelled image -> canonical form
     nodes = 0
-    aborted = False
     single_type = False  # some leaf has one vertex type: the tk2 colouring
 
     def cover(u: int) -> int:
@@ -276,11 +276,10 @@ def enumerate_splitted_images(
             entry.multiplicity += 1
 
     def rec(i: int, next_new: int) -> None:
-        nonlocal nodes, aborted, sat
+        nonlocal nodes, sat
         nodes += 1
-        if node_limit is not None and nodes > node_limit:
-            aborted = True
-            return
+        if nodes > node_limit:
+            raise _LimitExceeded
         if i == m:
             record()
             return
@@ -310,8 +309,6 @@ def enumerate_splitted_images(
                 ok = recheck(newly)
             if ok:
                 rec(i + 1, next_new + 1 if c == next_new else next_new)
-                if aborted:
-                    return
             while len(added) > mark:
                 c2 = added.pop()
                 types[c2].pop()
@@ -319,13 +316,16 @@ def enumerate_splitted_images(
             at[a] ^= bit
             at[b] ^= bit
 
-    rec(0, 0)
-    # rec reaches itself through its closure; unbinding it frees the search
-    # state now instead of at the next full garbage collection
-    del rec
+    try:
+        rec(0, 0)
+    except _LimitExceeded:
+        atlas.complete = False
+    finally:
+        # rec reaches itself through its closure; unbinding it frees the
+        # search state now instead of at the next full garbage collection
+        del rec
     atlas.nodes = nodes
-    atlas.complete = not aborted
-    atlas.tk2_realizable = single_type or (None if aborted else False)
+    atlas.tk2_realizable = single_type or (False if atlas.complete else None)
     atlas.entries = sorted(
         found.values(), key=lambda e: (e.graph.n, e.graph.m, e.canonical)
     )

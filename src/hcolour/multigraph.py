@@ -9,7 +9,7 @@ queries are pure.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 
 class Multigraph:

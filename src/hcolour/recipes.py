@@ -38,15 +38,13 @@ from .named import (
     s12_plus_km,
     t_k2,
 )
-from .solver import solve
+from .solver import DEFAULT_NODE_BUDGET, solve
 from .structure import (
     enumerate_matchings,
     has_two_disjoint_perfect_matchings,
     pairwise_intersecting_perfect_matchings,
     perfect_matchings,
 )
-
-DEFAULT_NODE_BUDGET = 10**8
 
 T = TypeVar("T")
 
@@ -169,7 +167,7 @@ def _atlas_checks(
 
 def _recipe_petersen_images(params: dict) -> list[CheckResult]:
     P = petersen().graph
-    atlas = enumerate_splitted_images(P, node_limit=params.get("node_limit"))
+    atlas = enumerate_splitted_images(P, node_limit=params["node_limit"])
     checks = _atlas_checks("petersen", atlas, {"petersen": P, "s4": s4().graph})
     checks.append(
         _check("petersen-atlas-exactly-two",
@@ -196,13 +194,13 @@ def _recipe_petersen_images(params: dict) -> list[CheckResult]:
 
 def _recipe_s10_images(params: dict) -> list[CheckResult]:
     g = s10().graph
-    atlas = enumerate_splitted_images(g, node_limit=params.get("node_limit"))
+    atlas = enumerate_splitted_images(g, node_limit=params["node_limit"])
     return _atlas_checks("s10", atlas, {"s10": g})
 
 
 def _recipe_s12_images(params: dict) -> list[CheckResult]:
     g = s12().graph
-    atlas = enumerate_splitted_images(g, node_limit=params.get("node_limit"))
+    atlas = enumerate_splitted_images(g, node_limit=params["node_limit"])
     return _atlas_checks("s12", atlas, {"s10": s10().graph, "s12": g})
 
 
@@ -222,7 +220,7 @@ def _recipe_p_matching_cuts(params: dict) -> list[CheckResult]:
 
 def _recipe_k5_images(params: dict) -> list[CheckResult]:
     K5 = complete(5).graph
-    atlas = enumerate_splitted_images(K5, node_limit=params.get("node_limit"))
+    atlas = enumerate_splitted_images(K5, node_limit=params["node_limit"])
     family: dict[int, set[bytes]] = {}
     checks = [
         _check("k5-atlas-complete", atlas.complete or None, nodes=atlas.nodes,
@@ -257,7 +255,7 @@ def _recipe_j4_exclusion(params: dict) -> list[CheckResult]:
         _check("j4-host-count", len(hosts) == 2, hosts=len(hosts))
     ]
     for t, h in hosts:
-        r = solve(h, guest, node_limit=params.get("node_limit"))
+        r = solve(h, guest, node_limit=params["node_limit"])
         checks.append(
             _check(
                 f"j4-unsat-vs-{h.name or f'kfamily-{t}'}",
@@ -270,9 +268,9 @@ def _recipe_j4_exclusion(params: dict) -> list[CheckResult]:
 
 
 def _recipe_s12km_rigidity(params: dict) -> list[CheckResult]:
-    k = int(params.get("k", 1))
+    k = params["k"]
     g = s12_plus_km(k).graph
-    atlas = enumerate_splitted_images(g, node_limit=params.get("node_limit"))
+    atlas = enumerate_splitted_images(g, node_limit=params["node_limit"])
     return _atlas_checks(f"s12+{k}M", atlas, {f"s12+{k}M": g})
 
 
@@ -302,7 +300,7 @@ def _recipe_thm44(params: dict) -> list[CheckResult]:
     ]
     pair = has_two_disjoint_perfect_matchings(host)
     checks.append(_check("s12+1M-two-disjoint-pms", pair is not None))
-    r = solve(host, witness, node_limit=params.get("node_limit"))
+    r = solve(host, witness, node_limit=params["node_limit"])
     checks.append(
         _check("s12+1M-does-not-colour-witness", r.status, nodes=r.nodes,
                expect="unsat")
@@ -336,13 +334,13 @@ def _recipe_lemma24_props(params: dict) -> list[CheckResult]:
     edge-cuts, and k-regular host sets meeting the vertex image to k-regular
     guest sets.
     """
-    rng = Random(int(params.get("seed", 0)))
+    rng = Random(params["seed"])
     checks: list[CheckResult] = []
     applied: dict[str, int] = {}
     total_colourings = 0
     for label, host, guest in _LEMMA_PAIRS():
         sample, keep = _reservoir(12, rng)
-        res = solve(host, guest, mode="count", node_limit=params.get("node_limit"),
+        res = solve(host, guest, mode="count", node_limit=params["node_limit"],
                     visit=keep)
         if res.status != "sat":
             checks.append(
@@ -520,7 +518,8 @@ RECIPES: dict[str, Callable[[dict], list[CheckResult]]] = {
 }
 
 
-_PARAMS = ("k", "node_limit", "seed")
+# every recipe parameter with its default; a recipe reads params[key]
+_PARAMS = {"k": 1, "node_limit": DEFAULT_NODE_BUDGET, "seed": 0}
 
 
 def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
@@ -528,23 +527,20 @@ def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
 
     Raises ValueError before running anything when the name is unknown, a
     parameter is one no recipe reads (a misspelt key would otherwise run
-    the recipe at its default), or a parameter is neither an integer nor
-    None.
+    the recipe at its default), or a parameter is not an integer.  The
+    recipe receives every parameter, defaults from _PARAMS filled in.
     """
     if name not in RECIPES:
         raise ValueError(
             f"unknown recipe {name!r}; available: {', '.join(sorted(RECIPES))}"
         )
     params = params or {}
-    for key in params:
+    for key, value in params.items():
         if key not in _PARAMS:
             raise ValueError(
                 f"unknown parameter {key!r}; known: {', '.join(_PARAMS)}"
             )
-    for key in _PARAMS:
-        value = params.get(key)
-        if value is None or (isinstance(value, int) and not isinstance(value, bool)):
-            continue
-        raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
-    checks = RECIPES[name](params)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
+    checks = RECIPES[name]({**_PARAMS, **params})
     return VerificationReport(recipe=name, checks=checks, version=artifact_version())

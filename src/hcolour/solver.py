@@ -62,15 +62,18 @@ class SolveResult:
     prunes: int = 0
 
 
+DEFAULT_NODE_BUDGET = 10**8  # the node_limit of every budgeted search
+
+
 class _LimitExceeded(Exception):
-    pass
+    """A search passed its node_limit; the solver and the atlas raise it."""
 
 
 def solve(
     host: Multigraph,
     guest: Multigraph,
     mode: Literal["first", "count"] = "first",
-    node_limit: Optional[int] = None,
+    node_limit: int = DEFAULT_NODE_BUDGET,
     visit: Optional[Callable[[Colouring], None]] = None,
 ) -> SolveResult:
     """Decide host ≺ guest; with mode="count", count all labelled colourings.
@@ -132,7 +135,7 @@ def solve(
     def rec(depth: int) -> bool:
         """Returns True to abort the search (mode="first" after a hit)."""
         res.nodes += 1
-        if node_limit is not None and res.nodes > node_limit:
+        if res.nodes > node_limit:
             raise _LimitExceeded
         if depth == m:
             record(tuple(assignment))

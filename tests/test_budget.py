@@ -1,0 +1,59 @@
+"""Every budgeted search shares one node budget, DEFAULT_NODE_BUDGET."""
+
+import argparse
+import inspect
+
+import pytest
+
+from hcolour import recipes
+from hcolour.cli import build_parser
+from hcolour.images import enumerate_splitted_images
+from hcolour.recipes import run_corpus, run_recipe
+from hcolour.solver import DEFAULT_NODE_BUDGET, solve
+
+
+def test_the_budget_is_ten_to_the_eighth():
+    assert DEFAULT_NODE_BUDGET == 10**8
+
+
+@pytest.mark.parametrize("search", [solve, enumerate_splitted_images, run_corpus])
+def test_every_budgeted_entry_point_defaults_to_the_budget(search):
+    node_limit = inspect.signature(search).parameters["node_limit"]
+    assert node_limit.default == DEFAULT_NODE_BUDGET
+
+
+def _node_limit_actions(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _node_limit_actions(sub)
+        elif "--node-limit" in action.option_strings:
+            yield parser.prog, action
+
+
+def test_every_node_limit_option_defaults_to_the_budget():
+    found = {prog.split()[-1]: action.default
+             for prog, action in _node_limit_actions(build_parser())}
+    assert found == dict.fromkeys(["solve", "images", "corpus"], DEFAULT_NODE_BUDGET)
+
+
+def test_a_recipe_receives_every_parameter_with_its_default(monkeypatch):
+    seen = []
+    monkeypatch.setitem(recipes.RECIPES, "petersen-images",
+                        lambda params: seen.append(params) or [])
+    run_recipe("petersen-images")
+    run_recipe("petersen-images", {"seed": 7})
+    assert seen == [
+        {"k": 1, "node_limit": DEFAULT_NODE_BUDGET, "seed": 0},
+        {"k": 1, "node_limit": DEFAULT_NODE_BUDGET, "seed": 7},
+    ]
+
+
+def test_a_recipe_node_limit_of_none_is_rejected(monkeypatch):
+    def never(params):
+        raise AssertionError("the recipe ran")
+
+    monkeypatch.setitem(recipes.RECIPES, "petersen-images", never)
+    with pytest.raises(ValueError,
+                       match=r"^parameter 'node_limit' must be an integer, got None$"):
+        run_recipe("petersen-images", {"node_limit": None})

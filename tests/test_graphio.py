@@ -134,6 +134,19 @@ def test_certificate_digest_mismatch():
         parse_certificate(text, cycle(5).graph, guest)
 
 
+def test_certificate_header_lines():
+    # solve's stdout checks as it is, and a reference may hold spaces
+    host, guest = s4().graph, petersen().graph
+    c = solve(host, guest).witness
+    text = certificate_text(c, "my host.txt", "petersen")
+    back = parse_certificate("status sat\ncount 480\n" + text, host, guest)
+    assert back.edge_map == c.edge_map
+    for line in ("status unsat", "status unknown", "status", "count",
+                 "count -1", "count 4 8", "count ４", "hosts s4 x"):
+        with pytest.raises(GraphFormatError, match="bad header line"):
+            parse_certificate(line + "\n" + text, host, guest)
+
+
 def test_certificate_partial_map_rejected():
     host, guest = s4().graph, petersen().graph
     text = certificate_text(solve(host, guest).witness, "s4", "petersen")

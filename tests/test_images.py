@@ -440,3 +440,45 @@ def test_atlas_pinned(name):
     assert got == classes
     assert atlas.nodes == nodes
     assert atlas.tk2_realizable is _tk2_oracle(build())
+
+
+# -- budgeted runs -----------------------------------------------------------
+# (complete, tk2_realizable, nodes, classes) per guest and node limit: a
+# stopped search counts the node that passed the limit, records no leaf
+# beyond it and keeps the classes found before it.
+
+BUDGETED_ATLASES = {
+    "Petersen": (lambda: petersen().graph, {
+        0: (False, None, 1, []),
+        1: (False, None, 2, []),
+        100: (False, None, 101, [("29f43a0b91a4278d", 8)]),
+        1000: (False, None, 1001, [("29f43a0b91a4278d", 36)]),
+        5000: (True, False, 3951,
+               [("29f43a0b91a4278d", 120), ("8d183b25e3c8e6a3", 1)]),
+    }),
+    "K7": (lambda: complete(7).graph, {
+        0: (False, None, 1, []),
+        1: (False, None, 2, []),
+        100: (False, None, 101, [("c4d7ed4e2cda6575", 2)]),
+        1000: (False, None, 1001, [("c4d7ed4e2cda6575", 8)]),
+        5000: (False, None, 5001, [("c4d7ed4e2cda6575", 20)]),
+    }),
+    "S12+1M": (lambda: s12_plus_km(1).graph, {
+        0: (False, None, 1, []),
+        1: (False, None, 2, []),
+        100: (False, None, 101, []),
+        1000: (False, None, 1001, []),
+        5000: (False, None, 5001, []),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", list(BUDGETED_ATLASES))
+def test_budgeted_atlas_pinned(name):
+    build, pins = BUDGETED_ATLASES[name]
+    guest = build()
+    for limit, pin in pins.items():
+        atlas = enumerate_splitted_images(guest, node_limit=limit)
+        got = sorted((hashlib.sha256(e.canonical).hexdigest()[:16], e.multiplicity)
+                     for e in atlas.entries)
+        assert (atlas.complete, atlas.tk2_realizable, atlas.nodes, got) == pin, limit

@@ -550,3 +550,33 @@ def test_atlas_witness_revalidation_is_independent_of_check_colouring(monkeypatc
     checks = {c.name: c for c in recipes._atlas_checks("p", atlas, {"p": P})}
     assert checks["p-atlas-witnesses-revalidate"].outcome == "fail"
     assert checks["p-atlas-witnesses-revalidate"].details == {"bad": [1]}
+
+
+@pytest.mark.parametrize("count", [[], ["--count"]])
+def test_cli_check_accepts_the_stdout_of_solve(tmp_path, capsys, count):
+    graphs = ["--host", "s4", "--guest", "petersen"]
+    assert main(["solve", *graphs, *count]) == 0
+    f = tmp_path / "cert.txt"
+    f.write_text(capsys.readouterr().out)
+    assert main(["check", *graphs, "--certificate", str(f)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+
+
+def test_cli_check_a_host_path_with_a_space(tmp_path, capsys):
+    host = tmp_path / "my host.txt"
+    assert main(["gen", "s4"]) == 0
+    host.write_text(capsys.readouterr().out)
+    graphs = ["--host", str(host), "--guest", "petersen"]
+    assert main(["solve", *graphs]) == 0
+    out = capsys.readouterr().out
+    assert f"\nhost {host} " in out
+    f = tmp_path / "cert.txt"
+    f.write_text(out)
+    assert main(["check", *graphs, "--certificate", str(f)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    # a tampered map in the same file is still caught
+    lines = out.splitlines()
+    lines[-1] = lines[-1].rsplit(" ", 1)[0] + " 0"
+    f.write_text("\n".join(lines) + "\n")
+    assert main(["check", *graphs, "--certificate", str(f)]) == 1
+    assert capsys.readouterr().out.startswith("invalid\n")

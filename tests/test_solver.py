@@ -352,3 +352,22 @@ def test_revalidation_raises_under_python_O():
     ], out.stdout
     assert lines[6].startswith("disagreement raised:"), out.stdout
     assert len(lines) == 7, out.stdout
+
+
+# (status, count, nodes, first witness's edge map) of the S12+1M count-mode
+# self-solve per node limit: a stopped search counts the node that passed
+# the limit and keeps the colourings found before it.
+BUDGETED_SOLVES = {
+    0: ("unknown", 0, 1, None),
+    1: ("unknown", 0, 2, None),
+    1000: ("unknown", 0, 1001, None),
+    100000: ("unknown", 4623, 100001, tuple(range(24))),
+}
+
+
+@pytest.mark.parametrize("limit", sorted(BUDGETED_SOLVES))
+def test_budgeted_solve_pinned(limit):
+    g = s12_plus_km(1).graph
+    res = solve(g, g, mode="count", node_limit=limit)
+    witness = res.witness.edge_map if res.witness else None
+    assert (res.status, res.count, res.nodes, witness) == BUDGETED_SOLVES[limit]

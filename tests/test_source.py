@@ -17,3 +17,29 @@ def test_no_check_relies_on_assert():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    # no linter is installed, so an unused import would go unnoticed
+    found = [
+        hit
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"  # its imports are the package's API
+        for hit in _unused_imports(path)
+    ]
+    assert found == []
