@@ -21,12 +21,7 @@ from typing import Optional
 from . import named
 from .canonical import canonical_digest
 from .colouring import check_colouring
-from .graphio import (
-    GraphFormatError,
-    certificate_text,
-    decode_record,
-    parse_certificate,
-)
+from .graphio import certificate_text, decode_record, parse_certificate
 from .images import enumerate_splitted_images
 from .multigraph import Multigraph, from_edge_list_text, to_edge_list_text
 from .recipes import VerificationReport, artifact_version, run_corpus, run_recipe
@@ -137,7 +132,7 @@ def _cmd_check(args) -> int:
     try:
         text = Path(args.certificate).read_text()
         c = parse_certificate(text, host, guest)
-    except (OSError, GraphFormatError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
     rep = check_colouring(c)
@@ -243,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--host", required=True)
     co.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET,
                     help=BUDGET_HELP)
-    co.add_argument("--workers", type=int, default=None,
-                    help="pool size (default: the CPU count)")
+    co.add_argument("--workers", type=int, default=1,
+                    help="pool size; 1 solves serially (default: %(default)s)")
     co.set_defaults(func=_cmd_corpus)
     return ap
 

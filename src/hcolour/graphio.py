@@ -196,9 +196,10 @@ def parse_certificate(
             ):
                 raise GraphFormatError(f"bad header line {line!r}", lineno)
         else:
-            if len(parts) != 2:
-                raise GraphFormatError(f"bad mapping line {line!r}", lineno)
-            g, h = int(parts[0]), int(parts[1])
+            try:
+                g, h = map(int, parts)
+            except ValueError:  # not two fields, or not integers
+                raise GraphFormatError(f"bad mapping line {line!r}", lineno) from None
             if g in mapping:
                 raise GraphFormatError(f"duplicate guest edge {g}", lineno)
             mapping[g] = h

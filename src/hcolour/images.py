@@ -27,7 +27,8 @@ from typing import Optional
 from .canonical import canonical_form
 from .colouring import Colouring, ImageGraph, check_colouring
 from .multigraph import Multigraph
-from .solver import DEFAULT_NODE_BUDGET, _LimitExceeded, _bfs_edge_order
+from .solver import (DEFAULT_NODE_BUDGET, _LimitExceeded, _bfs_edge_order,
+                     _check_node_limit)
 from .structure import bits
 
 
@@ -143,10 +144,9 @@ def enumerate_splitted_images(
     """All splitted images of the guest up to isomorphism, with multiplicities.
 
     Complete backtracking over restricted-growth partitions along a
-    breadth-first edge order.  The state is integer masks: the classes on
-    the assigned edges at each guest vertex, and per class the completed
-    vertex types that contain it.  The free classes at an edge are those
-    on neither endpoint, tried lowest first.  Multiplicity counts labelled
+    breadth-first edge order.  at[u] is the class mask of the assigned
+    edges at guest vertex u; the free classes at an edge are those on
+    neither endpoint, tried lowest first.  Multiplicity counts labelled
     partitions.  Past node_limit nodes the search stops, as the solver's
     does, and the atlas is incomplete with the classes found so far.
 
@@ -157,16 +157,19 @@ def enumerate_splitted_images(
     vertex's degree.  The rule only cuts subtrees that contain no complete
     partition, so every leaf survives and multiplicities stay exact.
 
+    Each node receives the saturation state by value: done, the tuple of
+    distinct completed types, and the class masks once (classes in at
+    least one of them) and sat (in two).  A vertex that completes with a
+    type T not in done is pruned if T holds a saturated class; otherwise
+    its classes in once become saturated and T joins done.
+
     The rule is applied as a room mask per edge endpoint, once per node.
-    Every completed type that contains class c is listed in types[c], so
-    the completed types containing a nonempty partial type at[u] are all
-    in the list of its lowest class, which has at most two entries.  The
-    union of those of size deg[u] is cover(u); u may take exactly the
-    classes in cover(u) if at[u] holds a saturated class, and otherwise
-    any unsaturated class or one in cover(u).  An empty vertex may take
-    any unsaturated class and each saturated class with a completed type
-    of size deg[u]; an open vertex holding a newly saturated class needs
-    a nonempty cover.
+    cover(u) is the union of the types in done of size deg[u] that contain
+    a nonempty at[u]; u may take exactly the classes in cover(u) if at[u]
+    holds a saturated class, and otherwise any unsaturated class or one in
+    cover(u).  An empty vertex may take any unsaturated class and the
+    saturated classes of each type in done of size deg[u].  An open vertex
+    holding a newly saturated class needs a nonempty cover.
 
     Every leaf is realized and revalidated by realize_image; the canonical
     form of each distinct labelled image is computed once per call.
@@ -181,6 +184,7 @@ def enumerate_splitted_images(
     incomplete one gives True if such a leaf was reached and None if not.
     The star image still appears as a regular entry.
     """
+    _check_node_limit(node_limit)
     if not guest.is_connected() or guest.n <= 2:
         raise ValueError("guest must be connected with more than 2 vertices")
     atlas = ImageAtlas(guest=guest)
@@ -191,69 +195,32 @@ def enumerate_splitted_images(
     n, m = guest.n, guest.m
     cls = [-1] * m
     at = [0] * n  # class mask of the assigned edges at each vertex
-    types: list[list[int]] = [[] for _ in range(m)]  # completed types per class
-    added: list[int] = []  # classes whose type list grew, for undo
-    sat = 0  # class mask of the saturated classes
     found: dict[bytes, AtlasEntry] = {}
     canon: dict[Multigraph, bytes] = {}  # labelled image -> canonical form
     nodes = 0
     single_type = False  # some leaf has one vertex type: the tk2 colouring
 
-    def cover(u: int) -> int:
+    def cover(u: int, done: tuple[int, ...]) -> int:
         """The union of the completed types of size deg[u] that contain at[u]."""
         A = at[u]
         d = deg[u]
         out = 0
-        for T in types[(A & -A).bit_length() - 1]:
+        for T in done:
             if not A & ~T and T.bit_count() == d:
                 out |= T
         return out
 
-    def room(u: int) -> int:
+    def room(u: int, sat: int, done: tuple[int, ...]) -> int:
         """The classes that can join at[u] without breaking a saturated class."""
         if at[u]:
-            got = cover(u)
+            got = cover(u, done)
             return got if at[u] & sat else ~sat | got
         d = deg[u]
         out = ~sat
-        s = sat
-        while s:
-            low = s & -s
-            s ^= low
-            for T in types[low.bit_length() - 1]:
-                if T.bit_count() == d:
-                    out |= low
-                    break
+        for T in done:
+            if T.bit_count() == d:
+                out |= T & sat
         return out
-
-    def complete_vertex(u: int) -> int:
-        """Register u's final type; the newly saturated classes, or -1."""
-        nonlocal sat
-        T = at[u]
-        newly = 0
-        s = T
-        while s:
-            low = s & -s
-            s ^= low
-            c = low.bit_length() - 1
-            lst = types[c]
-            if T in lst:
-                continue
-            if len(lst) == 2:
-                return -1
-            lst.append(T)
-            added.append(c)
-            if len(lst) == 2:
-                sat |= low
-                newly |= low
-        return newly
-
-    def recheck(newly: int) -> bool:
-        """Every open vertex holding a newly saturated class still has room."""
-        for v in range(n):
-            if at[v] & newly and at[v].bit_count() < deg[v] and not cover(v):
-                return False
-        return True
 
     def record() -> None:
         nonlocal single_type
@@ -275,8 +242,8 @@ def enumerate_splitted_images(
         else:
             entry.multiplicity += 1
 
-    def rec(i: int, next_new: int) -> None:
-        nonlocal nodes, sat
+    def rec(i: int, next_new: int, done: tuple[int, ...], once: int, sat: int) -> None:
+        nonlocal nodes
         nodes += 1
         if nodes > node_limit:
             raise _LimitExceeded
@@ -287,7 +254,7 @@ def enumerate_splitted_images(
         a, b = edges[eid]
         free = ~(at[a] | at[b]) & ((2 << next_new) - 1)
         if sat:
-            free &= room(a) & room(b)
+            free &= room(a, sat, done) & room(b, sat, done)
         while free:
             bit = free & -free
             free ^= bit
@@ -295,29 +262,29 @@ def enumerate_splitted_images(
             cls[eid] = c
             at[a] |= bit
             at[b] |= bit
-            mark = len(added)
-            ok = True
-            newly = 0
+            d2, o2, s2 = done, once, sat
             for u in (a, b):
-                if at[u].bit_count() == deg[u]:
-                    got = complete_vertex(u)
-                    if got < 0:
-                        ok = False
-                        break
-                    newly |= got
-            if ok and newly:
-                ok = recheck(newly)
-            if ok:
-                rec(i + 1, next_new + 1 if c == next_new else next_new)
-            while len(added) > mark:
-                c2 = added.pop()
-                types[c2].pop()
-                sat &= ~(1 << c2)
+                T = at[u]
+                if T.bit_count() == deg[u] and T not in d2:
+                    if T & s2:
+                        break  # a class would gain a third type
+                    s2 |= T & o2
+                    o2 |= T
+                    d2 += (T,)
+            else:
+                # every open vertex holding a newly saturated class has room
+                newly = s2 & ~sat
+                if not newly or all(
+                    cover(v, d2) for v in range(n)
+                    if at[v] & newly and at[v].bit_count() < deg[v]
+                ):
+                    rec(i + 1, next_new + 1 if c == next_new else next_new,
+                        d2, o2, s2)
             at[a] ^= bit
             at[b] ^= bit
 
     try:
-        rec(0, 0)
+        rec(0, 0, (), 0, 0)
     except _LimitExceeded:
         atlas.complete = False
     finally:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -38,7 +37,7 @@ from .named import (
     s12_plus_km,
     t_k2,
 )
-from .solver import DEFAULT_NODE_BUDGET, solve
+from .solver import DEFAULT_NODE_BUDGET, _check_node_limit, solve
 from .structure import (
     enumerate_matchings,
     has_two_disjoint_perfect_matchings,
@@ -466,20 +465,12 @@ def _corpus_entry(job: tuple) -> CheckResult:
     return _check(name, r.status, r.nodes, expect="sat", **details)
 
 
-def worker_count(requested: Optional[int] = None) -> int:
-    """Pool size: the request (--workers), else the CPU count.  Raises
-    ValueError when the request is not a positive integer."""
-    if requested is not None and requested < 1:
-        raise ValueError(f"--workers must be a positive integer, got {requested}")
-    return requested or os.cpu_count() or 1
-
-
 def run_corpus(
     path: str,
     host: Multigraph,
     host_name: str,
     node_limit: int = DEFAULT_NODE_BUDGET,
-    workers: Optional[int] = None,
+    workers: int = 1,
     progress: Optional[Callable[[CheckResult], None]] = None,
 ) -> list[CheckResult]:
     """Solve host ≺ G for every bridgeless cubic graph in a graph6 file.
@@ -490,14 +481,17 @@ def run_corpus(
     or, with more than one worker and record, in a process pool; parse
     errors, skipped graphs, hit node limits and solves that raise are
     per-entry outcomes and never stop the run.  Raises ValueError before
-    reading the file when workers is not a positive integer.
+    reading the file when node_limit is not an integer or workers is not a
+    positive integer.
     """
-    nworkers = worker_count(workers)
+    _check_node_limit(node_limit)
+    if workers < 1:
+        raise ValueError(f"--workers must be a positive integer, got {workers}")
     jobs = [(index, lineno, G, host, host_name, node_limit)
             for index, (lineno, G) in enumerate(ingest_graph6(path))]
-    parallel = nworkers > 1 and len(jobs) > 1
+    parallel = workers > 1 and len(jobs) > 1
     checks: list[CheckResult] = []
-    with ProcessPoolExecutor(max_workers=nworkers) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         for check in (pool.map if parallel else map)(_corpus_entry, jobs):
             checks.append(check)
             if progress is not None:

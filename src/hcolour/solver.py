@@ -69,6 +69,13 @@ class _LimitExceeded(Exception):
     """A search passed its node_limit; the solver and the atlas raise it."""
 
 
+def _check_node_limit(node_limit: int) -> None:
+    """Raise ValueError unless node_limit is an integer (a bool is not one),
+    so a bad budget is rejected before any search starts."""
+    if not isinstance(node_limit, int) or isinstance(node_limit, bool):
+        raise ValueError(f"node_limit must be an integer, got {node_limit!r}")
+
+
 def solve(
     host: Multigraph,
     guest: Multigraph,
@@ -89,6 +96,7 @@ def solve(
     """
     if mode not in ("first", "count"):
         raise ValueError(f"mode must be 'first' or 'count', got {mode!r}")
+    _check_node_limit(node_limit)
     res = SolveResult(status="unsat")
 
     def record(edge_map: tuple[int, ...]) -> None:

@@ -8,6 +8,7 @@ import pytest
 from hcolour import recipes
 from hcolour.cli import build_parser
 from hcolour.images import enumerate_splitted_images
+from hcolour.named import complete, petersen, s4
 from hcolour.recipes import run_corpus, run_recipe
 from hcolour.solver import DEFAULT_NODE_BUDGET, solve
 
@@ -20,6 +21,26 @@ def test_the_budget_is_ten_to_the_eighth():
 def test_every_budgeted_entry_point_defaults_to_the_budget(search):
     node_limit = inspect.signature(search).parameters["node_limit"]
     assert node_limit.default == DEFAULT_NODE_BUDGET
+
+
+# each budgeted entry point called with a node_limit; the first solve is
+# decided before its first node (no host vertex of degree 4), and the corpus
+# file does not exist, so a bad budget must be caught before it matters
+BUDGETED_CALLS = {
+    "solve-s4-k5": lambda limit: solve(s4().graph, complete(5).graph, node_limit=limit),
+    "solve-s4-petersen": lambda limit: solve(s4().graph, petersen().graph,
+                                             node_limit=limit),
+    "atlas-petersen": lambda limit: enumerate_splitted_images(petersen().graph,
+                                                              node_limit=limit),
+    "corpus": lambda limit: run_corpus("missing.g6", s4().graph, "s4", node_limit=limit),
+}
+
+
+@pytest.mark.parametrize("bad", [None, 2.5, "100", True])
+@pytest.mark.parametrize("call", list(BUDGETED_CALLS))
+def test_a_non_integer_node_limit_is_rejected_before_the_search(call, bad):
+    with pytest.raises(ValueError, match=rf"^node_limit must be an integer, got {bad!r}$"):
+        BUDGETED_CALLS[call](bad)
 
 
 def _node_limit_actions(parser):

@@ -427,6 +427,21 @@ ATLAS_PINS = {
         6,
         {("6c7e974a79534a5e", 1)},
     ),
+    # an empty vertex may take a saturated class only through a completed
+    # type of its own degree: without that size test this takes 9 nodes
+    "room-size": (
+        lambda: Multigraph(6, [(0, 3), (1, 5), (4, 2), (2, 0), (5, 1), (0, 1)]),
+        8,
+        {("68926edcb0a2a15a", 1)},
+    ),
+    # the paper's gadget guests
+    "S10": (lambda: s10().graph, 241, {("a4418f9f722fbe7e", 1)}),
+    "S12": (
+        lambda: s12().graph,
+        928,
+        {("630473c8cc236b25", 1), ("a4418f9f722fbe7e", 1)},
+    ),
+    "S12+1M": (lambda: s12_plus_km(1).graph, 7910, {("84154efb3c5a397f", 1)}),
 }
 
 

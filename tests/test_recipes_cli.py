@@ -232,16 +232,23 @@ def test_reservoir_is_uniform():
     assert all(abs(h - 900) < 125 for h in hits), hits
 
 
-def test_hcolor_threads_env(monkeypatch):
-    # the pool size is --workers alone; no environment variable overrides it
-    import os
+def test_hcolor_threads_env(tmp_path, capsys, monkeypatch):
+    # the pool size is --workers alone, default 1 (serial); no environment
+    # variable overrides it
+    from hcolour import recipes
 
-    from hcolour.recipes import worker_count
+    def no_pool(**kwargs):
+        raise AssertionError(f"a process pool was started: {kwargs}")
 
+    path = tmp_path / "c.g6"
+    path.write_text((encode_graph6(petersen().graph) + "\n") * 2)
     monkeypatch.setenv("HCOLOR_THREADS", "3")
-    assert worker_count(8) == 8
-    assert worker_count(2) == 2
-    assert worker_count() == (os.cpu_count() or 1)
+    monkeypatch.setattr(recipes, "ProcessPoolExecutor", no_pool)
+    assert [c.outcome for c in run_corpus(str(path), s4().graph, "s4")] == ["pass"] * 2
+    assert main(["corpus", str(path), "--host", "s4"]) == 0
+    assert capsys.readouterr().err.startswith(f"corpus {path} vs s4: pass")
+    with pytest.raises(AssertionError, match="max_workers': 2"):
+        run_corpus(str(path), s4().graph, "s4", workers=2)
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -399,11 +406,14 @@ def test_cli_corpus_bad_hcolor_threads(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("bad", [0, -1])
-def test_worker_count_rejects_non_positive_request(bad):
-    from hcolour.recipes import worker_count
-
-    with pytest.raises(ValueError, match=f"--workers must be a positive integer, got {bad}"):
-        worker_count(bad)
+def test_worker_count_rejects_non_positive_request(tmp_path, capsys, bad):
+    # rejected before the file is read: it does not exist
+    missing = str(tmp_path / "missing.g6")
+    with pytest.raises(ValueError, match=f"^--workers must be a positive integer, got {bad}$"):
+        run_corpus(missing, s4().graph, "s4", workers=bad)
+    assert main(["corpus", missing, "--host", "s4", "--workers", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --workers must be a positive integer, got {bad}\n"
 
 
 @pytest.mark.parametrize("cmd", ["corpus"])
@@ -580,3 +590,18 @@ def test_cli_check_a_host_path_with_a_space(tmp_path, capsys):
     f.write_text("\n".join(lines) + "\n")
     assert main(["check", *graphs, "--certificate", str(f)]) == 1
     assert capsys.readouterr().out.startswith("invalid\n")
+
+
+@pytest.mark.parametrize("bad", ["0 a", "0", "0 1 2"])
+def test_cli_check_names_the_line_of_a_bad_mapping(tmp_path, capsys, bad):
+    graphs = ["--host", "s4", "--guest", "petersen"]
+    assert main(["solve", *graphs]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    lineno = lines.index("map") + 2  # the line of guest edge 0, counted from 1
+    lines[lineno - 1] = bad
+    f = tmp_path / "cert.txt"
+    f.write_text("\n".join(lines) + "\n")
+    assert main(["check", *graphs, "--certificate", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line {lineno}: bad mapping line {bad!r}\n"
