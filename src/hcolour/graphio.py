@@ -196,10 +196,11 @@ def parse_certificate(
             ):
                 raise GraphFormatError(f"bad header line {line!r}", lineno)
         else:
-            try:
-                g, h = map(int, parts)
-            except ValueError:  # not two fields, or not integers
-                raise GraphFormatError(f"bad mapping line {line!r}", lineno) from None
+            # two fields of ASCII digits: int() would also take a sign, "1_0"
+            # or non-ASCII digits
+            if len(parts) != 2 or not all(f.isascii() and f.isdigit() for f in parts):
+                raise GraphFormatError(f"bad mapping line {line!r}", lineno)
+            g, h = int(parts[0]), int(parts[1])
             if g in mapping:
                 raise GraphFormatError(f"duplicate guest edge {g}", lineno)
             mapping[g] = h

@@ -27,7 +27,7 @@ from typing import Optional
 from .canonical import canonical_form
 from .colouring import Colouring, ImageGraph, check_colouring
 from .multigraph import Multigraph
-from .solver import (DEFAULT_NODE_BUDGET, _LimitExceeded, _bfs_edge_order,
+from .solver import (DEFAULT_NODE_BUDGET, _LimitExceeded, _assignment_sequence,
                      _check_node_limit)
 from .structure import bits
 
@@ -37,12 +37,10 @@ def realize_image(
 ) -> ImageGraph:
     """The splitted image realized by a complete class labelling, with witness.
 
-    edge_classes[e] is the class of guest edge e.  One pass along
-    edge_order checks that it is a permutation of the edge ids, that class
-    ids appear in restricted-growth order and that adjacent edges lie in
-    distinct classes, and builds each vertex type as a class mask.  A class
-    held by more than two distinct types fails too.  Each of these raises
-    ValueError.
+    edge_classes[e] is the class of guest edge e.  _vertex_types checks the
+    labelling and gives each vertex type as a class mask; _image_of_types
+    builds the image from the set of distinct types.  Every failed check
+    raises ValueError.
 
     Used vertices are the distinct types, ordered by their sorted class
     lists; each class becomes one edge between the types containing it,
@@ -50,13 +48,30 @@ def realize_image(
     colouring maps each guest edge to the edge of its class; it is
     revalidated by check_colouring and a failure raises RuntimeError.
     """
+    types = frozenset(_vertex_types(guest, edge_classes, edge_order))
+    graph, used, pendant = _image_of_types(types)
+    return ImageGraph(
+        graph=graph,
+        used=tuple(range(used)),
+        split=(),
+        pendant_unused=pendant,
+        source=_witness(graph, guest, edge_classes),
+    )
+
+
+def _vertex_types(guest: Multigraph, edge_classes: tuple[int, ...],
+                  edge_order: tuple[int, ...]) -> list[int]:
+    """The class mask of each guest vertex, from one pass along edge_order
+    that checks it is a permutation of the edge ids, that class ids appear
+    in restricted-growth order and that adjacent edges lie in distinct
+    classes; each failure raises ValueError."""
     m = guest.m
     if len(edge_classes) != m:
         raise ValueError("partition must label every guest edge")
     if len(edge_order) != m:
         raise ValueError("edge_order must be a permutation of the edge ids")
     edges = guest.edges
-    at = [0] * guest.n  # class mask of each vertex: its type
+    at = [0] * guest.n
     placed = bytearray(m)
     k = 0  # classes seen so far along edge_order
     for e in edge_order:
@@ -73,7 +88,15 @@ def realize_image(
             if at[u] & bit:
                 raise ValueError(f"adjacent edges at vertex {u} share class {c}")
             at[u] |= bit
-    classes_of = {T: bits(T) for T in set(at)}
+    return at
+
+
+def _image_of_types(types: frozenset[int]) -> tuple[Multigraph, int, tuple[int, ...]]:
+    """The image graph of the distinct vertex types, its number of used
+    vertices and its pendant vertices.  A class held by more than two types
+    raises ValueError."""
+    classes_of = {T: bits(T) for T in types}
+    k = max((cs[-1] + 1 for cs in classes_of.values() if cs), default=0)
     holders: list[list[int]] = [[] for _ in range(k)]
     for T, cs in classes_of.items():
         for c in cs:
@@ -83,7 +106,7 @@ def realize_image(
             raise ValueError(f"class {c} occurs in {len(hs)} distinct types")
     distinct = sorted(classes_of, key=classes_of.__getitem__)
     index = {T: i for i, T in enumerate(distinct)}
-    n = len(distinct)
+    n = used = len(distinct)
     image_edges = []
     pendant = []
     for hs in holders:
@@ -93,18 +116,19 @@ def realize_image(
             ends.append(n)
             n += 1
         image_edges.append(ends)
-    graph = Multigraph(n, image_edges)  # stores each edge as (min, max)
+    # Multigraph stores each edge as (min, max)
+    return Multigraph(n, image_edges), used, tuple(pendant)
+
+
+def _witness(graph: Multigraph, guest: Multigraph, edge_classes: tuple[int, ...]
+             ) -> Colouring:
+    """The labelling as a colouring of the guest by its image, revalidated
+    by check_colouring; a failure raises RuntimeError."""
     witness = Colouring(graph, guest, edge_classes)
     report = check_colouring(witness)
     if not report.ok:
         raise RuntimeError(f"realized partition failed to revalidate: {report}")
-    return ImageGraph(
-        graph=graph,
-        used=tuple(range(len(distinct))),
-        split=(),
-        pendant_unused=tuple(pendant),
-        source=witness,
-    )
+    return witness
 
 
 @dataclass
@@ -143,8 +167,12 @@ def enumerate_splitted_images(
 ) -> ImageAtlas:
     """All splitted images of the guest up to isomorphism, with multiplicities.
 
-    Complete backtracking over restricted-growth partitions along a
-    breadth-first edge order.  at[u] is the class mask of the assigned
+    Complete backtracking over restricted-growth partitions along the
+    solver's edge sequence (_assignment_sequence): next is the edge with
+    the most assigned neighbours, so vertices complete early and the rule
+    below cuts early.  Each partition has one restricted-growth labelling
+    along any order, so the order moves node counts and the first witness
+    of a class, never the leaves.  at[u] is the class mask of the assigned
     edges at guest vertex u; the free classes at an edge are those on
     neither endpoint, tried lowest first.  Multiplicity counts labelled
     partitions.  Past node_limit nodes the search stops, as the solver's
@@ -171,8 +199,10 @@ def enumerate_splitted_images(
     saturated classes of each type in done of size deg[u].  An open vertex
     holding a newly saturated class needs a nonempty cover.
 
-    Every leaf is realized and revalidated by realize_image; the canonical
-    form of each distinct labelled image is computed once per call.
+    Every leaf's labelling is rechecked by _vertex_types, and its set of
+    distinct types keys the image: _image_of_types builds the graph and
+    canonical_form reads it once per type set and call.  Each leaf's
+    witness colouring by that graph is revalidated by check_colouring.
 
     The tk2_realizable flag says whether the guest is coloured by t
     parallel edges on two vertices, i.e. is t-regular and t-edge-colourable.
@@ -189,14 +219,15 @@ def enumerate_splitted_images(
         raise ValueError("guest must be connected with more than 2 vertices")
     atlas = ImageAtlas(guest=guest)
 
-    order = tuple(_bfs_edge_order(guest))
+    order = tuple(_assignment_sequence(guest))
     edges = guest.edges
     deg = guest.degrees()
     n, m = guest.n, guest.m
     cls = [-1] * m
     at = [0] * n  # class mask of the assigned edges at each vertex
     found: dict[bytes, AtlasEntry] = {}
-    canon: dict[Multigraph, bytes] = {}  # labelled image -> canonical form
+    # distinct types of a leaf -> (image graph, used vertices, canonical form)
+    by_types: dict[frozenset[int], tuple[Multigraph, int, bytes]] = {}
     nodes = 0
     single_type = False  # some leaf has one vertex type: the tk2 colouring
 
@@ -224,20 +255,23 @@ def enumerate_splitted_images(
 
     def record() -> None:
         nonlocal single_type
-        img = realize_image(guest, tuple(cls), order)
-        if len(img.used) == 1:
+        edge_classes = tuple(cls)
+        types = frozenset(_vertex_types(guest, edge_classes, order))
+        image = by_types.get(types)
+        if image is None:
+            g, used, _ = _image_of_types(types)
+            image = by_types[types] = (g, used, canonical_form(g))
+        g, used, key = image
+        if used == 1:
             single_type = True
-        g = img.graph
-        key = canon.get(g)
-        if key is None:
-            key = canon[g] = canonical_form(g)
+        witness = _witness(g, guest, edge_classes)
         entry = found.get(key)
         if entry is None:
             found[key] = AtlasEntry(
                 canonical=key,
                 graph=g,
                 multiplicity=1,
-                witness=img.source,
+                witness=witness,
             )
         else:
             entry.multiplicity += 1

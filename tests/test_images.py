@@ -150,6 +150,15 @@ def test_realize_image_single_type_class_gets_pendant():
     assert len(img2.pendant_unused) == 1
 
 
+def test_realize_image_of_an_edgeless_vertex():
+    # one empty type and no class: a single used vertex and no edge
+    guest = Multigraph(1, [])
+    img = realize_image(guest, (), ())
+    assert (img.graph.n, img.graph.m, img.used, img.pendant_unused) == (1, 0, (0,), ())
+    assert (img.graph.n, img.graph.edges, img.pendant_unused,
+            len(img.used)) == _two_pass_image(guest, (), ())
+
+
 def test_petersen_atlas_exact():
     atlas = enumerate_splitted_images(petersen().graph)
     assert atlas.complete
@@ -265,8 +274,10 @@ def _restricted_growth_strings(m: int):
 
 
 def naive_atlas(guest: Multigraph) -> dict[bytes, int]:
-    """Every restricted-growth labelling along the search's edge order that
-    realize_image accepts, grouped by the canonical form of its image."""
+    """Every restricted-growth labelling along the breadth-first edge order
+    that realize_image accepts, grouped by the canonical form of its image.
+    The search walks another order, the solver's edge sequence; each
+    partition has one restricted-growth labelling along either."""
     order = _bfs_edge_order(guest)
     out: dict[bytes, int] = {}
     for rgs in _restricted_growth_strings(guest.m):
@@ -332,6 +343,13 @@ def _k33() -> Multigraph:
     return Multigraph(6, [(a, b) for a in range(3) for b in range(3, 6)])
 
 
+def _heawood() -> Multigraph:
+    """The Heawood graph from its LCF notation [5, -5]^7."""
+    edges = [(i, (i + 1) % 14) for i in range(14)]
+    edges += [(i, (i + 5) % 14) for i in range(0, 14, 2)]
+    return Multigraph(14, edges)
+
+
 def _q3() -> Multigraph:
     return Multigraph(8, [(a, a | 1 << k) for a in range(8) for k in range(3)
                           if not a >> k & 1])
@@ -383,7 +401,7 @@ ATLAS_PINS = {
     ),
     "Petersen": (
         lambda: petersen().graph,
-        3951,
+        1722,
         {
             ("29f43a0b91a4278d", 120),
             ("8d183b25e3c8e6a3", 1),
@@ -407,7 +425,7 @@ ATLAS_PINS = {
     ),
     "K6-e": (
         lambda: complete_minus_edge(6).graph,
-        169,
+        239,
         {
             ("358c5b1f405da031", 3),
             ("51239b9032599262", 1),
@@ -417,7 +435,7 @@ ATLAS_PINS = {
     ),
     "K7-e": (
         lambda: complete_minus_edge(7).graph,
-        2336,
+        2881,
         {("0dd3a21ef4d943d3", 1)},
     ),
     # the first edge at vertex 4 meets a saturated class with no completed
@@ -435,13 +453,32 @@ ATLAS_PINS = {
         {("68926edcb0a2a15a", 1)},
     ),
     # the paper's gadget guests
-    "S10": (lambda: s10().graph, 241, {("a4418f9f722fbe7e", 1)}),
+    "S10": (lambda: s10().graph, 68, {("a4418f9f722fbe7e", 1)}),
     "S12": (
         lambda: s12().graph,
-        928,
+        350,
         {("630473c8cc236b25", 1), ("a4418f9f722fbe7e", 1)},
     ),
-    "S12+1M": (lambda: s12_plus_km(1).graph, 7910, {("84154efb3c5a397f", 1)}),
+    "S12+1M": (lambda: s12_plus_km(1).graph, 7878, {("84154efb3c5a397f", 1)}),
+    # the benchmark's largest atlas; classes as in bench/reference.json
+    "Heawood": (
+        _heawood,
+        60183,
+        {
+            ("2232bd6029ab82aa", 1),
+            ("24bfe3da65c40abf", 168),
+            ("284b7e452c35b4f6", 252),
+            ("29f43a0b91a4278d", 4368),
+            ("2f9ee076ab177dd7", 28),
+            ("547cf490721e4ced", 28),
+            ("5697f2d512921ee1", 84),
+            ("7132725cf9b7d7e9", 1512),
+            ("76da90a9f29a1ae7", 8),
+            ("9fc7b7d0eafae480", 42),
+            ("a029a425eec7619d", 336),
+            ("ac2587a1a9c758ec", 168),
+        },
+    ),
 }
 
 
@@ -466,9 +503,9 @@ BUDGETED_ATLASES = {
     "Petersen": (lambda: petersen().graph, {
         0: (False, None, 1, []),
         1: (False, None, 2, []),
-        100: (False, None, 101, [("29f43a0b91a4278d", 8)]),
-        1000: (False, None, 1001, [("29f43a0b91a4278d", 36)]),
-        5000: (True, False, 3951,
+        100: (False, None, 101, [("29f43a0b91a4278d", 11)]),
+        1000: (False, None, 1001, [("29f43a0b91a4278d", 78)]),
+        5000: (True, False, 1722,
                [("29f43a0b91a4278d", 120), ("8d183b25e3c8e6a3", 1)]),
     }),
     "K7": (lambda: complete(7).graph, {
@@ -497,3 +534,36 @@ def test_budgeted_atlas_pinned(name):
         got = sorted((hashlib.sha256(e.canonical).hexdigest()[:16], e.multiplicity)
                      for e in atlas.entries)
         assert (atlas.complete, atlas.tk2_realizable, atlas.nodes, got) == pin, limit
+
+
+# -- every leaf is revalidated ------------------------------------------------
+
+@pytest.mark.parametrize("build, leaves", [
+    (lambda: petersen().graph, 121), (lambda: complete(7).graph, 141),
+], ids=["Petersen", "K7"])
+def test_every_leaf_is_revalidated(monkeypatch, build, leaves):
+    """The image of a set of vertex types is built once, but each leaf's
+    witness still goes through check_colouring, and the canonical form is
+    taken once per distinct labelled image."""
+    import hcolour.images as images
+
+    checked = []
+    canonical_calls = []
+
+    def counting_check(c):
+        checked.append(c)
+        return check_colouring(c)
+
+    def counting_canonical(g):
+        canonical_calls.append(g)
+        return canonical_form(g)
+
+    monkeypatch.setattr(images, "check_colouring", counting_check)
+    monkeypatch.setattr(images, "canonical_form", counting_canonical)
+    atlas = enumerate_splitted_images(build())
+    assert atlas.complete
+    assert sum(e.multiplicity for e in atlas.entries) == leaves
+    assert len(checked) == leaves
+    assert len({c.edge_map for c in checked}) == leaves
+    labelled = {(c.host.n, c.host.edges) for c in checked}
+    assert len(canonical_calls) == len(labelled)

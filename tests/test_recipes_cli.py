@@ -592,7 +592,9 @@ def test_cli_check_a_host_path_with_a_space(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("invalid\n")
 
 
-@pytest.mark.parametrize("bad", ["0 a", "0", "0 1 2"])
+# the last three are forms int() reads as numbers: a sign, a digit separator
+# (edge 10) and a non-ASCII digit (edge 1); "0 +0" keeps edge 0's mapping
+@pytest.mark.parametrize("bad", ["0 a", "0", "0 1 2", "0 +0", "1_0 0", "\u0661 0"])
 def test_cli_check_names_the_line_of_a_bad_mapping(tmp_path, capsys, bad):
     graphs = ["--host", "s4", "--guest", "petersen"]
     assert main(["solve", *graphs]) == 0
@@ -605,3 +607,4 @@ def test_cli_check_names_the_line_of_a_bad_mapping(tmp_path, capsys, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: line {lineno}: bad mapping line {bad!r}\n"
+
