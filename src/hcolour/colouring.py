@@ -44,6 +44,23 @@ class Colouring:
         return list(enumerate(self.edge_map))
 
 
+def _trusted_colouring(host: Multigraph, guest: Multigraph,
+                       edge_map: tuple[int, ...]) -> Colouring:
+    """Colouring(host, guest, edge_map) without __post_init__'s range check.
+
+    Only for a total map whose every id was read off a host edge mask (the
+    solver's and the atlas's searches), where the check cannot fail; the
+    caller still passes the colouring to check_colouring, which rejects an
+    id outside 0..host.m-1 by itself.
+    """
+    c = object.__new__(Colouring)
+    # object.__setattr__ gets past the frozen dataclass's __setattr__
+    object.__setattr__(c, "host", host)
+    object.__setattr__(c, "guest", guest)
+    object.__setattr__(c, "edge_map", edge_map)
+    return c
+
+
 @dataclass(frozen=True)
 class ColouringReport:
     ok: bool
@@ -60,25 +77,34 @@ _VALID = ColouringReport(ok=True)
 def check_colouring(c: Colouring) -> ColouringReport:
     """Validate both H-colouring conditions, reporting every violation.
 
-    Reads only the colouring itself and the host's boundary masks, so it is
-    independent of the search that produced it.  The verdict is taken on
-    edge masks: at each guest vertex u the OR of 1 << f(e) over u's edges
-    must have deg(u) bits (properness) and be the boundary mask of some host
-    vertex (vertex condition; an isolated host vertex has mask 0).  A valid
-    colouring gets one shared report.  A rejected one gets its full report
-    from naive_check_colouring, and if that calls the colouring valid the
-    two checks disagree and RuntimeError is raised, also under python -O.
+    Reads only the colouring itself and the host's and guest's own cached
+    tables, so it is independent of the search that produced it.  The
+    verdict is taken on edge masks: at each guest vertex u, the OR of the
+    host's edge_bits()[f(e)] over the edge ids e of u's cached boundary must
+    have deg(u) bits (properness) and be the boundary mask of some host
+    vertex (vertex condition; an isolated host vertex has mask 0).  An id
+    outside 0..host.m-1 is not a key of edge_bits(), so it rejects the
+    colouring; the solver and the atlas rely on that, as they build their
+    colourings without Colouring's range check.  A valid colouring gets one
+    shared report.  A rejected one gets its full report from naive_check_colouring,
+    and if that calls the colouring valid the two checks disagree and
+    RuntimeError is raised, also under python -O.
     """
     f = c.edge_map
-    masks = c.host.boundary_masks()
-    for inc in c.guest._adj:
-        s = 0
-        for eid, _ in inc:
-            s |= 1 << f[eid]
-        if s not in masks or s.bit_count() != len(inc):
-            break
-    else:
-        return _VALID
+    host = c.host
+    bits = host.edge_bits()
+    masks = host.boundary_masks()
+    try:
+        for inc in c.guest.boundaries():
+            s = 0
+            for e in inc:
+                s |= bits[f[e]]
+            if s not in masks or s.bit_count() != len(inc):
+                break
+        else:
+            return _VALID
+    except KeyError:
+        pass  # a host edge id out of range
     report = naive_check_colouring(c)
     if report.ok:
         raise RuntimeError(
@@ -94,7 +120,8 @@ def naive_check_colouring(c: Colouring) -> ColouringReport:
     Properness violations are (first edge, later edge) pairs sharing a
     colour at a guest vertex, by vertex and then incidence order; vertex
     violations are the guest vertices whose image set is the boundary of no
-    host vertex.
+    host vertex, which includes every guest vertex with an image id outside
+    0..host.m-1.
     """
     G, H, f = c.guest, c.host, c.edge_map
     bounds = H.boundaries()
@@ -111,9 +138,14 @@ def naive_check_colouring(c: Colouring) -> ColouringReport:
                 else:
                     seen[h] = eid
         if img:
-            # a host vertex with boundary img is an endpoint of every edge in it
-            a, b = H.edges[f[inc[0][0]]]
-            matched = bounds[a] == img or bounds[b] == img
+            # a host vertex with boundary img is an endpoint of every edge in
+            # it, and no boundary holds an id out of range
+            h = f[inc[0][0]]
+            if 0 <= h < H.m:
+                a, b = H.edges[h]
+                matched = bounds[a] == img or bounds[b] == img
+            else:
+                matched = False
         else:
             matched = any(not bnd for bnd in bounds)
         if not matched:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .canonical import canonical_form
-from .colouring import Colouring, ImageGraph, check_colouring
+from .colouring import Colouring, ImageGraph, _trusted_colouring, check_colouring
 from .multigraph import Multigraph
 from .solver import (DEFAULT_NODE_BUDGET, _LimitExceeded, _assignment_sequence,
                      _check_node_limit)
@@ -124,7 +124,7 @@ def _witness(graph: Multigraph, guest: Multigraph, edge_classes: tuple[int, ...]
              ) -> Colouring:
     """The labelling as a colouring of the guest by its image, revalidated
     by check_colouring; a failure raises RuntimeError."""
-    witness = Colouring(graph, guest, edge_classes)
+    witness = _trusted_colouring(graph, guest, edge_classes)
     report = check_colouring(witness)
     if not report.ok:
         raise RuntimeError(f"realized partition failed to revalidate: {report}")

@@ -16,7 +16,7 @@ class Multigraph:
     """A finite undirected loopless multigraph."""
 
     __slots__ = ("n", "edges", "name", "_adj", "_canon", "_aut",
-                 "_boundaries", "_boundary_masks")
+                 "_boundaries", "_boundary_masks", "_edge_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str = ""):
         if n < 0:
@@ -40,6 +40,7 @@ class Multigraph:
         self._aut = None
         self._boundaries = None
         self._boundary_masks = None
+        self._edge_bits = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -75,6 +76,14 @@ class Multigraph:
                 masks[b] |= 1 << eid
             self._boundary_masks = frozenset(masks)
         return self._boundary_masks
+
+    def edge_bits(self) -> dict[int, int]:
+        """The mask 1 << e of every edge id e, built on first use.  A dict,
+        not a tuple, so looking up any other id raises KeyError: -1 cannot
+        wrap round to the last edge."""
+        if self._edge_bits is None:
+            self._edge_bits = {e: 1 << e for e in range(len(self.edges))}
+        return self._edge_bits
 
     def degree(self, u: int) -> int:
         self._check_vertex(u)

@@ -24,12 +24,16 @@ choice depends only on which edges are assigned, never on their images, so
 the sequence is worked out once per guest before the search.
 
 Every colouring the search finds is revalidated by check_colouring, which
-reads only the colouring and the host's own cached boundary masks, not this
-state or its boundary table: it ORs the images of each guest vertex's edges
-into one edge mask and looks it up among the host's boundary masks, and
-falls back to a set-based check for the report when it rejects.  A
-rejection raises, also under ``python -O``.  Only then is the colouring
-counted, kept as the witness or passed to visit.
+reads only the colouring and the graphs' own cached tables, not this state
+or its boundary table: over each guest vertex's cached boundary it ORs the
+host's edge bits of the images into one edge mask and looks it up among the
+host's boundary masks, and falls back to a set-based check for the report
+when it rejects.  A rejection raises, also under ``python -O``.  Only then
+is the colouring counted, kept as the witness or passed to visit.
+
+The colouring is built without Colouring's range check on its edge map:
+every id in it is a bit of a candidate mask, so it is a host edge id by
+construction, and check_colouring rejects any other id by itself.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
-from .colouring import Colouring, check_colouring, naive_check_colouring
+from .colouring import (Colouring, _trusted_colouring, check_colouring,
+                        naive_check_colouring)
 from .multigraph import Multigraph
 from .structure import chromatic_index
 
@@ -101,7 +106,7 @@ def solve(
 
     def record(edge_map: tuple[int, ...]) -> None:
         res.count += 1
-        c = Colouring(host, guest, edge_map)
+        c = _trusted_colouring(host, guest, edge_map)
         report = check_colouring(c)
         if not report.ok:
             raise RuntimeError(f"solver produced an invalid colouring: {report}")
@@ -203,6 +208,7 @@ def _assignment_sequence(G: Multigraph) -> list[int]:
     edge sharing both ends counts twice), the earliest in breadth-first
     order on ties.
     """
+    adj = G._adj
     near = [0] * G.m
     free = _bfs_edge_order(G)
     sequence: list[int] = []
@@ -211,7 +217,7 @@ def _assignment_sequence(G: Multigraph) -> list[int]:
         free.remove(e)
         sequence.append(e)
         for v in G.edges[e]:
-            for e2, _ in G.incident(v):
+            for e2, _ in adj[v]:
                 if e2 != e:
                     near[e2] += 1
     return sequence
@@ -221,22 +227,23 @@ def _bfs_edge_order(G: Multigraph) -> list[int]:
     """Guest edges by breadth-first discovery from a maximum-degree root."""
     if G.n == 0:
         return []
-    root = max(range(G.n), key=G.degree)
-    seen_v = {root}
+    adj = G._adj  # each vertex's incidences in edge id order
+    root = max(range(G.n), key=lambda v: len(adj[v]))
+    seen_v = [False] * G.n
+    seen_v[root] = True
+    seen_e = [False] * G.m
     order: list[int] = []
-    seen_e: set[int] = set()
     queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for eid, w in sorted(G.incident(v)):
-            if eid not in seen_e:
-                seen_e.add(eid)
+    for v in queue:  # the queue grows while it is walked
+        for eid, w in adj[v]:
+            if not seen_e[eid]:
+                seen_e[eid] = True
                 order.append(eid)
-            if w not in seen_v:
-                seen_v.add(w)
+            if not seen_v[w]:
+                seen_v[w] = True
                 queue.append(w)
     # isolated components (guests are usually connected; keep total anyway)
-    order.extend(e for e in range(G.m) if e not in seen_e)
+    order.extend(e for e in range(G.m) if not seen_e[e])
     return order
 
 

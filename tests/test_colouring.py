@@ -9,6 +9,7 @@ from hcolour.colouring import (
     AmbiguousHostError,
     Colouring,
     ColouringReport,
+    _trusted_colouring,
     check_colouring,
     image_subgraph,
     induced_vertex_map,
@@ -308,6 +309,20 @@ def test_check_colouring_explicit_isolated_and_parallel(host, guest):
         expected = definitional_report(c)
         assert check_colouring(c) == expected, f
         assert naive_check_colouring(c) == expected, f
+        # the same map with the last host edge id replaced by one out of
+        # range, built without the range check: -1 must not wrap round to
+        # the last edge, and no lookup may raise
+        for bad in (-1, host.m, 10**9):
+            g = tuple(bad if h == host.m - 1 else h for h in f)
+            if g == f:
+                continue
+            c = _trusted_colouring(host, guest, g)
+            expected = definitional_report(c)
+            assert not expected.ok
+            touched = {u for e, h in enumerate(g) if h == bad for u in guest.edges[e]}
+            assert touched <= set(expected.vertex_violations), g
+            assert check_colouring(c) == expected, g
+            assert naive_check_colouring(c) == expected, g
 
 
 def test_check_colouring_explicit_pairs_reach_both_verdicts():

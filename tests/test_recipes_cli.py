@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -102,6 +104,12 @@ def test_petersen_images_enumerates_the_atlas_once(monkeypatch):
     assert limits == [10**6]
 
 
+# sha256 of the seed-0 lemma24-props report with its version blanked
+LEMMA24_REPORT_DIGEST = (
+    "663924d141d16b98e29c2623be8f2a6c50cefc9f34862d74f0aea34daa1c0a4a"
+)
+
+
 def test_lemma24_props_pass_and_coverage(monkeypatch):
     from hcolour import recipes
 
@@ -122,6 +130,10 @@ def test_lemma24_props_pass_and_coverage(monkeypatch):
         "matching", "perfect_matching", "covering_matching", "edge_cut",
         "regular_subgraph",
     }
+    # the reservoir's sample, and so the whole report, follows the exact
+    # order in which the solver streams its colourings
+    text = dataclasses.replace(report, version="").to_json_lines()
+    assert hashlib.sha256(text.encode()).hexdigest() == LEMMA24_REPORT_DIGEST
 
 
 def test_reports_are_deterministic():
@@ -133,12 +145,15 @@ def test_reports_are_deterministic():
 
 
 def _mixed_corpus(path: Path) -> None:
-    """A cubic graph, a parse error, C4 (skipped) and a second cubic graph."""
+    """A cubic graph, a parse error, C4 (skipped), a second cubic graph and
+    the triple edge on two vertices (skipped: cubic, connected and
+    bridgeless, but not simple), as a sparse6 record."""
     path.write_text(
         encode_graph6(petersen().graph) + "\n"
         + "!!bad!!\n"
         + encode_graph6(Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])) + "\n"
         + encode_graph6(complete(4).graph) + "\n"
+        + ":A_\n"
     )
 
 
@@ -150,12 +165,14 @@ def test_run_corpus_mixed_entries(tmp_path):
         checks = run_corpus(str(path), s4().graph, "s4", workers=workers,
                             progress=seen.append)
         assert seen == checks  # every entry, in input order
-        assert [c.name for c in checks] == ["entry-0", "entry-1", "entry-2", "entry-3"]
+        assert [c.name for c in checks] == [f"entry-{i}" for i in range(5)]
         assert checks[0].outcome == checks[3].outcome == "pass"
         assert "certificate" in checks[0].details
         assert checks[1].outcome == "unknown"  # parse error, run continued
         assert checks[2].outcome == "pass"  # skipped: C4 is not cubic
         assert "skipped" in checks[2].details
+        assert checks[4].outcome == "pass"  # skipped: a parallel edge
+        assert "skipped" in checks[4].details
 
 
 def test_run_corpus_survives_a_failing_entry(monkeypatch):
@@ -458,9 +475,9 @@ def test_cli_corpus_streams_in_input_order(tmp_path, capsys):
     assert outs[0] == outs[1]
     rows = [json.loads(line) for line in outs[0].splitlines()]
     assert [r.get("check") for r in rows] == [
-        "entry-0", "entry-1", "entry-2", "entry-3", None,
+        "entry-0", "entry-1", "entry-2", "entry-3", "entry-4", None,
     ]
-    assert rows[-1]["status"] == "unknown" and rows[-1]["checks"] == 4
+    assert rows[-1]["status"] == "unknown" and rows[-1]["checks"] == 5
 
 
 def test_cli_corpus_node_limit_zero_is_honoured(tmp_path, capsys):

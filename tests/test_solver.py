@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcolour
-from hcolour.colouring import check_colouring
+from hcolour.colouring import Colouring, check_colouring
 from hcolour.graphio import ingest_graph6
 from hcolour.multigraph import Multigraph
 from hcolour.named import (
@@ -208,6 +208,10 @@ def test_visit_streams_the_all_mode_colourings(label):
     assert (counted.status, counted.count, counted.nodes) == PAIR_SHAPES[label]
     assert len({c.edge_map for c in seen}) == len(seen) == counted.count
     assert counted.witness is seen[0]
+    # built without the range check, each equals its publicly built twin
+    for c in seen:
+        twin = Colouring(host, guest, c.edge_map)
+        assert c == twin and hash(c) == hash(twin)
     # mode="first" stops after the same first colouring
     first_seen = []
     first = solve(host, guest, visit=first_seen.append)
