@@ -33,6 +33,10 @@ class Colouring:
             )
         host_m = self.host.m
         for h in self.edge_map:
+            # exactly int: 1.0 or True would pass the range check and the
+            # mask check, and write a certificate that cannot be read back
+            if type(h) is not int:
+                raise ValueError(f"host edge id {h!r} is not an integer")
             if not (0 <= h < host_m):
                 raise ValueError(f"host edge id {h} out of range")
 

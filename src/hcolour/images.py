@@ -27,9 +27,8 @@ from typing import Optional
 from .canonical import canonical_form
 from .colouring import Colouring, ImageGraph, _trusted_colouring, check_colouring
 from .multigraph import Multigraph
-from .solver import (DEFAULT_NODE_BUDGET, _LimitExceeded, _assignment_sequence,
-                     _check_node_limit)
-from .structure import bits
+from .solver import _assignment_sequence
+from .structure import DEFAULT_NODE_BUDGET, _check_node_limit, _LimitExceeded, bits
 
 
 def realize_image(

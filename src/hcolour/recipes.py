@@ -37,8 +37,12 @@ from .named import (
     s12_plus_km,
     t_k2,
 )
-from .solver import DEFAULT_NODE_BUDGET, _check_node_limit, solve
+from .solver import solve
 from .structure import (
+    DEFAULT_NODE_BUDGET,
+    _check_node_limit,
+    _edge_colouring,
+    _LimitExceeded,
     enumerate_matchings,
     has_two_disjoint_perfect_matchings,
     pairwise_intersecting_perfect_matchings,
@@ -434,10 +438,21 @@ def _corpus_entry(job: tuple) -> CheckResult:
     job is (index, line number, graph or parse error, host, host name,
     node limit).  A parse error is "unknown" with the error in its details;
     a graph that is not connected bridgeless cubic simple passes as
-    skipped.  Otherwise host ≺ G is solved: SAT passes with its certificate
-    once check_colouring has revalidated it on G itself, UNSAT fails, and a
-    hit node limit, or an exception while solving (named in "error", so one
-    entry cannot abort the batch), is "unknown".
+    skipped.  Otherwise host ≺ G is decided on one of two routes, named in
+    the "route" detail:
+
+    * "edge-colouring": when the host has a vertex v of degree 3, any
+      3-edge-colouring of G composed with v's three edges (colour i to
+      v's i-th edge) is a colouring, since every guest vertex then sees
+      exactly v's boundary.  edge_colouring(G, 3) is run first.
+    * "solver": when there is no such v, or G is not 3-edge-colourable,
+      solve decides with the budget the first search left.
+
+    SAT passes with its certificate once check_colouring has revalidated
+    it on G itself, and UNSAT, which only the solver reports, fails.  A hit
+    node limit, or an exception in either search (named in "error", so one
+    entry cannot abort the batch), is "unknown".  nodes is the total over
+    both searches.
     """
     index, lineno, G, host, host_name, node_limit = job
     name = f"entry-{index}"
@@ -452,18 +467,35 @@ def _corpus_entry(job: tuple) -> CheckResult:
         return _check(name, True, line=lineno,
                       skipped="not a connected bridgeless cubic simple graph")
     details = {"line": lineno, "n": G.n, "m": G.m, "host": host_name}
+    star = next((host.incident(v) for v in range(host.n) if host.degree(v) == 3),
+                None)
+    colours = None
+    nodes = 0
     try:
-        r = solve(host, G, node_limit=node_limit)
+        if star is not None:
+            details["route"] = "edge-colouring"
+            colours, nodes = _edge_colouring(G, 3, node_limit)
+        if colours is not None:
+            status = "sat"
+            edge_map = tuple(star[c][0] for c in colours)
+        else:
+            details["route"] = "solver"
+            r = solve(host, G, node_limit=node_limit - nodes)
+            nodes += r.nodes
+            status = r.status
+            edge_map = None if r.witness is None else r.witness.edge_map
+    except _LimitExceeded:  # raised at node node_limit + 1
+        return _check(name, "unknown", node_limit + 1, expect="sat", **details)
     except Exception as exc:
-        return _check(name, "unknown", expect="sat",
+        return _check(name, "unknown", nodes, expect="sat",
                       error=f"{type(exc).__name__}: {exc}", **details)
-    if r.witness is not None:
-        cert = Colouring(host, G, r.witness.edge_map)
+    if edge_map is not None:
+        cert = Colouring(host, G, edge_map)
         if not check_colouring(cert).ok:
-            return _check(name, False, r.nodes, status=r.status,
+            return _check(name, False, nodes, status=status,
                           error="certificate failed revalidation", **details)
         details["certificate"] = " ".join(f"{g}:{h}" for g, h in cert.pairs())
-    return _check(name, r.status, r.nodes, expect="sat", **details)
+    return _check(name, status, nodes, expect="sat", **details)
 
 
 def run_corpus(

@@ -44,7 +44,8 @@ from typing import Callable, Literal, Optional
 from .colouring import (Colouring, _trusted_colouring, check_colouring,
                         naive_check_colouring)
 from .multigraph import Multigraph
-from .structure import chromatic_index
+from .structure import (DEFAULT_NODE_BUDGET, _check_node_limit, _LimitExceeded,
+                        chromatic_index)
 
 Status = Literal["sat", "unsat", "unknown"]
 
@@ -65,20 +66,6 @@ class SolveResult:
     count: int = 0
     nodes: int = 0
     prunes: int = 0
-
-
-DEFAULT_NODE_BUDGET = 10**8  # the node_limit of every budgeted search
-
-
-class _LimitExceeded(Exception):
-    """A search passed its node_limit; the solver and the atlas raise it."""
-
-
-def _check_node_limit(node_limit: int) -> None:
-    """Raise ValueError unless node_limit is an integer (a bool is not one),
-    so a bad budget is rejected before any search starts."""
-    if not isinstance(node_limit, int) or isinstance(node_limit, bool):
-        raise ValueError(f"node_limit must be an integer, got {node_limit!r}")
 
 
 def solve(

@@ -7,6 +7,18 @@ from typing import Iterator, Optional
 from .multigraph import Multigraph
 
 CHROMATIC_INDEX_EDGE_GUARD = 64
+DEFAULT_NODE_BUDGET = 10**8  # the node_limit of every budgeted search
+
+
+class _LimitExceeded(Exception):
+    """A search passed its node_limit; every budgeted search raises it."""
+
+
+def _check_node_limit(node_limit: int) -> None:
+    """Raise ValueError unless node_limit is an integer (a bool is not one),
+    so a bad budget is rejected before any search starts."""
+    if not isinstance(node_limit, int) or isinstance(node_limit, bool):
+        raise ValueError(f"node_limit must be an integer, got {node_limit!r}")
 
 
 def is_matching(G: Multigraph, F) -> bool:
@@ -188,40 +200,66 @@ def bits(mask: int) -> list[int]:
 
 # -- exact edge colouring --------------------------------------------------
 
-def edge_colouring(G: Multigraph, k: int) -> Optional[list[int]]:
+def edge_colouring(G: Multigraph, k: int,
+                   node_limit: int = DEFAULT_NODE_BUDGET) -> Optional[list[int]]:
     """A proper edge colouring with colours 0..k-1, or None.
 
     Exact backtracking over edges in static id order with the usual
-    symmetry break (edge i may open at most one fresh colour).
+    symmetry break (edge i may open at most one fresh colour), so the
+    colouring returned is the first proper restricted-growth one in that
+    order.  Past node_limit nodes the search raises _LimitExceeded, as the
+    solver's does, instead of returning None.
     """
-    found = _colour_from(G.edges, max(k, 0), (), [0] * G.n, 0)
-    return None if found is None else list(found)
+    return _edge_colouring(G, k, node_limit)[0]
 
 
-def _colour_from(
-    edges: tuple[tuple[int, int], ...], k: int, colour: tuple[int, ...],
-    at: list[int], used: int,
-) -> Optional[tuple[int, ...]]:
-    """The first extension of colour, the colours of the first len(colour)
-    edges, to all edges, or None.  used is the number of colours opened so
-    far and at[v] the colour mask of v's coloured edges; each child gets its
-    own copy of at, so nothing is undone on the way back."""
-    i = len(colour)
-    if i == len(edges):
-        return colour
-    a, b = edges[i]
-    free = ~(at[a] | at[b]) & ((1 << min(k, used + 1)) - 1)
-    while free:
-        bit = free & -free
-        free ^= bit
-        c = bit.bit_length() - 1
-        child = at.copy()
-        child[a] |= bit
-        child[b] |= bit
-        found = _colour_from(edges, k, colour + (c,), child, max(used, c + 1))
-        if found is not None:
-            return found
-    return None
+def _edge_colouring(G: Multigraph, k: int,
+                    node_limit: int) -> tuple[Optional[list[int]], int]:
+    """edge_colouring and the number of search nodes it took, the root and
+    the leaves included.
+
+    Each node receives its state by value: at[v], the colour mask of v's
+    coloured edges (each child gets its own copy, so nothing is undone on
+    the way back), and opened, the mask of the colours used so far, always
+    0..j-1 for some j.  The colours edge i may take are those on neither
+    endpoint among opened | (opened + 1): the opened ones and the lowest
+    fresh one.  The colours are written into one list on the way back from
+    the first leaf.
+    """
+    _check_node_limit(node_limit)
+    edges = G.edges
+    m = len(edges)
+    palette = (1 << max(k, 0)) - 1
+    colour = [0] * m
+    nodes = 0
+
+    def rec(i: int, at: list[int], opened: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
+            raise _LimitExceeded
+        if i == m:
+            return True
+        a, b = edges[i]
+        free = ~(at[a] | at[b]) & (opened | (opened + 1)) & palette
+        while free:
+            bit = free & -free
+            free ^= bit
+            child = at.copy()
+            child[a] |= bit
+            child[b] |= bit
+            if rec(i + 1, child, opened | bit):
+                colour[i] = bit.bit_length() - 1
+                return True
+        return False
+
+    try:
+        found = rec(0, [0] * G.n, 0)
+    finally:
+        # rec reaches itself through its closure; unbinding it frees the
+        # search state now instead of at the next full garbage collection
+        del rec
+    return (colour if found else None), nodes
 
 
 def chromatic_index(G: Multigraph) -> int:

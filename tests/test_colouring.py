@@ -59,6 +59,10 @@ def test_colouring_range_error_names_first_bad_id():
         Colouring(host, guest, (2, 4, -1, 6))
     with pytest.raises(ValueError, match=r"host edge id 5 out of range"):
         Colouring(host, guest, (0, 5, 1, -3))
+    with pytest.raises(ValueError, match=r"^host edge id 1\.0 is not an integer$"):
+        Colouring(host, guest, (0, 1.0, 2, 9))
+    with pytest.raises(ValueError, match=r"^host edge id True is not an integer$"):
+        Colouring(host, guest, (0, True, 2, 3))
     assert Colouring(host, guest, (0, 4, 2, 3)).edge_map == (0, 4, 2, 3)
     assert Colouring(host, Multigraph(1, []), ()).edge_map == ()
 

@@ -12,12 +12,14 @@ import pytest
 
 import hcolour
 from hcolour.cli import load_graph, main
-from hcolour.graphio import encode_graph6
+from hcolour.colouring import Colouring, check_colouring, naive_check_colouring
+from hcolour.graphio import encode_graph6, ingest_graph6
 from hcolour.images import enumerate_splitted_images
 from hcolour.multigraph import Multigraph
 from hcolour.named import complete, petersen, s4, s12_plus_km
 from hcolour.recipes import RECIPES, run_corpus, run_recipe
 from hcolour.solver import solve
+from hcolour.structure import _edge_colouring, edge_colouring
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -179,14 +181,15 @@ def test_run_corpus_survives_a_failing_entry(monkeypatch):
     from hcolour import recipes
 
     calls = []
+    search = recipes._edge_colouring  # every entry runs it first
 
-    def failing_third(host, guest, *args, **kwargs):
+    def failing_third(guest, *args, **kwargs):
         calls.append(guest)
         if len(calls) == 3:
             raise RecursionError("maximum recursion depth exceeded")
-        return solve(host, guest, *args, **kwargs)
+        return search(guest, *args, **kwargs)
 
-    monkeypatch.setattr(recipes, "solve", failing_third)
+    monkeypatch.setattr(recipes, "_edge_colouring", failing_third)
     corpus = DATA / "cubic_bridgeless_10.g6"
     checks = run_corpus(str(corpus), s4().graph, "s4", workers=1)
     entries = len(corpus.read_text().split())
@@ -210,6 +213,61 @@ def test_run_corpus_fails_an_entry_whose_certificate_does_not_revalidate(monkeyp
     assert entry.details["status"] == "sat"
     assert entry.details["error"] == "certificate failed revalidation"
     assert "certificate" not in entry.details
+
+
+@pytest.mark.parametrize("host_name", ["s4", "petersen"])
+def test_run_corpus_routes_agree_with_the_solver(host_name):
+    host = {"s4": s4(), "petersen": petersen()}[host_name].graph
+    corpus = DATA / "cubic_bridgeless_le14.g6"
+    graphs = [G for _, G in ingest_graph6(corpus)]
+    checks = run_corpus(str(corpus), host, host_name, workers=1)
+    assert len(checks) == len(graphs) == 587
+    for G, check in zip(graphs, checks):
+        assert check.details["status"] == solve(host, G).status == "sat"
+        edge_map = tuple(int(p.split(":")[1])
+                         for p in check.details["certificate"].split())
+        cert = Colouring(host, G, edge_map)
+        assert check_colouring(cert).ok and naive_check_colouring(cert).ok
+    solver_route = [i for i, c in enumerate(checks) if c.details["route"] == "solver"]
+    assert solver_route == [i for i, G in enumerate(graphs)
+                            if edge_colouring(G, 3) is None]
+    assert len(solver_route) == 7
+    assert {c.details["route"] for c in checks} == {"edge-colouring", "solver"}
+
+
+def test_run_corpus_spends_one_budget_over_both_searches(tmp_path):
+    corpus = tmp_path / "petersen.g6"
+    corpus.write_text(encode_graph6(petersen().graph) + "\n")
+    [(_, P)] = ingest_graph6(corpus)  # not 3-edge-colourable: both searches run
+    colouring_nodes = _edge_colouring(P, 3, 10**8)[1]
+    total = colouring_nodes + solve(s4().graph, P).nodes
+    for limit, outcome in ((total, "pass"), (total - 1, "unknown"),
+                           (colouring_nodes, "unknown"), (0, "unknown")):
+        [entry] = run_corpus(str(corpus), s4().graph, "s4", node_limit=limit)
+        assert entry.outcome == outcome
+        assert entry.nodes == min(total, limit + 1)
+        assert entry.details["route"] == ("solver" if limit >= colouring_nodes
+                                          else "edge-colouring")
+        assert ("certificate" in entry.details) == (outcome == "pass")
+
+
+def test_run_corpus_spent_budget_on_the_edge_colouring_route():
+    [entry] = run_corpus(str(DATA / "cubic_bridgeless_04.g6"), s4().graph, "s4",
+                         node_limit=0)
+    assert entry.outcome == "unknown"
+    assert entry.details["status"] == "unknown"
+    assert entry.details["route"] == "edge-colouring"
+    assert entry.nodes == 1
+    assert "certificate" not in entry.details and "error" not in entry.details
+
+
+def test_run_corpus_unsat_comes_from_the_solver():
+    # K5 has no vertex of degree 3, so every entry goes to the solver
+    [entry] = run_corpus(str(DATA / "cubic_bridgeless_04.g6"), complete(5).graph,
+                         "k5")
+    assert entry.outcome == "fail"
+    assert entry.details["status"] == "unsat"
+    assert entry.details["route"] == "solver"
 
 
 def test_reservoir_is_a_seeded_sample_of_the_stream():

@@ -1,6 +1,6 @@
 import gc
 import hashlib
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,8 @@ from hcolour.named import (
 )
 from hcolour.solver import solve
 from hcolour.structure import (
+    _edge_colouring,
+    _LimitExceeded,
     chromatic_index,
     edge_colouring,
     enumerate_matchings,
@@ -107,6 +109,46 @@ def test_edge_colouring_validity():
     for u in range(P.n):
         cols = [col[e] for e, _ in P.incident(u)]
         assert len(cols) == len(set(cols))
+
+
+@st.composite
+def tiny_multigraphs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    return Multigraph(n, draw(st.lists(pairs, max_size=7)))
+
+
+def _first_edge_colouring(G, k):
+    """The first proper restricted-growth k-edge-colouring in product order:
+    edges sharing an endpoint differ, and every edge's colour is at most
+    one above the largest colour before it."""
+    for colour in product(range(k), repeat=G.m):
+        if all(c <= max(colour[:i], default=-1) + 1 for i, c in enumerate(colour)) \
+                and all(colour[e] != colour[f]
+                        for e, f in combinations(range(G.m), 2)
+                        if set(G.edges[e]) & set(G.edges[f])):
+            return list(colour)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_multigraphs(), st.integers(min_value=1, max_value=4))
+def test_edge_colouring_matches_the_product_order_oracle(G, k):
+    assert edge_colouring(G, k) == _first_edge_colouring(G, k)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_edge_colouring_runs_out_instead_of_returning_none(k):
+    P = petersen().graph  # no 3-edge-colouring, a 4-edge-colouring
+    found, nodes = _edge_colouring(P, k, 10**8)
+    assert (found is None) == (k == 3)
+    assert edge_colouring(P, k, node_limit=nodes) == found
+    for limit in (0, nodes - 1):
+        with pytest.raises(_LimitExceeded):
+            edge_colouring(P, k, node_limit=limit)
+    with pytest.raises(_LimitExceeded):
+        edge_colouring(Multigraph(1, []), k, node_limit=0)  # the root is a node
 
 
 def test_chromatic_index_values():
