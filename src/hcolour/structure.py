@@ -200,23 +200,25 @@ def bits(mask: int) -> list[int]:
 
 # -- exact edge colouring --------------------------------------------------
 
-def edge_colouring(G: Multigraph, k: int,
-                   node_limit: int = DEFAULT_NODE_BUDGET) -> Optional[list[int]]:
+def edge_colouring(G: Multigraph, k: int) -> Optional[list[int]]:
     """A proper edge colouring with colours 0..k-1, or None.
 
     Exact backtracking over edges in static id order with the usual
     symmetry break (edge i may open at most one fresh colour), so the
     colouring returned is the first proper restricted-growth one in that
-    order.  Past node_limit nodes the search raises _LimitExceeded, as the
-    solver's does, instead of returning None.
+    order.  The search is not budgeted: None means there is no colouring.
     """
-    return _edge_colouring(G, k, node_limit)[0]
+    # a node at depth i has at most k children, so the tree has at most
+    # sum(k**i for i <= m) <= (k + 1)**m nodes and this limit is never passed
+    return _edge_colouring(G, k, (max(k, 0) + 1) ** G.m)[0]
 
 
 def _edge_colouring(G: Multigraph, k: int,
                     node_limit: int) -> tuple[Optional[list[int]], int]:
     """edge_colouring and the number of search nodes it took, the root and
-    the leaves included.
+    the leaves included.  Past node_limit nodes the search raises
+    _LimitExceeded, as the solver's does, instead of returning None; the
+    corpus runner budgets its 3-edge-colourings this way.
 
     Each node receives its state by value: at[v], the colour mask of v's
     coloured edges (each child gets its own copy, so nothing is undone on

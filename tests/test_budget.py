@@ -11,15 +11,14 @@ from hcolour.images import enumerate_splitted_images
 from hcolour.named import complete, petersen, s4
 from hcolour.recipes import run_corpus, run_recipe
 from hcolour.solver import DEFAULT_NODE_BUDGET, solve
-from hcolour.structure import edge_colouring
+from hcolour.structure import _edge_colouring
 
 
 def test_the_budget_is_ten_to_the_eighth():
     assert DEFAULT_NODE_BUDGET == 10**8
 
 
-@pytest.mark.parametrize("search", [solve, enumerate_splitted_images, run_corpus,
-                                    edge_colouring])
+@pytest.mark.parametrize("search", [solve, enumerate_splitted_images, run_corpus])
 def test_every_budgeted_entry_point_defaults_to_the_budget(search):
     node_limit = inspect.signature(search).parameters["node_limit"]
     assert node_limit.default == DEFAULT_NODE_BUDGET
@@ -35,8 +34,7 @@ BUDGETED_CALLS = {
     "atlas-petersen": lambda limit: enumerate_splitted_images(petersen().graph,
                                                               node_limit=limit),
     "corpus": lambda limit: run_corpus("missing.g6", s4().graph, "s4", node_limit=limit),
-    "edge-colouring-petersen": lambda limit: edge_colouring(petersen().graph, 3,
-                                                            node_limit=limit),
+    "edge-colouring-petersen": lambda limit: _edge_colouring(petersen().graph, 3, limit),
 }
 
 

@@ -112,11 +112,15 @@ def test_edge_colouring_validity():
 
 
 @st.composite
-def tiny_multigraphs(draw):
-    n = draw(st.integers(min_value=1, max_value=5))
-    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-        lambda p: p[0] != p[1])
-    return Multigraph(n, draw(st.lists(pairs, max_size=7)))
+def small_multigraphs(draw, max_n=8, max_edges=16):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    edges = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_edges))):
+        a = draw(st.integers(min_value=0, max_value=n - 1))
+        b = draw(st.integers(min_value=0, max_value=n - 1))
+        if a != b:
+            edges.append((a, b))
+    return Multigraph(n, edges)
 
 
 def _first_edge_colouring(G, k):
@@ -133,7 +137,7 @@ def _first_edge_colouring(G, k):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tiny_multigraphs(), st.integers(min_value=1, max_value=4))
+@given(small_multigraphs(5, 7), st.integers(min_value=1, max_value=4))
 def test_edge_colouring_matches_the_product_order_oracle(G, k):
     assert edge_colouring(G, k) == _first_edge_colouring(G, k)
 
@@ -143,12 +147,13 @@ def test_edge_colouring_runs_out_instead_of_returning_none(k):
     P = petersen().graph  # no 3-edge-colouring, a 4-edge-colouring
     found, nodes = _edge_colouring(P, k, 10**8)
     assert (found is None) == (k == 3)
-    assert edge_colouring(P, k, node_limit=nodes) == found
+    assert edge_colouring(P, k) == found
+    assert _edge_colouring(P, k, nodes) == (found, nodes)
     for limit in (0, nodes - 1):
         with pytest.raises(_LimitExceeded):
-            edge_colouring(P, k, node_limit=limit)
+            _edge_colouring(P, k, limit)
     with pytest.raises(_LimitExceeded):
-        edge_colouring(Multigraph(1, []), k, node_limit=0)  # the root is a node
+        _edge_colouring(Multigraph(1, []), k, 0)  # the root is a node
 
 
 def test_chromatic_index_values():
@@ -235,18 +240,6 @@ def test_mask_core_matches_edge_ids_on_labelled_4_regular_order_6():
 )
 def test_mask_core_matches_edge_ids_on_named_graphs(G):
     _assert_mask_core_matches_edge_ids(G)
-
-
-@st.composite
-def small_multigraphs(draw):
-    n = draw(st.integers(min_value=1, max_value=8))
-    edges = []
-    for _ in range(draw(st.integers(min_value=0, max_value=16))):
-        a = draw(st.integers(min_value=0, max_value=n - 1))
-        b = draw(st.integers(min_value=0, max_value=n - 1))
-        if a != b:
-            edges.append((a, b))
-    return Multigraph(n, edges)
 
 
 @settings(max_examples=300, deadline=None)
