@@ -34,6 +34,14 @@ EXIT = {"pass": EXIT_PASS, "sat": EXIT_PASS, "fail": EXIT_FAIL, "unsat": EXIT_FA
 BUDGET_HELP = "nodes a search may visit before it answers unknown (default: %(default)s)"
 
 
+def _node_budget(text: str) -> int:
+    """The type of every --node-limit option: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def load_graph(ref: str) -> Multigraph:
     """A graph from a registry name (named.by_name), else from an edge-list
     or one-record graph6/sparse6 file.  Raises ValueError naming ref if not."""
@@ -210,13 +218,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--host", required=True)
     s.add_argument("--guest", required=True)
     s.add_argument("--count", action="store_true", help="count all colourings")
-    s.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET,
+    s.add_argument("--node-limit", type=_node_budget, default=DEFAULT_NODE_BUDGET,
                    help=BUDGET_HELP)
     s.set_defaults(func=_cmd_solve)
 
     i = sub.add_parser("images", help="enumerate all splitted images of a guest")
     i.add_argument("--guest", required=True)
-    i.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET,
+    i.add_argument("--node-limit", type=_node_budget, default=DEFAULT_NODE_BUDGET,
                    help=BUDGET_HELP)
     i.add_argument("--witness", action="store_true",
                    help="print a witness certificate per image class")
@@ -236,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     co = sub.add_parser("corpus", help="batch-solve a graph6 corpus against a host")
     co.add_argument("file")
     co.add_argument("--host", required=True)
-    co.add_argument("--node-limit", type=int, default=DEFAULT_NODE_BUDGET,
+    co.add_argument("--node-limit", type=_node_budget, default=DEFAULT_NODE_BUDGET,
                     help=BUDGET_HELP)
     co.add_argument("--workers", type=int, default=1,
                     help="pool size; 1 solves serially (default: %(default)s)")

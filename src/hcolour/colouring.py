@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .multigraph import Multigraph
-from .structure import is_matching, spanning_regular_check
 
 
 class AmbiguousHostError(ValueError):
@@ -161,15 +160,6 @@ def naive_check_colouring(c: Colouring) -> ColouringReport:
     )
 
 
-def _matching_host_vertices(H: Multigraph, img: frozenset[int]) -> list[int]:
-    """Host vertices v with boundary exactly img."""
-    if not img:
-        return [v for v in range(H.n) if H.degree(v) == 0]
-    # candidates: endpoints of any image edge
-    a, b = H.edges[next(iter(img))]
-    return [v for v in (a, b) if H.incident_edges(v) == img]
-
-
 def induced_vertex_map(c: Colouring) -> tuple[int, ...]:
     """f_V: for each guest vertex, the unique host vertex matching its type.
 
@@ -184,11 +174,17 @@ def induced_vertex_map(c: Colouring) -> tuple[int, ...]:
 
 
 def _induced_vertex_map(c: Colouring) -> tuple[int, ...]:
-    """induced_vertex_map of a colouring already known to be valid."""
+    """induced_vertex_map of a colouring already known to be valid: each
+    guest vertex's image mask, looked up in the host's boundary table."""
+    f = c.edge_map
+    bits = c.host.edge_bits()
+    owners = c.host.boundary_masks()
     out = []
-    for u in range(c.guest.n):
-        img = frozenset(c.edge_map[eid] for eid, _ in c.guest.incident(u))
-        cands = _matching_host_vertices(c.host, img)
+    for u, inc in enumerate(c.guest.boundaries()):
+        s = 0
+        for e in inc:
+            s |= bits[f[e]]
+        cands = owners[s]
         if len(cands) > 1:
             raise AmbiguousHostError(
                 f"guest vertex {u} has {len(cands)} candidate host vertices; "
@@ -303,11 +299,23 @@ class PreimageReport:
         return all(c.holds for c in self.checks if c.applicable)
 
 
+def _meet_counts(G: Multigraph, X: Iterable[int]) -> list[int]:
+    """How many edges of X meet each vertex of G."""
+    count = [0] * G.n
+    for e in X:
+        a, b = G.edges[e]
+        count[a] += 1
+        count[b] += 1
+    return count
+
+
 def preimage(c: Colouring, F: Iterable[int]) -> PreimageReport:
     """f^{-1}(F) with the lemma-driven classification flags.
 
     Whenever F has one of the recognised host-side shapes, the report
-    asserts the corresponding guest-side shape of the preimage.
+    asserts the corresponding guest-side shape of the preimage.  Every
+    shape is read off two counts: how many edges of F meet each host
+    vertex, and how many edges of the preimage meet each guest vertex.
     """
     if not check_colouring(c):
         raise ValueError("invalid colouring")
@@ -316,65 +324,44 @@ def preimage(c: Colouring, F: Iterable[int]) -> PreimageReport:
     for e in Fset:
         H._check_edge(e)
     pre = frozenset(e for e, h in enumerate(c.edge_map) if h in Fset)
-
-    checks = []
-
-    host_matching = is_matching(H, Fset)
-    guest_matching = is_matching(G, pre)
-    checks.append(PreimageCheck("matching", host_matching, guest_matching))
-
-    # multigraphs are loopless, so a matching of |V|/2 edges covers every
-    # vertex: no covered-vertex test is needed on either side
-    host_pm = host_matching and 2 * len(Fset) == H.n
-    guest_pm = guest_matching and 2 * len(pre) == G.n
-    checks.append(PreimageCheck("perfect_matching", host_pm, guest_pm))
-
-    covered = {v for e in Fset for v in H.edges[e]}
-
+    deg_F, deg_pre = _meet_counts(H, Fset), _meet_counts(G, pre)
     try:
-        fv = _induced_vertex_map(c)
-        im_fv = set(fv)
-        covers_image = host_matching and im_fv <= covered
-        checks.append(PreimageCheck("covering_matching", covers_image, guest_pm))
+        im_fv = set(_induced_vertex_map(c))
     except AmbiguousHostError:
         im_fv = None
-        checks.append(PreimageCheck("covering_matching", False, guest_pm))
 
-    # edge-cut of H_f leaving no isolated vertex, for connected guests
-    cut_applicable = False
-    cut_holds = False
-    if G.is_connected() and G.n > 1:
-        Hf, verts, eids = _image_subgraph(c)
-        back = {old: new for new, old in enumerate(eids)}
-        if Fset <= set(eids):
-            X = {back[e] for e in Fset}
-            if Hf.is_edge_cut(X):
-                degree_left = [
-                    Hf.degree(v) - sum(1 for e in X if v in Hf.edges[e])
-                    for v in range(Hf.n)
-                ]
-                if all(d > 0 for d in degree_left):
-                    cut_applicable = True
-                    cut_holds = G.is_edge_cut(pre)
-    checks.append(PreimageCheck("edge_cut", cut_applicable, cut_holds))
+    # multigraphs are loopless, so edges meeting every vertex once are a
+    # perfect matching
+    host_matching = all(d <= 1 for d in deg_F)
+    guest_pm = all(d == 1 for d in deg_pre)
+    covers_image = (host_matching and im_fv is not None
+                    and all(deg_F[v] for v in im_fv))
 
-    # k-regular host edge set meeting Im(f_V)
-    reg_applicable = False
-    reg_holds = False
+    # an edge cut of H_f leaving no isolated vertex, for a connected guest
+    # (H_f is then connected): F lies in Im f, every H_f vertex keeps an
+    # edge, and H_f - F is disconnected
+    cut = False
+    image = c.image_edges()
+    if G.n > 1 and G.is_connected() and Fset <= image:
+        deg_im = _meet_counts(H, image)
+        if all(d < di for d, di in zip(deg_F, deg_im) if di):
+            # walk H_f - F: every host edge outside Im f - F is cut
+            cut_mask = (1 << H.m) - 1 - sum(1 << e for e in image - Fset)
+            reach = H._reach(H.edges[min(image)][0], cut_mask)
+            cut = reach != sum(1 << v for v, di in enumerate(deg_im) if di)
+
+    # a k-regular host edge set meeting Im(f_V)
+    regular = False
     if Fset and im_fv is not None:
-        degs = [0] * H.n
-        for e in Fset:
-            a, b = H.edges[e]
-            degs[a] += 1
-            degs[b] += 1
-        touched = [d for d in degs if d]
-        if touched and len(set(touched)) == 1:
-            k = touched[0]
-            if any(degs[v] for v in im_fv):
-                reg_applicable = True
-                reg_holds = bool(pre) and spanning_regular_check(G, pre, k)
-        checks.append(PreimageCheck("regular_subgraph", reg_applicable, reg_holds))
-    else:
-        checks.append(PreimageCheck("regular_subgraph", False, False))
+        k = max(deg_F)
+        regular = (all(d in (0, k) for d in deg_F)
+                   and any(deg_F[v] for v in im_fv))
 
-    return PreimageReport(edges=pre, checks=tuple(checks))
+    return PreimageReport(edges=pre, checks=(
+        PreimageCheck("matching", host_matching, all(d <= 1 for d in deg_pre)),
+        PreimageCheck("perfect_matching", all(d == 1 for d in deg_F), guest_pm),
+        PreimageCheck("covering_matching", covers_image, guest_pm),
+        PreimageCheck("edge_cut", cut, cut and G.is_edge_cut(pre)),
+        PreimageCheck("regular_subgraph", regular, regular and bool(pre)
+                      and all(d in (0, k) for d in deg_pre)),
+    ))

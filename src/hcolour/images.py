@@ -192,11 +192,10 @@ def enumerate_splitted_images(
 
     The rule is applied as a room mask per edge endpoint, once per node.
     cover(u) is the union of the types in done of size deg[u] that contain
-    a nonempty at[u]; u may take exactly the classes in cover(u) if at[u]
-    holds a saturated class, and otherwise any unsaturated class or one in
-    cover(u).  An empty vertex may take any unsaturated class and the
-    saturated classes of each type in done of size deg[u].  An open vertex
-    holding a newly saturated class needs a nonempty cover.
+    at[u] (all of them while at[u] is empty); u may take exactly the
+    classes in cover(u) if at[u] holds a saturated class, and otherwise any
+    unsaturated class or one in cover(u).  An open vertex holding a newly
+    saturated class needs a nonempty cover.
 
     Every leaf's labelling is rechecked by _vertex_types, and its set of
     distinct types keys the image: _image_of_types builds the graph and
@@ -242,15 +241,8 @@ def enumerate_splitted_images(
 
     def room(u: int, sat: int, done: tuple[int, ...]) -> int:
         """The classes that can join at[u] without breaking a saturated class."""
-        if at[u]:
-            got = cover(u, done)
-            return got if at[u] & sat else ~sat | got
-        d = deg[u]
-        out = ~sat
-        for T in done:
-            if T.bit_count() == d:
-                out |= T & sat
-        return out
+        got = cover(u, done)
+        return got if at[u] & sat else ~sat | got
 
     def record() -> None:
         nonlocal single_type

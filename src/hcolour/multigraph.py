@@ -66,15 +66,18 @@ class Multigraph:
             )
         return self._boundaries
 
-    def boundary_masks(self) -> frozenset[int]:
-        """The boundary of every vertex as an edge mask (bit e for edge e),
-        built on first use.  An isolated vertex contributes the mask 0."""
+    def boundary_masks(self) -> dict[int, tuple[int, ...]]:
+        """Each vertex's boundary as an edge mask (bit e for edge e), mapped
+        to the vertices that have it, in increasing order; built on first
+        use.  Isolated vertices share key 0; a nonzero key is shared in tK2."""
         if self._boundary_masks is None:
             masks = [0] * self.n
             for eid, (a, b) in enumerate(self.edges):
                 masks[a] |= 1 << eid
                 masks[b] |= 1 << eid
-            self._boundary_masks = frozenset(masks)
+            self._boundary_masks = table = {}
+            for v, mask in enumerate(masks):
+                table[mask] = table.get(mask, ()) + (v,)
         return self._boundary_masks
 
     def edge_bits(self) -> dict[int, int]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -523,6 +522,8 @@ def run_corpus(
     jobs = [(index, lineno, G, host, host_name, node_limit)
             for index, (lineno, G) in enumerate(ingest_graph6(path))]
     parallel = workers > 1 and len(jobs) > 1
+    if parallel:  # imported here, so that importing hcolour loads no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
     checks: list[CheckResult] = []
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         for check in (pool.map if parallel else map)(_corpus_entry, jobs):
@@ -554,8 +555,8 @@ def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
 
     Raises ValueError before running anything when the name is unknown, a
     parameter is one no recipe reads (a misspelt key would otherwise run
-    the recipe at its default), or a parameter is not an integer.  The
-    recipe receives every parameter, defaults from _PARAMS filled in.
+    the recipe at its default), a parameter is not an integer or node_limit
+    is negative.  The recipe receives every parameter, the rest at _PARAMS' defaults.
     """
     if name not in RECIPES:
         raise ValueError(
@@ -569,5 +570,6 @@ def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
             )
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
+    _check_node_limit(params.get("node_limit", 0))
     checks = RECIPES[name]({**_PARAMS, **params})
     return VerificationReport(recipe=name, checks=checks, version=artifact_version())

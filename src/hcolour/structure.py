@@ -15,10 +15,12 @@ class _LimitExceeded(Exception):
 
 
 def _check_node_limit(node_limit: int) -> None:
-    """Raise ValueError unless node_limit is an integer (a bool is not one),
-    so a bad budget is rejected before any search starts."""
+    """Raise ValueError unless node_limit is a non-negative integer (a bool
+    is not one), so a bad budget is rejected before any search starts."""
     if not isinstance(node_limit, int) or isinstance(node_limit, bool):
         raise ValueError(f"node_limit must be an integer, got {node_limit!r}")
+    if node_limit < 0:
+        raise ValueError(f"node_limit must be non-negative, got {node_limit}")
 
 
 def is_matching(G: Multigraph, F) -> bool:

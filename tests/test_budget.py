@@ -6,7 +6,7 @@ import inspect
 import pytest
 
 from hcolour import recipes
-from hcolour.cli import build_parser
+from hcolour.cli import build_parser, main
 from hcolour.images import enumerate_splitted_images
 from hcolour.named import complete, petersen, s4
 from hcolour.recipes import run_corpus, run_recipe
@@ -80,3 +80,33 @@ def test_a_recipe_node_limit_of_none_is_rejected(monkeypatch):
     with pytest.raises(ValueError,
                        match=r"^parameter 'node_limit' must be an integer, got None$"):
         run_recipe("petersen-images", {"node_limit": None})
+
+
+@pytest.mark.parametrize("call", list(BUDGETED_CALLS))
+def test_a_negative_node_limit_is_rejected_before_the_search(call):
+    with pytest.raises(ValueError, match=r"^node_limit must be non-negative, got -1$"):
+        BUDGETED_CALLS[call](-1)
+
+
+def test_a_recipe_node_limit_of_minus_one_is_rejected(monkeypatch):
+    def never(params):
+        raise AssertionError("the recipe ran")
+
+    monkeypatch.setitem(recipes.RECIPES, "petersen-images", never)
+    with pytest.raises(ValueError, match=r"^node_limit must be non-negative, got -1$"):
+        run_recipe("petersen-images", {"node_limit": -1})
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--host", "s4", "--guest", "petersen"],
+    ["images", "--guest", "petersen"],
+    ["corpus", "missing.g6", "--host", "s4"],
+])
+def test_a_node_limit_option_of_minus_one_is_a_parse_error(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv + ["--node-limit", "-1"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(
+        "error: argument --node-limit: must be a non-negative integer, got '-1'")
+    assert "Traceback" not in err

@@ -20,8 +20,15 @@ from hcolour.colouring import (
 )
 from hcolour.multigraph import Multigraph
 from hcolour.named import cycle, petersen, s4, s12_plus_km, t_k2
-from hcolour.solver import solve
-from hcolour.structure import perfect_matchings
+from hcolour.recipes import _LEMMA_PAIRS
+from hcolour.solver import naive_solve_all, solve
+from hcolour.structure import (
+    enumerate_matchings,
+    is_matching,
+    perfect_matchings,
+    spanning_regular_check,
+)
+from test_structure import small_multigraphs
 
 
 def paw_colouring():
@@ -203,6 +210,107 @@ def test_preimage_rejects_invalid_colouring():
     bad = Colouring(host, cycle(4).graph, (0, 0, 1, 0))
     with pytest.raises(ValueError):
         preimage(bad, {0})
+
+
+def definitional_vertex_map(c: Colouring) -> tuple[int, ...]:
+    """f_V from the definition: the host vertex whose boundary equals each
+    guest vertex's image set; AmbiguousHostError if there are two."""
+    out = []
+    for u in range(c.guest.n):
+        img = {c.edge_map[e] for e, _ in c.guest.incident(u)}
+        owners = [v for v in range(c.host.n) if c.host.incident_edges(v) == img]
+        if len(owners) > 1:
+            raise AmbiguousHostError(u)
+        out.append(owners[0])
+    return tuple(out)
+
+
+def definitional_preimage(c: Colouring, F: frozenset[int]):
+    """preimage's edges and (name, applicable, holds) flags from the
+    definitions, on the structure module's predicates and on H_f itself."""
+    H, G = c.host, c.guest
+    pre = frozenset(e for e, h in enumerate(c.edge_map) if h in F)
+    host_matching = is_matching(H, F)
+    guest_pm = is_matching(G, pre) and 2 * len(pre) == G.n
+    try:
+        im_fv = set(definitional_vertex_map(c))
+    except AmbiguousHostError:
+        im_fv = None
+    ends = {v for e in F for v in H.edges[e]}
+    cut = False
+    if G.n > 1 and G.is_connected():
+        Hf, verts, eids = image_subgraph(c)
+        if F <= set(eids):
+            X = {eids.index(e) for e in F}
+            cut = Hf.is_edge_cut(X) and all(
+                Hf.degree(v) > sum(v in Hf.edges[e] for e in X) for v in range(Hf.n))
+    regular = False
+    k = 0
+    if F and im_fv is not None:
+        k = sum(1 for e in F if next(iter(ends)) in H.edges[e])
+        regular = spanning_regular_check(H, F, k) and bool(ends & im_fv)
+    return pre, (
+        ("matching", host_matching, is_matching(G, pre)),
+        ("perfect_matching", host_matching and 2 * len(F) == H.n, guest_pm),
+        ("covering_matching",
+         host_matching and im_fv is not None and im_fv <= ends, guest_pm),
+        ("edge_cut", cut, cut and G.is_edge_cut(pre)),
+        ("regular_subgraph", regular,
+         regular and bool(pre) and spanning_regular_check(G, pre, k)),
+    )
+
+
+def assert_vertex_map_is_definitional(c: Colouring) -> None:
+    try:
+        expected = definitional_vertex_map(c)
+    except AmbiguousHostError:
+        with pytest.raises(AmbiguousHostError):
+            induced_vertex_map(c)
+    else:
+        assert induced_vertex_map(c) == expected
+
+
+def assert_preimage_is_definitional(c: Colouring, F) -> None:
+    rep = preimage(c, F)
+    pre, flags = definitional_preimage(c, frozenset(F))
+    assert rep.edges == pre, (c.edge_map, F)
+    assert [(k.name, k.applicable, k.holds) for k in rep.checks] == list(flags), (
+        c.edge_map, F)
+
+
+def all_subsets(m: int):
+    for r in range(m + 1):
+        yield from map(frozenset, itertools.combinations(range(m), r))
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_multigraphs(5, 6), small_multigraphs(5, 4))
+def test_preimage_and_vertex_map_match_their_definitions(host, guest):
+    # the host colours itself by the identity, so every example has one
+    identity = Colouring(host, host, tuple(range(host.m)))
+    for c in [identity, *naive_solve_all(host, guest)[:6]]:
+        assert_vertex_map_is_definitional(c)
+        for F in all_subsets(host.m):
+            assert_preimage_is_definitional(c, F)
+
+
+@pytest.mark.parametrize("label, host, guest", _LEMMA_PAIRS())
+def test_preimage_matches_its_definition_on_the_lemma_pairs(label, host, guest):
+    c = solve(host, guest).witness
+    assert_vertex_map_is_definitional(c)
+    for F in [*enumerate_matchings(host), c.image_edges()]:
+        assert_preimage_is_definitional(c, F)
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_every_colouring_by_tk2_has_an_ambiguous_vertex_map(t):
+    host = t_k2(t).graph
+    colourings = naive_solve_all(host, Multigraph(4, [(0, 1), (2, 3)] * t))
+    assert colourings
+    for c in colourings:
+        with pytest.raises(AmbiguousHostError, match="2 candidate host vertices"):
+            induced_vertex_map(c)
+        assert_preimage_is_definitional(c, c.image_edges())
 
 
 @functools.lru_cache(maxsize=64)

@@ -310,20 +310,32 @@ def test_reservoir_is_uniform():
 def test_hcolor_threads_env(tmp_path, capsys, monkeypatch):
     # the pool size is --workers alone, default 1 (serial); no environment
     # variable overrides it
-    from hcolour import recipes
-
     def no_pool(**kwargs):
         raise AssertionError(f"a process pool was started: {kwargs}")
 
     path = tmp_path / "c.g6"
     path.write_text((encode_graph6(petersen().graph) + "\n") * 2)
     monkeypatch.setenv("HCOLOR_THREADS", "3")
-    monkeypatch.setattr(recipes, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     assert [c.outcome for c in run_corpus(str(path), s4().graph, "s4")] == ["pass"] * 2
     assert main(["corpus", str(path), "--host", "s4"]) == 0
     assert capsys.readouterr().err.startswith(f"corpus {path} vs s4: pass")
     with pytest.raises(AssertionError, match="max_workers': 2"):
         run_corpus(str(path), s4().graph, "s4", workers=2)
+
+
+def test_importing_hcolour_loads_no_process_pool():
+    # only a corpus run with more than one worker imports the pool
+    src = Path(hcolour.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-B", "-c",
+         "import sys, hcolour, hcolour.cli; print('multiprocessing' in sys.modules, "
+         "'concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False False\n"
 
 
 # -- CLI ---------------------------------------------------------------------
