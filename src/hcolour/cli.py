@@ -193,7 +193,7 @@ def _cmd_corpus(args) -> int:
     report = VerificationReport(
         recipe=f"corpus:{args.host}", checks=checks, version=artifact_version()
     )
-    print(report.to_json_lines().splitlines()[-1])
+    print(report.summary_json())
     print(
         f"corpus {args.file} vs {args.host}: {report.status}, "
         f"{len(checks)} entries in {time.perf_counter() - t0:.1f}s",

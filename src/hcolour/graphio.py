@@ -7,7 +7,7 @@ from typing import Iterator, Optional
 
 from .canonical import canonical_digest
 from .colouring import Colouring
-from .multigraph import Multigraph
+from .multigraph import MAX_ORDER, Multigraph
 
 
 class GraphFormatError(ValueError):
@@ -17,6 +17,7 @@ class GraphFormatError(ValueError):
 
 
 def _read_n(data: bytes) -> tuple[int, bytes]:
+    """A graph6/sparse6 size prefix's order, at most MAX_ORDER, and the rest."""
     if not data:
         raise GraphFormatError("empty record")
     first = data[0] - 63
@@ -25,16 +26,17 @@ def _read_n(data: bytes) -> tuple[int, bytes]:
     if first <= 62:
         return first, data[1:]
     if len(data) >= 4 and data[1] - 63 <= 62:
-        n = 0
-        for b in data[1:4]:
-            n = (n << 6) | (b - 63)
-        return n, data[4:]
-    if len(data) >= 8:
-        n = 0
-        for b in data[2:8]:
-            n = (n << 6) | (b - 63)
-        return n, data[8:]
-    raise GraphFormatError("truncated size prefix")
+        size, rest = data[1:4], data[4:]
+    elif len(data) >= 8:
+        size, rest = data[2:8], data[8:]
+    else:
+        raise GraphFormatError("truncated size prefix")
+    n = 0
+    for b in size:
+        n = (n << 6) | (b - 63)
+    if n > MAX_ORDER:
+        raise GraphFormatError(f"order {n} exceeds {MAX_ORDER}")
+    return n, rest
 
 
 def _bit_stream(data: bytes) -> Iterator[int]:

@@ -208,9 +208,10 @@ def enumerate_splitted_images(
     star K_{1,t} with every edge pendant: one type of t classes makes the
     classes a t-edge-colouring of a t-regular guest, and conversely in a
     connected guest whose classes each lie in one type, adjacent vertices
-    share their type.  So a complete atlas decides the flag, and an
-    incomplete one gives True if such a leaf was reached and None if not.
-    The star image still appears as a regular entry.
+    share their type.  The flag is read after the search off the type sets
+    cached per leaf, so a complete atlas decides it, and an incomplete one
+    gives True if such a leaf was reached and None if not.  The star image
+    still appears as a regular entry.
     """
     _check_node_limit(node_limit)
     if not guest.is_connected() or guest.n <= 2:
@@ -224,10 +225,9 @@ def enumerate_splitted_images(
     cls = [-1] * m
     at = [0] * n  # class mask of the assigned edges at each vertex
     found: dict[bytes, AtlasEntry] = {}
-    # distinct types of a leaf -> (image graph, used vertices, canonical form)
-    by_types: dict[frozenset[int], tuple[Multigraph, int, bytes]] = {}
+    # distinct types of a leaf -> (image graph, canonical form)
+    by_types: dict[frozenset[int], tuple[Multigraph, bytes]] = {}
     nodes = 0
-    single_type = False  # some leaf has one vertex type: the tk2 colouring
 
     def cover(u: int, done: tuple[int, ...]) -> int:
         """The union of the completed types of size deg[u] that contain at[u]."""
@@ -245,16 +245,13 @@ def enumerate_splitted_images(
         return got if at[u] & sat else ~sat | got
 
     def record() -> None:
-        nonlocal single_type
         edge_classes = tuple(cls)
         types = frozenset(_vertex_types(guest, edge_classes, order))
         image = by_types.get(types)
         if image is None:
-            g, used, _ = _image_of_types(types)
-            image = by_types[types] = (g, used, canonical_form(g))
-        g, used, key = image
-        if used == 1:
-            single_type = True
+            g = _image_of_types(types)[0]
+            image = by_types[types] = (g, canonical_form(g))
+        g, key = image
         witness = _witness(g, guest, edge_classes)
         entry = found.get(key)
         if entry is None:
@@ -317,7 +314,8 @@ def enumerate_splitted_images(
         # search state now instead of at the next full garbage collection
         del rec
     atlas.nodes = nodes
-    atlas.tk2_realizable = single_type or (False if atlas.complete else None)
+    atlas.tk2_realizable = (any(len(types) == 1 for types in by_types)
+                            or (False if atlas.complete else None))
     atlas.entries = sorted(
         found.values(), key=lambda e: (e.graph.n, e.graph.m, e.canonical)
     )

@@ -11,6 +11,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
+# the largest order a graph input may announce, the most that graph6's
+# four-byte size form encodes; inputs check it before allocating anything
+MAX_ORDER = 258_047
+
 
 class Multigraph:
     """A finite undirected loopless multigraph."""
@@ -281,6 +285,8 @@ def from_edge_list_text(text: str, name: str = "") -> Multigraph:
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
         if header is None:
+            if a > MAX_ORDER:
+                raise ValueError(f"line {lineno}: order {a} exceeds {MAX_ORDER}")
             header = (a, b)
         else:
             edges.append((a, b))

@@ -84,20 +84,21 @@ class VerificationReport:
     def total_nodes(self) -> int:
         return sum(c.nodes for c in self.checks)
 
-    def to_json_lines(self) -> str:
-        lines = [c.to_json() for c in self.checks]
-        lines.append(
-            json.dumps(
-                {
-                    "recipe": self.recipe,
-                    "status": self.status,
-                    "checks": len(self.checks),
-                    "total_nodes": self.total_nodes,
-                    "version": self.version,
-                },
-                sort_keys=True,
-            )
+    def summary_json(self) -> str:
+        """The report's last line: one JSON object without the checks."""
+        return json.dumps(
+            {
+                "recipe": self.recipe,
+                "status": self.status,
+                "checks": len(self.checks),
+                "total_nodes": self.total_nodes,
+                "version": self.version,
+            },
+            sort_keys=True,
         )
+
+    def to_json_lines(self) -> str:
+        lines = [c.to_json() for c in self.checks] + [self.summary_json()]
         return "\n".join(lines) + "\n"
 
 
@@ -435,10 +436,12 @@ def _corpus_entry(job: tuple) -> CheckResult:
     """The check entry-<index> for one corpus record.
 
     job is (index, line number, graph or parse error, host, host name,
-    node limit).  A parse error is "unknown" with the error in its details;
-    a graph that is not connected bridgeless cubic simple passes as
-    skipped.  Otherwise host ≺ G is decided on one of two routes, named in
-    the "route" detail:
+    node limit, star), where star is the incidences of the host's first
+    degree-3 vertex, or None if it has none; run_corpus finds it once per
+    run.  A parse error is "unknown" with the error in its details; a graph
+    that is not connected bridgeless cubic simple passes as skipped.
+    Otherwise host ≺ G is decided on one of two routes, named in the
+    "route" detail:
 
     * "edge-colouring": when the host has a vertex v of degree 3, any
       3-edge-colouring of G composed with v's three edges (colour i to
@@ -453,7 +456,7 @@ def _corpus_entry(job: tuple) -> CheckResult:
     entry cannot abort the batch), is "unknown".  nodes is the total over
     both searches.
     """
-    index, lineno, G, host, host_name, node_limit = job
+    index, lineno, G, host, host_name, node_limit, star = job
     name = f"entry-{index}"
     if isinstance(G, GraphFormatError):
         return _check(name, None, line=lineno, error=str(G))
@@ -466,8 +469,6 @@ def _corpus_entry(job: tuple) -> CheckResult:
         return _check(name, True, line=lineno,
                       skipped="not a connected bridgeless cubic simple graph")
     details = {"line": lineno, "n": G.n, "m": G.m, "host": host_name}
-    star = next((host.incident(v) for v in range(host.n) if host.degree(v) == 3),
-                None)
     colours = None
     nodes = 0
     try:
@@ -517,9 +518,11 @@ def run_corpus(
     positive integer.
     """
     _check_node_limit(node_limit)
-    if workers < 1:
-        raise ValueError(f"--workers must be a positive integer, got {workers}")
-    jobs = [(index, lineno, G, host, host_name, node_limit)
+    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
+        raise ValueError(f"--workers must be a positive integer, got {workers!r}")
+    star = next((host.incident(v) for v in range(host.n) if host.degree(v) == 3),
+                None)
+    jobs = [(index, lineno, G, host, host_name, node_limit, star)
             for index, (lineno, G) in enumerate(ingest_graph6(path))]
     parallel = workers > 1 and len(jobs) > 1
     if parallel:  # imported here, so that importing hcolour loads no multiprocessing

@@ -3,20 +3,22 @@
 Backtracking over guest edges with the search state in integer bitmasks:
 host edge h is bit h of an edge mask and host vertex v is bit v of a vertex
 mask.  Each host vertex has the edge mask of its boundary.  Each guest
-vertex u keeps
+vertex u keeps two masks:
 
-* a domain: the host vertices v with deg(v) = deg(u) whose boundary
+* its domain: the host vertices v with deg(v) = deg(u) whose boundary
   contains every host edge already assigned around u;
-* the pool of that domain: the OR of its vertices' boundary masks;
-* the mask of host edges already used at u.
+* the host edges already used at u.
 
-The candidates for a guest edge ab are pool[a] & pool[b] & ~(used[a] |
-used[b]), tried lowest bit first.  Assigning host edge h narrows the domains
-of a and b by AND with the mask of h's two endpoints.  A domain never
-empties, so the search never prunes: h in pool[a] means some vertex of
-domain[a] is an endpoint of h.  Once all of u's edges are assigned, any
-surviving domain vertex matches u's type exactly (set sizes agree), so no
-separate completion check is needed.
+The candidates for a guest edge ab are pool_of[domain[a]] &
+pool_of[domain[b]] & ~(used[a] | used[b]), tried lowest bit first: pool_of
+maps every domain the search can hold (a degree class, or a nonempty subset
+of one host edge's endpoints) to the OR of its vertices' boundary masks.
+Assigning host edge h narrows the domains of a and b by AND with the mask
+of h's two endpoints.  A domain never empties, so the search never prunes:
+h in the pool of domain[a] means some vertex of domain[a] is an endpoint of
+h.  Once all of u's edges are assigned, any surviving domain vertex matches
+u's type exactly (set sizes agree), so no separate completion check is
+needed.
 
 Edges are assigned in a fixed sequence: next is the unassigned edge with the
 most assigned neighbours, ties broken by breadth-first position.  That
@@ -107,35 +109,36 @@ def solve(
         boundary[x] |= 1 << h
         boundary[y] |= 1 << h
     ends = [(1 << x) | (1 << y) for x, y in host.edges]
-    by_degree: dict[int, int] = {}
+    # degree -> (vertex mask of its class, OR of the class's boundaries)
+    by_degree: dict[int, tuple[int, int]] = {}
     for v in range(host.n):
-        by_degree[host.degree(v)] = by_degree.get(host.degree(v), 0) | 1 << v
+        mask, pool = by_degree.get(host.degree(v), (0, 0))
+        by_degree[host.degree(v)] = (mask | 1 << v, pool | boundary[v])
 
     # pool of every domain the search can hold: a degree class, or a
     # nonempty subset of one host edge's endpoints
     pool_of = {1 << v: boundary[v] for v in range(host.n)}
     for x, y in host.edges:
         pool_of[(1 << x) | (1 << y)] = boundary[x] | boundary[y]
-    for d in by_degree.values():
-        pool_of[d] = _union(boundary, d)
+    pool_of.update(by_degree.values())
 
     domain: list[int] = []
     for u in range(guest.n):
-        d = by_degree.get(guest.degree(u), 0)
-        if not d:
+        if guest.degree(u) not in by_degree:
             return res  # some guest vertex has no possible image: unsat
-        domain.append(d)
-    pool = [pool_of[d] for d in domain]
+        domain.append(by_degree[guest.degree(u)][0])
     used = [0] * guest.n
 
     sequence = _assignment_sequence(guest)
     m = guest.m
     assignment: list[int] = [-1] * m
+    nodes = 0
 
     def rec(depth: int) -> bool:
         """Returns True to abort the search (mode="first" after a hit)."""
-        res.nodes += 1
-        if res.nodes > node_limit:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_limit:
             raise _LimitExceeded
         if depth == m:
             record(tuple(assignment))
@@ -143,24 +146,20 @@ def solve(
         eid = sequence[depth]
         a, b = guest.edges[eid]
         dom_a, dom_b = domain[a], domain[b]
-        pool_a, pool_b = pool[a], pool[b]
         used_a, used_b = used[a], used[b]
-        cand = pool_a & pool_b & ~(used_a | used_b)
+        cand = pool_of[dom_a] & pool_of[dom_b] & ~(used_a | used_b)
         while cand:
             bit = cand & -cand
             cand ^= bit
             h = bit.bit_length() - 1
             assignment[eid] = h
-            domain[a] = d = dom_a & ends[h]
-            pool[a] = pool_of[d]
-            domain[b] = d = dom_b & ends[h]
-            pool[b] = pool_of[d]
+            domain[a] = dom_a & ends[h]
+            domain[b] = dom_b & ends[h]
             used[a] = used_a | bit
             used[b] = used_b | bit
             if rec(depth + 1):
                 return True
         domain[a], domain[b] = dom_a, dom_b
-        pool[a], pool[b] = pool_a, pool_b
         used[a], used[b] = used_a, used_b
         return False
 
@@ -170,22 +169,13 @@ def solve(
         res.status = "unknown"
         return res
     finally:
+        res.nodes = nodes
         # rec reaches itself through its closure, and through record the
         # result; unbinding it frees the search state now instead of at the
         # next full garbage collection
         del rec
     res.status = "sat" if res.count else "unsat"
     return res
-
-
-def _union(boundary: list[int], d: int) -> int:
-    """OR of the boundary masks of the host vertices in vertex mask d."""
-    out = 0
-    while d:
-        bit = d & -d
-        d ^= bit
-        out |= boundary[bit.bit_length() - 1]
-    return out
 
 
 def _assignment_sequence(G: Multigraph) -> list[int]:

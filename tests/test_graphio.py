@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,7 @@ from hcolour.canonical import is_isomorphic
 from hcolour.colouring import check_colouring
 from hcolour.graphio import (
     GraphFormatError,
+    _read_n,
     certificate_text,
     decode_graph6,
     decode_sparse6,
@@ -13,7 +15,7 @@ from hcolour.graphio import (
     ingest_graph6,
     parse_certificate,
 )
-from hcolour.multigraph import Multigraph
+from hcolour.multigraph import MAX_ORDER, Multigraph
 from hcolour.named import complete, cycle, petersen, s4
 from hcolour.solver import solve
 
@@ -153,3 +155,22 @@ def test_certificate_partial_map_rejected():
     truncated = "\n".join(text.splitlines()[:-1]) + "\n"
     with pytest.raises(GraphFormatError):
         parse_certificate(truncated, host, guest)
+
+
+def test_size_prefix_order_limit():
+    # MAX_ORDER in the four-byte and the eight-byte size form
+    assert _read_n(b"~}~~") == (MAX_ORDER, b"")
+    assert _read_n(b"~~???}~~") == (MAX_ORDER, b"")
+    over = [(":~~???~??", MAX_ORDER + 1), (":~~?@????", 2**24),
+            (":~~~~~~~~", 2**36 - 1), ("~~~~~~~~", 2**36 - 1)]
+    tracemalloc.start()
+    try:
+        for record, order in over:
+            decode = decode_sparse6 if record.startswith(":") else decode_graph6
+            with pytest.raises(GraphFormatError, match=f"^order {order} exceeds {MAX_ORDER}$"):
+                decode(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the announced order is never allocated
+

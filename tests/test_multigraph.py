@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcolour.multigraph import (
+    MAX_ORDER,
     Multigraph,
     from_edge_list_text,
     to_edge_list_text,
@@ -174,3 +175,9 @@ def test_edge_list_text_roundtrip():
 def test_edge_list_text_rejects_bad_header():
     with pytest.raises(ValueError):
         from_edge_list_text("3 2\n0 1\n")  # header claims 2 edges, has 1
+
+
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 2**36 - 1])
+def test_edge_list_text_rejects_an_order_over_the_limit(order):
+    with pytest.raises(ValueError, match=f"^line 2: order {order} exceeds {MAX_ORDER}$"):
+        from_edge_list_text(f"# big\n{order} 0\n")

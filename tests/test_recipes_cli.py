@@ -17,7 +17,8 @@ from hcolour.graphio import encode_graph6, ingest_graph6
 from hcolour.images import enumerate_splitted_images
 from hcolour.multigraph import Multigraph
 from hcolour.named import complete, petersen, s4, s12_plus_km
-from hcolour.recipes import RECIPES, run_corpus, run_recipe
+from hcolour.recipes import (RECIPES, VerificationReport, artifact_version, run_corpus,
+                             run_recipe)
 from hcolour.solver import solve
 from hcolour.structure import _edge_colouring, edge_colouring
 
@@ -492,15 +493,16 @@ def test_cli_corpus_bad_hcolor_threads(tmp_path, capsys, monkeypatch):
     assert "error" not in captured.err
 
 
-@pytest.mark.parametrize("bad", [0, -1])
+@pytest.mark.parametrize("bad", [0, -1, 2.5, "2", True])
 def test_worker_count_rejects_non_positive_request(tmp_path, capsys, bad):
     # rejected before the file is read: it does not exist
     missing = str(tmp_path / "missing.g6")
-    with pytest.raises(ValueError, match=f"^--workers must be a positive integer, got {bad}$"):
+    message = f"--workers must be a positive integer, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_corpus(missing, s4().graph, "s4", workers=bad)
-    assert main(["corpus", missing, "--host", "s4", "--workers", str(bad)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: --workers must be a positive integer, got {bad}\n"
+    if type(bad) is int:  # --workers is type=int, so nothing else reaches the CLI
+        assert main(["corpus", missing, "--host", "s4", "--workers", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("cmd", ["corpus"])
@@ -538,16 +540,47 @@ def test_cli_corpus_missing_file_is_an_error(tmp_path, capsys, cmd):
 def test_cli_corpus_streams_in_input_order(tmp_path, capsys):
     path = tmp_path / "mixed.g6"
     _mixed_corpus(path)
+    checks = run_corpus(str(path), s4().graph, "s4", workers=1)
+    report = VerificationReport(recipe="corpus:s4", checks=checks,
+                                version=artifact_version())
+    # each entry's line, then the report's summary line, byte for byte
+    want = "".join(c.to_json() + "\n" for c in checks)
+    want += report.to_json_lines().splitlines()[-1] + "\n"
     outs = []
     for workers in ("1", "2"):
         assert main(["corpus", str(path), "--host", "s4", "--workers", workers]) == 2
         outs.append(capsys.readouterr().out)
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == want
     rows = [json.loads(line) for line in outs[0].splitlines()]
     assert [r.get("check") for r in rows] == [
         "entry-0", "entry-1", "entry-2", "entry-3", "entry-4", None,
     ]
     assert rows[-1]["status"] == "unknown" and rows[-1]["checks"] == 5
+
+
+def test_over_limit_record_is_an_unknown_entry(tmp_path, capsys):
+    path = tmp_path / "big.g6"
+    g6 = encode_graph6(petersen().graph)
+    path.write_text(f"{g6}\n:~~~~~~~~\n{g6}\n")
+    checks = run_corpus(str(path), s4().graph, "s4", workers=1)
+    assert [c.outcome for c in checks] == ["pass", "unknown", "pass"]
+    assert checks[1].details == {"line": 2, "error": f"line 2: order {2**36 - 1} exceeds 258047"}
+    assert main(["corpus", str(path), "--host", "s4", "--workers", "1"]) == 2
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("text", [":~~~~~~~~\n", "68719476735 0\n"])
+def test_cli_over_limit_graph_is_an_error(tmp_path, capsys, text):
+    path = tmp_path / "big.txt"
+    path.write_text(text)
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--host", "s4", "--guest", str(path)])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.endswith(f"order {2**36 - 1} exceeds 258047\n")
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_cli_corpus_node_limit_zero_is_honoured(tmp_path, capsys):
