@@ -201,19 +201,27 @@ def image_subgraph(c: Colouring) -> tuple[Multigraph, list[int], list[int]]:
     """
     if not check_colouring(c):
         raise ValueError("invalid colouring")
-    return _image_subgraph(c)
+    return c.host.edge_induced_subgraph(c.image_edges())
 
 
-def _image_subgraph(c: Colouring) -> tuple[Multigraph, list[int], list[int]]:
-    """image_subgraph of a colouring already known to be valid."""
-    return c.host.edge_induced_subgraph(sorted(c.image_edges()))
+def _meet_counts(G: Multigraph, X: Iterable[int]) -> list[int]:
+    """How many edges of X meet each vertex of G."""
+    count = [0] * G.n
+    for e in X:
+        a, b = G.edges[e]
+        count[a] += 1
+        count[b] += 1
+    return count
 
 
 def unused_vertices(c: Colouring) -> frozenset[int]:
-    """Host vertices of H_f outside the range of the induced vertex map."""
+    """Host vertices of H_f outside the range of the induced vertex map.
+
+    H_f's vertices are the host vertices that some used edge meets.
+    """
     fv = induced_vertex_map(c)  # validates c
-    _, verts, _ = _image_subgraph(c)
-    return frozenset(verts) - frozenset(fv)
+    deg = _meet_counts(c.host, c.image_edges())
+    return frozenset(v for v, d in enumerate(deg) if d) - frozenset(fv)
 
 
 @dataclass(frozen=True)
@@ -234,28 +242,28 @@ class ImageGraph:
 
 
 def splitted_image(c: Colouring) -> ImageGraph:
-    """Replace every unused vertex of degree d >= 2 by d degree-1 vertices."""
-    fv = induced_vertex_map(c)  # validates c
-    Hf, verts, eids = _image_subgraph(c)
-    pos = {v: i for i, v in enumerate(verts)}
-    used_old = sorted(set(fv))
-    unused_old = [v for v in verts if v not in set(fv)]
+    """Replace every unused vertex of degree d >= 2 by d degree-1 vertices.
 
-    new_id: dict[int, int] = {}
-    for v in used_old:
-        new_id[v] = len(new_id)
+    A host vertex's degree in H_f is the number of used edges meeting it.
+    Used vertices come first, then the pendant unused ones, both by host
+    id; the split copies follow, one per used edge end, by edge id.
+    """
+    fv = induced_vertex_map(c)  # validates c
+    eids = sorted(c.image_edges())
+    deg = _meet_counts(c.host, eids)
+    used = sorted(set(fv))
+    new_id = {v: i for i, v in enumerate(used)}
     pendant = []
-    for v in unused_old:
-        if Hf.degree(pos[v]) == 1:
+    for v, d in enumerate(deg):
+        if d == 1 and v not in new_id:
             new_id[v] = len(new_id)
             pendant.append(new_id[v])
     split = []
     edges = []
     next_id = len(new_id)
     for e in eids:
-        a, b = c.host.edges[e]
         ends = []
-        for v in (a, b):
+        for v in c.host.edges[e]:
             if v in new_id:
                 ends.append(new_id[v])
             else:
@@ -267,7 +275,7 @@ def splitted_image(c: Colouring) -> ImageGraph:
     graph = Multigraph(next_id, edges, name=f"~H_f({c.host.name or 'H'})")
     return ImageGraph(
         graph=graph,
-        used=tuple(new_id[v] for v in used_old),
+        used=tuple(range(len(used))),
         split=tuple(split),
         pendant_unused=tuple(pendant),
         source=c,
@@ -299,16 +307,6 @@ class PreimageReport:
         return all(c.holds for c in self.checks if c.applicable)
 
 
-def _meet_counts(G: Multigraph, X: Iterable[int]) -> list[int]:
-    """How many edges of X meet each vertex of G."""
-    count = [0] * G.n
-    for e in X:
-        a, b = G.edges[e]
-        count[a] += 1
-        count[b] += 1
-    return count
-
-
 def preimage(c: Colouring, F: Iterable[int]) -> PreimageReport:
     """f^{-1}(F) with the lemma-driven classification flags.
 
@@ -320,9 +318,13 @@ def preimage(c: Colouring, F: Iterable[int]) -> PreimageReport:
     if not check_colouring(c):
         raise ValueError("invalid colouring")
     H, G = c.host, c.guest
-    Fset = frozenset(F)
-    for e in Fset:
+    F = tuple(F)
+    for e in F:
+        # exactly int, as in Colouring: True would stand for edge 1
+        if type(e) is not int:
+            raise ValueError(f"host edge id {e!r} is not an integer")
         H._check_edge(e)
+    Fset = frozenset(F)
     pre = frozenset(e for e, h in enumerate(c.edge_map) if h in Fset)
     deg_F, deg_pre = _meet_counts(H, Fset), _meet_counts(G, pre)
     try:

@@ -1,9 +1,12 @@
 """Constructors for the named multigraphs, with the labellings the proofs use.
 
 Each constructor returns a LabelledGraph: the multigraph plus a role map
-from label text to vertex/edge ids.  Gadget copies carry superscripts, e.g.
-"z^1", "l^2_1", "r^3_2".  by_name resolves every graph name the package
-accepts (petersen, s12+1M, k5-e, j4, kfamily-5-4-1, ...) through one table.
+from label text to vertex/edge ids.  S4, S6, S10 and the S12+kM hosts are
+copies of one S4+kM gadget (_place_gadget) glued at attachment vertices,
+and J_{2r} is r copies of K_{2r+1}-e glued to a centre; each constructor
+states only its gluing.  Gadget copies carry superscripts, e.g. "z^1",
+"l^2_1", "r^3_2".  by_name resolves every graph name the package accepts
+(petersen, s12+1M, k5-e, j4, kfamily-5-4-1, ...) through one table.
 """
 
 from __future__ import annotations
@@ -46,41 +49,36 @@ def petersen() -> LabelledGraph:
     return LabelledGraph(Multigraph(10, edges, name="P"), vlabels, elabels)
 
 
-def _gadget_edges(base: int, k: int, z: int | None, sup: str):
-    """Edges and labels of one S4+kM copy.
+def _place_gadget(edges: list, vlabels: dict, elabels: dict, u: int, k: int,
+                  sup: str = "", z: int | None = None) -> None:
+    """Append one S4+kM gadget copy on u, v = u+1 and w = u+2.
 
-    Vertex offsets within the copy: u=base, v=base+1, w=base+2; z is the
-    caller-supplied attachment vertex (own vertex for S4, triangle vertex
-    for S12+kM), or None when the copy does not own one.  Bold matching
-    edges get their k parallel copies here: k+2 copies of vw and, when the
-    copy owns z, k+1 copies of uz.
+    Labels the vertices u, v, w and appends the edges m_1 = uv, m_2 = uw
+    and the k+2 parallel copies l_1..l_{k+2} of the bold edge vw; when the
+    copy owns the attachment vertex z, also the k+1 copies r_1..r_{k+1} of
+    the bold edge uz.  Every label carries the copy's superscript sup, and
+    each edge label is its edge's position in edges.
     """
-    u, v, w = base, base + 1, base + 2
-    edges = []
-    labels = {}
-    labels[f"m{sup}_1"] = 0
-    edges.append((u, v))
-    labels[f"m{sup}_2"] = 1
-    edges.append((u, w))
-    for j in range(k + 2):
-        labels[f"l{sup}_{j + 1}"] = len(edges)
-        edges.append((v, w))
+    if k < 0:
+        raise ValueError("k must be non-negative")
+    v, w = u + 1, u + 2
+    vlabels.update({f"u{sup}": u, f"v{sup}": v, f"w{sup}": w})
+    runs = [("m", [(u, v), (u, w)]), ("l", [(v, w)] * (k + 2))]
     if z is not None:
-        for j in range(k + 1):
-            labels[f"r{sup}_{j + 1}"] = len(edges)
-            edges.append((u, z))
-    return edges, labels
+        runs.append(("r", [(u, z)] * (k + 1)))
+    for role, run in runs:
+        for j, edge in enumerate(run, 1):
+            elabels[f"{role}{sup}_{j}"] = len(edges)
+            edges.append(edge)
 
 
 def s4_plus_km(k: int) -> LabelledGraph:
-    """S4 plus k parallel copies on each bold matching edge (S4+0M = S4)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    # z=0, u=1, v=2, w=3
-    edges, labels = _gadget_edges(1, k, z=0, sup="")
-    vlabels = {"z": 0, "u": 1, "v": 2, "w": 3}
+    """S4 plus k parallel copies on each bold matching edge (S4+0M = S4):
+    one gadget on u=1, v=2, w=3 owning z=0."""
+    edges, vlabels, elabels = [], {"z": 0}, {}
+    _place_gadget(edges, vlabels, elabels, 1, k, z=0)
     name = "S4" if k == 0 else f"S4+{k}M"
-    return LabelledGraph(Multigraph(4, edges, name=name), vlabels, labels)
+    return LabelledGraph(Multigraph(4, edges, name=name), vlabels, elabels)
 
 
 def s4() -> LabelledGraph:
@@ -88,26 +86,15 @@ def s4() -> LabelledGraph:
 
 
 def s6_plus_km(k: int) -> LabelledGraph:
-    """Two triangle gadgets joined by the (k+1)-fold edge between their u-vertices."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    edges = []
-    labels = {}
-    vlabels = {}
+    """Two gadgets joined by the (k+1)-fold edge r between their u-vertices."""
+    edges, vlabels, elabels = [], {}, {}
     for i in (1, 2):
-        base = (i - 1) * 3
-        vlabels[f"u^{i}"] = base
-        vlabels[f"v^{i}"] = base + 1
-        vlabels[f"w^{i}"] = base + 2
-        part, plabels = _gadget_edges(base, k, z=None, sup=f"^{i}")
-        off = len(edges)
-        edges.extend(part)
-        labels.update({lab: off + e for lab, e in plabels.items()})
+        _place_gadget(edges, vlabels, elabels, 3 * (i - 1), k, f"^{i}")
     for j in range(k + 1):
-        labels[f"r_{j + 1}"] = len(edges)
+        elabels[f"r_{j + 1}"] = len(edges)
         edges.append((0, 3))
     name = "S6" if k == 0 else f"S6+{k}M"
-    return LabelledGraph(Multigraph(6, edges, name=name), vlabels, labels)
+    return LabelledGraph(Multigraph(6, edges, name=name), vlabels, elabels)
 
 
 def s6() -> LabelledGraph:
@@ -115,47 +102,25 @@ def s6() -> LabelledGraph:
 
 
 def s10() -> LabelledGraph:
-    """The Sylvester graph: three gadgets attached to one central vertex."""
-    edges = []
-    labels = {}
-    vlabels = {"c": 9}
+    """The Sylvester graph: three gadgets attached to one central vertex c."""
+    edges, vlabels, elabels = [], {"c": 9}, {}
     for i in (1, 2, 3):
-        base = (i - 1) * 3
-        vlabels[f"u^{i}"] = base
-        vlabels[f"v^{i}"] = base + 1
-        vlabels[f"w^{i}"] = base + 2
-        part, plabels = _gadget_edges(base, 0, z=None, sup=f"^{i}")
-        off = len(edges)
-        edges.extend(part)
-        labels.update({lab: off + e for lab, e in plabels.items()})
-        labels[f"r^{i}_1"] = len(edges)
-        edges.append((base, 9))
-    return LabelledGraph(Multigraph(10, edges, name="S10"), vlabels, labels)
+        _place_gadget(edges, vlabels, elabels, 3 * (i - 1), 0, f"^{i}", z=9)
+    return LabelledGraph(Multigraph(10, edges, name="S10"), vlabels, elabels)
 
 
 def s12_plus_km(k: int) -> LabelledGraph:
     """Three gadgets whose attachment edges end on a plain triangle z^1 z^2 z^3."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    edges = []
-    labels = {}
-    vlabels = {}
+    edges, vlabels, elabels = [], {}, {}
     for i in (1, 2, 3):
-        base = (i - 1) * 4
-        z, u, v, w = base, base + 1, base + 2, base + 3
+        z = 4 * (i - 1)
         vlabels[f"z^{i}"] = z
-        vlabels[f"u^{i}"] = u
-        vlabels[f"v^{i}"] = v
-        vlabels[f"w^{i}"] = w
-        part, plabels = _gadget_edges(u, k, z=z, sup=f"^{i}")
-        off = len(edges)
-        edges.extend(part)
-        labels.update({lab: off + e for lab, e in plabels.items()})
+        _place_gadget(edges, vlabels, elabels, z + 1, k, f"^{i}", z=z)
     for i, j in ((1, 2), (2, 3), (1, 3)):
-        labels[f"z^{i}z^{j}"] = len(edges)
+        elabels[f"z^{i}z^{j}"] = len(edges)
         edges.append((vlabels[f"z^{i}"], vlabels[f"z^{j}"]))
     name = "S12" if k == 0 else f"S12+{k}M"
-    return LabelledGraph(Multigraph(12, edges, name=name), vlabels, labels)
+    return LabelledGraph(Multigraph(12, edges, name=name), vlabels, elabels)
 
 
 def s12() -> LabelledGraph:
@@ -214,28 +179,22 @@ def path(n: int) -> LabelledGraph:
 def j_graph(r: int) -> LabelledGraph:
     """r copies of K_{2r+1} minus an edge, glued to a new central vertex.
 
-    The 2r degree-(2r-1) vertices are all joined to the centre, giving a
-    2r-regular simple graph on r(2r+1)+1 vertices.
+    Each copy's two deficient vertices a, b are joined to the centre u,
+    giving a 2r-regular simple graph on r(2r+1)+1 vertices.
     """
     if r <= 1:
         raise ValueError("r must be greater than 1")
-    size = 2 * r + 1
-    n = r * size + 1
-    centre = n - 1
-    edges = []
-    vlabels = {"u": centre}
+    block = complete_minus_edge(2 * r + 1)
+    a, b = block.vertex_labels["a"], block.vertex_labels["b"]
+    size = block.graph.n
+    centre = r * size
+    edges, vlabels = [], {"u": centre}
     for c in range(r):
         base = c * size
-        for i in range(size):
-            for j in range(i + 1, size):
-                if (i, j) == (0, 1):
-                    continue
-                edges.append((base + i, base + j))
-        edges.append((base, centre))
-        edges.append((base + 1, centre))
-        vlabels[f"a^{c + 1}"] = base
-        vlabels[f"b^{c + 1}"] = base + 1
-    return LabelledGraph(Multigraph(n, edges, name=f"J{2 * r}"), vlabels)
+        edges += [(base + i, base + j) for i, j in block.graph.edges]
+        edges += [(base + a, centre), (base + b, centre)]
+        vlabels[f"a^{c + 1}"], vlabels[f"b^{c + 1}"] = base + a, base + b
+    return LabelledGraph(Multigraph(centre + 1, edges, name=f"J{2 * r}"), vlabels)
 
 
 # -- exhaustive families ---------------------------------------------------

@@ -511,11 +511,11 @@ def run_corpus(
     Returns one check per input record, named entry-<index>, in input
     order; progress, if given, receives each check in that order as soon
     as it is decided.  Each record is mapped through _corpus_entry, serially
-    or, with more than one worker and record, in a process pool; parse
-    errors, skipped graphs, hit node limits and solves that raise are
-    per-entry outcomes and never stop the run.  Raises ValueError before
-    reading the file when node_limit is not an integer or workers is not a
-    positive integer.
+    or, with more than one worker and record, in a pool of min(workers,
+    records) processes; parse errors, skipped graphs, hit node limits and
+    solves that raise are per-entry outcomes and never stop the run.
+    Raises ValueError before reading the file when node_limit is not an
+    integer or workers is not a positive integer.
     """
     _check_node_limit(node_limit)
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
@@ -524,11 +524,12 @@ def run_corpus(
                 None)
     jobs = [(index, lineno, G, host, host_name, node_limit, star)
             for index, (lineno, G) in enumerate(ingest_graph6(path))]
-    parallel = workers > 1 and len(jobs) > 1
+    size = min(workers, len(jobs))  # a pool forks all its workers up front
+    parallel = size > 1
     if parallel:  # imported here, so that importing hcolour loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor
     checks: list[CheckResult] = []
-    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(max_workers=size) if parallel else nullcontext() as pool:
         for check in (pool.map if parallel else map)(_corpus_entry, jobs):
             checks.append(check)
             if progress is not None:

@@ -9,6 +9,7 @@ from hcolour.colouring import (
     AmbiguousHostError,
     Colouring,
     ColouringReport,
+    ImageGraph,
     _trusted_colouring,
     check_colouring,
     image_subgraph,
@@ -19,7 +20,7 @@ from hcolour.colouring import (
     unused_vertices,
 )
 from hcolour.multigraph import Multigraph
-from hcolour.named import cycle, petersen, s4, s12_plus_km, t_k2
+from hcolour.named import complete, cycle, petersen, s4, s12_plus_km, t_k2
 from hcolour.recipes import _LEMMA_PAIRS
 from hcolour.solver import naive_solve_all, solve
 from hcolour.structure import (
@@ -168,6 +169,106 @@ def test_image_functions_reject_invalid_colouring(fn):
     bad = Colouring(t_k2(2).graph, cycle(4).graph, (0, 0, 1, 0))
     with pytest.raises(ValueError, match="invalid colouring"):
         fn(bad)
+
+
+def hf_splitted_image(c: Colouring) -> ImageGraph:
+    """splitted_image built on the subgraph H_f itself: the oracle for the
+    version that reads H_f's vertices and degrees off used-edge counts."""
+    fv = induced_vertex_map(c)
+    Hf, verts, eids = image_subgraph(c)
+    pos = {v: i for i, v in enumerate(verts)}
+    used_old = sorted(set(fv))
+    new_id = {v: i for i, v in enumerate(used_old)}
+    pendant = []
+    for v in verts:
+        if v not in new_id and Hf.degree(pos[v]) == 1:
+            new_id[v] = len(new_id)
+            pendant.append(new_id[v])
+    split, edges, next_id = [], [], len(new_id)
+    for e in eids:
+        ends = []
+        for v in c.host.edges[e]:
+            if v in new_id:
+                ends.append(new_id[v])
+            else:
+                ends.append(next_id)
+                split.append(next_id)
+                next_id += 1
+        edges.append(tuple(ends))
+    graph = Multigraph(next_id, edges, name=f"~H_f({c.host.name or 'H'})")
+    return ImageGraph(graph, tuple(new_id[v] for v in used_old), tuple(split),
+                      tuple(pendant), c)
+
+
+def hf_unused_vertices(c: Colouring) -> frozenset[int]:
+    _, verts, _ = image_subgraph(c)
+    return frozenset(verts) - frozenset(induced_vertex_map(c))
+
+
+def assert_image_matches_hf_oracle(c: Colouring) -> None:
+    try:
+        want = hf_splitted_image(c)
+    except AmbiguousHostError:
+        for fn in (splitted_image, unused_vertices):
+            with pytest.raises(AmbiguousHostError):
+                fn(c)
+        return
+    got = splitted_image(c)
+    assert (got.graph, got.graph.name) == (want.graph, want.graph.name), c.edge_map
+    assert (got.used, got.split, got.pendant_unused) == (
+        want.used, want.split, want.pendant_unused), c.edge_map
+    assert got.source is c
+    assert unused_vertices(c) == hf_unused_vertices(c), c.edge_map
+
+
+PAW = paw_colouring().host
+
+# (host, guest, colourings, of which ambiguous, with a split, with a pendant)
+IMAGE_PAIRS = {
+    "paw<guest6": (PAW, paw_colouring().guest, 2, 0, 2, 0),
+    "paw<C6": (PAW, cycle(6).graph, 16, 0, 12, 4),
+    "S4<K4": (s4().graph, complete(4).graph, 30, 0, 24, 18),
+    "S4<P": (s4().graph, petersen().graph, 480, 0, 0, 480),
+    "P<P": (petersen().graph, petersen().graph, 120, 0, 0, 0),
+    "3K2<K4": (t_k2(3).graph, complete(4).graph, 6, 6, 0, 0),
+}
+
+
+@pytest.mark.parametrize("pair", IMAGE_PAIRS)
+def test_splitted_image_matches_the_hf_oracle_on_every_colouring(pair):
+    host, guest, count, ambiguous, with_split, with_pendant = IMAGE_PAIRS[pair]
+    colourings = []
+    solve(host, guest, mode="count", visit=colourings.append)
+    assert len(colourings) == count
+    seen = [0, 0, 0]
+    for c in colourings:
+        assert_image_matches_hf_oracle(c)
+        try:
+            img = splitted_image(c)
+        except AmbiguousHostError:
+            seen[0] += 1
+            continue
+        seen[1] += bool(img.split)
+        seen[2] += bool(img.pendant_unused)
+    assert seen == [ambiguous, with_split, with_pendant]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_multigraphs(5, 6), small_multigraphs(5, 4))
+def test_splitted_image_matches_the_hf_oracle_on_small_pairs(host, guest):
+    identity = Colouring(host, host, tuple(range(host.m)))
+    for c in [identity, *naive_solve_all(host, guest)]:
+        assert_image_matches_hf_oracle(c)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_preimage_takes_only_integer_edge_ids(bad):
+    c = _s4_colouring_of_petersen()
+    with pytest.raises(ValueError, match=rf"^host edge id {bad!r} is not an integer$"):
+        preimage(c, [bad])
+    with pytest.raises(ValueError, match="is not an integer"):
+        preimage(c, [1, bad])
+    assert preimage(c, [1]).edges == preimage(c, iter([1])).edges
 
 
 def test_preimage_matching_and_pm():

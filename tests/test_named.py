@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -120,6 +122,28 @@ def test_j_graph():
     assert len(set(g.edges)) == g.m  # simple
     centre = lab.vertex_labels["u"]
     assert g.degree(centre) == 4
+
+
+# sha256 of each construction's n, edge tuple, name and label items in
+# insertion order, recorded before the constructors shared a gadget placer;
+# `hcolour gen` prints the labels in this order.
+CONSTRUCTIONS_DIGEST = "9529bbc9e7b2dfc424d66399738825408c2ba1af2f506c0fe5c851148f59e7ac"
+
+
+def test_constructions_are_pinned():
+    labs = ([build(k) for build in (s4_plus_km, s6_plus_km, s12_plus_km) for k in range(4)]
+            + [s10(), petersen(), poorly_matchable_ten_vertices()]
+            + [j_graph(r) for r in range(2, 7)])
+    dump = json.dumps([[lab.graph.n, lab.graph.edges, lab.name,
+                        list(lab.vertex_labels.items()), list(lab.edge_labels.items())]
+                       for lab in labs])
+    assert hashlib.sha256(dump.encode()).hexdigest() == CONSTRUCTIONS_DIGEST
+
+
+@pytest.mark.parametrize("build", [s4_plus_km, s6_plus_km, s12_plus_km])
+def test_negative_k_is_rejected(build):
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        build(-1)
 
 
 def test_regular_multigraphs_labelled_count():

@@ -325,6 +325,27 @@ def test_hcolor_threads_env(tmp_path, capsys, monkeypatch):
         run_corpus(str(path), s4().graph, "s4", workers=2)
 
 
+def test_corpus_pool_never_outnumbers_the_records(tmp_path, monkeypatch):
+    # a pool forks all its workers up front, so 2 records get 2 workers
+    # however many --workers asks for
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = []
+
+    def recording_pool(**kwargs):
+        sizes.append(kwargs["max_workers"])
+        return ThreadPoolExecutor(**kwargs)
+
+    path = tmp_path / "c.g6"
+    path.write_text((encode_graph6(petersen().graph) + "\n") * 2)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording_pool)
+    for workers, pools in ((6, [2]), (2, [2]), (1, [])):
+        sizes.clear()
+        checks = run_corpus(str(path), s4().graph, "s4", workers=workers)
+        assert [c.outcome for c in checks] == ["pass"] * 2
+        assert sizes == pools
+
+
 def test_importing_hcolour_loads_no_process_pool():
     # only a corpus run with more than one worker imports the pool
     src = Path(hcolour.__file__).resolve().parent.parent
