@@ -3,7 +3,12 @@
 The canonical form is computed by iterated equitable refinement of an
 ordered vertex partition (colours carry degree and multiplicity
 information), followed by a branch over the first non-singleton cell with
-re-refinement after each individualisation.  Every discrete partition
+re-refinement after each individualisation.  A refinement round keys only
+the cells next to the last round's splits (after an individualisation,
+next to the individualised vertex), each vertex by one pass over its
+neighbour list, where a dense signature over every cell costs
+O(n · cells); the sparse signature orders as the dense one does (see
+_refine), so the partitions are the same.  Every discrete partition
 reached yields a labelling; the lexicographically least upper-triangle
 multiplicity encoding over all of them is the canonical form.
 
@@ -14,7 +19,8 @@ Practical graph isomorphism II, arXiv:1301.1493).  The same search gives
 the exact order of the automorphism group and a generating set, cached on
 the graph with the canonical form.  Pruning leaves the form unchanged:
 K8, whose unpruned tree has 40,320 leaves, now encodes 29.
-naive_canonical_form keeps the unpruned search as the test oracle.
+naive_canonical_form keeps the unpruned search, refined by the dense
+signature (_dense_refine), as the test oracle.
 
 This is exact but exponential in the worst case; intended for graphs up to
 roughly 40 vertices, which covers everything this package constructs.
@@ -27,34 +33,82 @@ import struct
 from .multigraph import Multigraph
 
 
-def _refine(mult: list[list[int]], cells: list[list[int]]) -> list[list[int]]:
+def _refine(nbrs: list[list[tuple[int, int]]], cells: list[list[int]],
+            splitters: list[int] | None = None) -> list[list[int]]:
     """Equitable refinement of an ordered partition.
 
     Cells are repeatedly split by the multiset of edge multiplicities into
     every cell; sub-cells are ordered by their signature, which is an
-    isomorphism-invariant choice.
+    isomorphism-invariant choice.  Each cell is labelled by its start, the
+    number of vertices in the cells before it, so a split relabels only
+    the vertices of its own sub-cells.  A round reads the neighbour lists
+    (nbrs[v], the pairs (w, multiplicity of vw)) of the vertices it keys,
+    once each: O(m log m) at most, where a dense signature over every cell
+    costs O(n · cells).
+
+    The signature of v is sparse: a pair (-s, k) per neighbour w, where s
+    is the start of w's cell and k the multiplicity of vw, sorted by s and
+    then k.  Starts order cells as their positions do, and the signature
+    orders exactly as the dense tuple over every cell of sorted
+    multiplicities, () where v has no neighbour, that _dense_refine
+    builds.  Where two dense tuples first differ, at cell c, the sparse
+    keys agree up to their pairs in cell c.  If both have pairs there, the
+    first that differ compare as the dense entries' multiplicities do; if
+    one key runs out of cell c first (its dense entry is a prefix of the
+    other, or ()), its next pair holds a later cell, with a smaller -s, or
+    the key ends; either way it sorts below, as the shorter dense entry
+    does.  So every split and sub-cell order is the dense one.
+
+    A round keys only the cells with a neighbour in a splitter: a sub-cell
+    made by the last round's splits, bar one largest sub-cell of each
+    split cell.  Every other cell has one signature, so the dense round
+    leaves it whole too: its vertices had equal signatures against the
+    partition before those splits, and their counts into the largest
+    sub-cell are those into the old cell less those into its splitters.
+    Splitters (cell indices) passed for the first round assert the same of
+    cells: they came from an equitable partition by splitting some of its
+    cells, and splitters lists the new sub-cells bar one largest of each
+    split cell.  None keys every cell.
     """
+    start_of = [0] * len(nbrs)  # the start of each vertex's cell
+    at: dict[int, list[int]] = {}  # start -> cell
+    starts = []
+    s = 0
+    for cell in cells:
+        at[s] = cell
+        starts.append(s)
+        for v in cell:
+            start_of[v] = s
+        s += len(cell)
+    fresh = None if splitters is None else [starts[c] for c in splitters]
     while True:
-        changed = False
-        new_cells: list[list[int]] = []
-        for cell in cells:
+        if fresh is None:
+            keyed = list(at)
+        else:
+            keyed = {start_of[w] for s in fresh for u in at[s] for w, _ in nbrs[u]}
+        splits = []  # applied after the round, whose keys read the old starts
+        for s in keyed:
+            cell = at[s]
             if len(cell) == 1:
-                new_cells.append(cell)
                 continue
             sig = {}
             for v in cell:
-                key = tuple(
-                    tuple(sorted(mult[v][w] for w in other if mult[v][w]))
-                    for other in cells
-                )
-                sig.setdefault(key, []).append(v)
+                pairs = sorted([(start_of[w], k) for w, k in nbrs[v]])
+                sig.setdefault(tuple([(-d, k) for d, k in pairs]), []).append(v)
             if len(sig) > 1:
-                changed = True
-            for key in sorted(sig):
-                new_cells.append(sig[key])
-        cells = new_cells
-        if not changed:
-            return cells
+                splits.append((s, [sig[key] for key in sorted(sig)]))
+        if not splits:
+            return [at[s] for s in sorted(at)]
+        fresh = []
+        for s, parts in splits:
+            largest = max(parts, key=len)
+            for part in parts:
+                at[s] = part
+                if part is not largest:
+                    fresh.append(s)
+                for v in part:
+                    start_of[v] = s
+                s += len(part)
 
 
 def _mult_matrix(G: Multigraph) -> list[list[int]]:
@@ -65,11 +119,23 @@ def _mult_matrix(G: Multigraph) -> list[list[int]]:
     return mult
 
 
-def _initial_cells(G: Multigraph, mult: list[list[int]]) -> list[list[int]]:
+def _neighbours(G: Multigraph) -> list[list[tuple[int, int]]]:
+    """(w, multiplicity of vw) for each distinct neighbour w of each v."""
+    out = []
+    for inc in G._adj:
+        count: dict[int, int] = {}
+        for _, w in inc:
+            count[w] = count.get(w, 0) + 1
+        out.append(list(count.items()))
+    return out
+
+
+def _initial_cells(nbrs: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """Vertices grouped by degree and sorted neighbour multiplicities."""
     sig = {}
-    for v in range(G.n):
-        key = (G.degree(v), tuple(sorted(m for m in mult[v] if m)))
-        sig.setdefault(key, []).append(v)
+    for v, row in enumerate(nbrs):
+        ks = sorted(k for _, k in row)
+        sig.setdefault((sum(ks), tuple(ks)), []).append(v)
     return [sig[key] for key in sorted(sig)]
 
 
@@ -77,9 +143,8 @@ def _encode(mult: list[list[int]], order: list[int]) -> bytes:
     """Upper-triangle multiplicity rows of the graph relabelled by order."""
     out = bytearray()
     for i in range(1, len(order)):
-        vi = order[i]
-        for j in range(i):
-            out.append(mult[vi][order[j]])
+        row = mult[order[i]]
+        out += bytes([row[u] for u in order[:i]])
     return bytes(out)
 
 
@@ -103,15 +168,17 @@ def _search(G: Multigraph) -> tuple[bytes, int, tuple[tuple[int, ...], ...]]:
     then none of its leaves can equal the best.
     """
     mult = _mult_matrix(G)
+    nbrs = _neighbours(G)
     n = G.n
     best: bytes | None = None
     best_order: list[int] = []
     count = 0  # leaves of the unpruned tree seen so far that encode as best
     gens: list[list[int]] = []
 
-    def search(cells: list[list[int]], prefix: list[int]) -> None:
+    def search(cells: list[list[int]], prefix: list[int],
+               splitters: list[int] | None = None) -> None:
         nonlocal best, best_order, count
-        cells = _refine(mult, cells)
+        cells = _refine(nbrs, cells, splitters)
         split_at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if split_at is None:
             order = [c[0] for c in cells]
@@ -152,13 +219,14 @@ def _search(G: Multigraph) -> tuple[bytes, int, tuple[tuple[int, ...], ...]]:
                 continue
             rest = [w for w in target if w != v]
             before, counted = best, count
+            # cells is equitable and rest is at least as large as [v]
             search(cells[:split_at] + [[v], rest] + cells[split_at + 1:],
-                   prefix + [v])
+                   prefix + [v], [split_at])
             # a new best resets count inside this subtree
             mine = count - counted if best == before else count
             explored.append((v, best, mine))
 
-    search(_initial_cells(G, mult), [])
+    search(_initial_cells(nbrs), [])
     del search  # it reaches itself through its closure; free it now
     return best, count, tuple(tuple(g) for g in gens)
 
@@ -197,15 +265,42 @@ def automorphism_generators(G: Multigraph) -> tuple[tuple[int, ...], ...]:
     return G._aut[1]
 
 
+def _dense_refine(mult: list[list[int]], cells: list[list[int]]) -> list[list[int]]:
+    """_refine by its definition: each vertex's signature is a tuple over
+    every cell of its sorted multiplicities into that cell, so a round
+    costs O(n^2).  naive_canonical_form's refinement, kept independent."""
+    while True:
+        changed = False
+        new_cells: list[list[int]] = []
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            sig = {}
+            for v in cell:
+                key = tuple(
+                    tuple(sorted(mult[v][w] for w in other if mult[v][w]))
+                    for other in cells
+                )
+                sig.setdefault(key, []).append(v)
+            if len(sig) > 1:
+                changed = True
+            for key in sorted(sig):
+                new_cells.append(sig[key])
+        cells = new_cells
+        if not changed:
+            return cells
+
+
 def naive_canonical_form(G: Multigraph) -> bytes:
     """canonical_form without automorphism pruning or caching: the least
     encoding over every leaf of the search tree.  Test oracle."""
     header = struct.pack(">II", G.n, G.m)
     mult = _mult_matrix(G)
     best: bytes | None = None
-    stack = [_initial_cells(G, mult)]
+    stack = [_initial_cells(_neighbours(G))]
     while stack:
-        cells = _refine(mult, stack.pop())
+        cells = _dense_refine(mult, stack.pop())
         split_at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if split_at is None:
             enc = _encode(mult, [c[0] for c in cells])

@@ -17,6 +17,9 @@ colouring of the guest by that graph, which is the witness we attach.
 
 Endpoint types of an edge may coincide: that is precisely how images with
 unused degree-1 vertices arise, e.g. the S4 image of the Petersen graph.
+
+Images are classed up to isomorphism by canonical_form, taken once per
+distinct labelled image (its order and edge multiset) in each enumeration.
 """
 
 from __future__ import annotations
@@ -198,9 +201,13 @@ def enumerate_splitted_images(
     saturated class needs a nonempty cover.
 
     Every leaf's labelling is rechecked by _vertex_types, and its set of
-    distinct types keys the image: _image_of_types builds the graph and
-    canonical_form reads it once per type set and call.  Each leaf's
-    witness colouring by that graph is revalidated by check_colouring.
+    distinct types keys the image: _image_of_types builds the graph once
+    per type set and call, since the witness maps guest edges to that
+    graph's edge ids, its class ids.  Type sets often build the same
+    labelled graph, its edge multiset, so canonical_form is taken once per
+    distinct labelled image and call (Heawood: 67 forms for 308 type
+    sets).  Each leaf's witness colouring by its graph is revalidated by
+    check_colouring.
 
     The tk2_realizable flag says whether the guest is coloured by t
     parallel edges on two vertices, i.e. is t-regular and t-edge-colourable.
@@ -227,6 +234,8 @@ def enumerate_splitted_images(
     found: dict[bytes, AtlasEntry] = {}
     # distinct types of a leaf -> (image graph, canonical form)
     by_types: dict[frozenset[int], tuple[Multigraph, bytes]] = {}
+    # labelled image (order, sorted edges) -> canonical form, for this call
+    forms: dict[tuple[int, tuple[tuple[int, int], ...]], bytes] = {}
     nodes = 0
 
     def cover(u: int, done: tuple[int, ...]) -> int:
@@ -250,7 +259,11 @@ def enumerate_splitted_images(
         image = by_types.get(types)
         if image is None:
             g = _image_of_types(types)[0]
-            image = by_types[types] = (g, canonical_form(g))
+            labelled = (g.n, tuple(sorted(g.edges)))
+            key = forms.get(labelled)
+            if key is None:
+                key = forms[labelled] = canonical_form(g)
+            image = by_types[types] = (g, key)
         g, key = image
         witness = _witness(g, guest, edge_classes)
         entry = found.get(key)

@@ -510,10 +510,11 @@ def run_corpus(
 
     Returns one check per input record, named entry-<index>, in input
     order; progress, if given, receives each check in that order as soon
-    as it is decided.  Each record is mapped through _corpus_entry, serially
-    or, with more than one worker and record, in a pool of min(workers,
-    records) processes; parse errors, skipped graphs, hit node limits and
-    solves that raise are per-entry outcomes and never stop the run.
+    as it is decided.  Each record is mapped through _corpus_entry in a
+    pool of min(workers, records, CPUs) processes when that is more than
+    one, and serially otherwise; parse errors, skipped graphs, hit node
+    limits and solves that raise are per-entry outcomes and never stop the
+    run.
     Raises ValueError before reading the file when node_limit is not an
     integer or workers is not a positive integer.
     """
@@ -524,7 +525,10 @@ def run_corpus(
                 None)
     jobs = [(index, lineno, G, host, host_name, node_limit, star)
             for index, (lineno, G) in enumerate(ingest_graph6(path))]
-    size = min(workers, len(jobs))  # a pool forks all its workers up front
+    import os
+
+    # a pool forks all its workers up front; more than the CPUs gain nothing
+    size = min(workers, len(jobs), os.cpu_count() or 1)
     parallel = size > 1
     if parallel:  # imported here, so that importing hcolour loads no multiprocessing
         from concurrent.futures import ProcessPoolExecutor

@@ -183,20 +183,33 @@ def _assignment_sequence(G: Multigraph) -> list[int]:
 
     Repeatedly the unassigned edge with the most assigned neighbours (an
     edge sharing both ends counts twice), the earliest in breadth-first
-    order on ties.
+    order on ties.  A heap of (-near, breadth-first position, edge) gives
+    it in O(m log m): each count rise pushes a fresh entry, and a popped
+    entry is stale, and dropped, when its edge is assigned or its count has
+    risen since; counts only rise, so the fresh entry pops first.
     """
+    from heapq import heappop, heappush  # here, so importing hcolour skips it
+
     adj = G._adj
     near = [0] * G.m
-    free = _bfs_edge_order(G)
+    placed = [False] * G.m
+    bfs = _bfs_edge_order(G)
+    position = [0] * G.m
+    for pos, e in enumerate(bfs):
+        position[e] = pos
+    heap = [(0, pos, e) for pos, e in enumerate(bfs)]  # sorted, so a heap
     sequence: list[int] = []
-    while free:
-        e = max(free, key=near.__getitem__)  # first of the maxima
-        free.remove(e)
+    while heap:
+        minus, pos, e = heappop(heap)
+        if placed[e] or -minus != near[e]:
+            continue
+        placed[e] = True
         sequence.append(e)
         for v in G.edges[e]:
             for e2, _ in adj[v]:
-                if e2 != e:
+                if not placed[e2]:
                     near[e2] += 1
+                    heappush(heap, (-near[e2], position[e2], e2))
     return sequence
 
 

@@ -255,6 +255,40 @@ def test_group_matches_oracles_on_multigraphs(G):
     _check_group(G)
 
 
+@st.composite
+def ordered_partitions(draw):
+    """A multigraph with parallel edges and an ordered partition of its
+    vertices: random cells, in a random order, each in a random order."""
+    G = draw(multigraphs_with_parallel_edges())
+    part = draw(st.lists(st.integers(0, G.n - 1), min_size=G.n, max_size=G.n))
+    cells = {}
+    for v in draw(st.permutations(range(G.n))):
+        cells.setdefault(part[v], []).append(v)
+    return G, list(cells.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(ordered_partitions())
+def test_sparse_refinement_matches_the_dense_definition(drawn):
+    # the sparse signature must give the dense one's splits and sub-cell
+    # order, which the canonical bytes depend on, from any ordered partition,
+    # and so must a refinement keyed from one individualised vertex of an
+    # equitable partition, as the search refines its children
+    G, cells = drawn
+    nbrs, mult = canonical._neighbours(G), canonical._mult_matrix(G)
+    for start in (cells, canonical._initial_cells(nbrs)):
+        assert canonical._refine(nbrs, start) == canonical._dense_refine(mult, start)
+        equitable = canonical._dense_refine(mult, start)
+        for i, cell in enumerate(equitable):
+            if len(cell) == 1:
+                continue
+            for v in cell:
+                rest = [w for w in cell if w != v]
+                child = equitable[:i] + [[v], rest] + equitable[i + 1:]
+                assert (canonical._refine(nbrs, child, [i])
+                        == canonical._dense_refine(mult, child))
+
+
 def test_empty_graph_group():
     G = Multigraph(0, [])
     assert canonical_form(G) == naive_canonical_form(G)

@@ -346,6 +346,29 @@ def test_corpus_pool_never_outnumbers_the_records(tmp_path, monkeypatch):
         assert sizes == pools
 
 
+def test_corpus_pool_never_outnumbers_the_cpus(tmp_path, monkeypatch):
+    # more workers than CPUs gain nothing, so the pool stops at the CPU
+    # count, and an unknown count runs serially
+    from concurrent.futures import ThreadPoolExecutor
+
+    sizes = []
+
+    def recording_pool(**kwargs):
+        sizes.append(kwargs["max_workers"])
+        return ThreadPoolExecutor(**kwargs)
+
+    path = tmp_path / "c.g6"
+    path.write_text((encode_graph6(petersen().graph) + "\n") * 5)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording_pool)
+    for cpus, workers, pools in ((3, 8, [3]), (3, 2, [2]), (8, 8, [5]), (1, 8, []),
+                                 (None, 8, [])):
+        monkeypatch.setattr("os.cpu_count", lambda cpus=cpus: cpus)
+        sizes.clear()
+        checks = run_corpus(str(path), s4().graph, "s4", workers=workers)
+        assert [c.outcome for c in checks] == ["pass"] * 5
+        assert sizes == pools
+
+
 def test_importing_hcolour_loads_no_process_pool():
     # only a corpus run with more than one worker imports the pool
     src = Path(hcolour.__file__).resolve().parent.parent

@@ -28,7 +28,8 @@ from hcolour.named import (
     t_k2,
 )
 from hcolour.recipes import _LEMMA_PAIRS
-from hcolour.solver import naive_solve_all, solve, tk2_colourable
+from hcolour.solver import (_assignment_sequence, _bfs_edge_order, naive_solve_all,
+                            solve, tk2_colourable)
 
 CORPUS = Path(__file__).resolve().parent.parent / "data" / "cubic_bridgeless_le14.g6"
 
@@ -280,6 +281,44 @@ def test_solver_matches_naive_oracle_random(host, guest):
     assert sorted(c.edge_map for c in found) == [c.edge_map for c in slow]
     assert fast.count == len(slow)
     assert fast.status == ("sat" if slow else "unsat")
+
+
+# -- the edge sequence against its quadratic definition --------------------
+
+def _quadratic_assignment_sequence(G: Multigraph) -> list[int]:
+    """The sequence by its definition: the first of the maxima of the
+    assigned-neighbour count, scanning the free edges in breadth-first
+    order."""
+    near = [0] * G.m
+    free = _bfs_edge_order(G)
+    sequence = []
+    while free:
+        e = max(free, key=near.__getitem__)
+        free.remove(e)
+        sequence.append(e)
+        for v in G.edges[e]:
+            for e2, _ in G.incident(v):
+                if e2 != e:
+                    near[e2] += 1
+    return sequence
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cycle(3000).graph, lambda: s12_plus_km(2).graph,
+    lambda: complete(7).graph, lambda: petersen().graph,
+    lambda: Multigraph(7, [(0, 1), (1, 2), (0, 1), (3, 4), (5, 6), (4, 5)]),
+], ids=["C3000", "S12+2M", "K7", "Petersen", "disconnected"])
+def test_assignment_sequence_matches_its_definition(build):
+    G = build()
+    assert _assignment_sequence(G) == _quadratic_assignment_sequence(G)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_multigraphs(12))
+def test_assignment_sequence_matches_its_definition_random(G):
+    sequence = _assignment_sequence(G)
+    assert sequence == _quadratic_assignment_sequence(G)
+    assert sorted(sequence) == list(range(G.m))
 
 
 # -- revalidation survives python -O ----------------------------------------
