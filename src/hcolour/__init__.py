@@ -22,7 +22,6 @@ from .colouring import (
     ColouringReport,
     ImageGraph,
     check_colouring,
-    image_subgraph,
     induced_vertex_map,
     preimage,
     splitted_image,
@@ -44,17 +43,16 @@ from .images import (
     realize_image,
 )
 from .multigraph import Multigraph, from_edge_list_text, to_edge_list_text
+from .oracles import image_subgraph, is_matching, naive_solve_all, spanning_regular_check
 from .recipes import RECIPES, VerificationReport, run_corpus, run_recipe
-from .solver import SolveResult, naive_solve_all, solve, tk2_colourable
+from .solver import SolveResult, solve, tk2_colourable
 from .structure import (
     chromatic_index,
     edge_colouring,
     enumerate_matchings,
     has_perfect_matching,
     has_two_disjoint_perfect_matchings,
-    is_matching,
     perfect_matchings,
-    spanning_regular_check,
 )
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ Practical graph isomorphism II, arXiv:1301.1493).  The same search gives
 the exact order of the automorphism group and a generating set, cached on
 the graph with the canonical form.  Pruning leaves the form unchanged:
 K8, whose unpruned tree has 40,320 leaves, now encodes 29.
-naive_canonical_form keeps the unpruned search, refined by the dense
-signature (_dense_refine), as the test oracle.
+oracles.naive_canonical_form keeps the unpruned search, refined by the
+dense signature, as the test oracle.
 
 This is exact but exponential in the worst case; intended for graphs up to
 roughly 40 vertices, which covers everything this package constructs.
@@ -29,6 +29,7 @@ roughly 40 vertices, which covers everything this package constructs.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 
 from .multigraph import Multigraph
 
@@ -50,7 +51,7 @@ def _refine(nbrs: list[list[tuple[int, int]]], cells: list[list[int]],
     is the start of w's cell and k the multiplicity of vw, sorted by s and
     then k.  Starts order cells as their positions do, and the signature
     orders exactly as the dense tuple over every cell of sorted
-    multiplicities, () where v has no neighbour, that _dense_refine
+    multiplicities, () where v has no neighbour, that oracles._dense_refine
     builds.  Where two dense tuples first differ, at cell c, the sparse
     keys agree up to their pairs in cell c.  If both have pairs there, the
     first that differ compare as the dense entries' multiplicities do; if
@@ -236,7 +237,8 @@ def _ensure(G: Multigraph) -> None:
     if G._canon is not None:
         return
     header = struct.pack(">II", G.n, G.m)
-    if max((G.multiplicity(a, b) for a, b in G.edges), default=0) > 255:
+    # edges are stored as (min, max), so parallel edges are equal pairs
+    if max(Counter(G.edges).values(), default=0) > 255:
         raise ValueError("edge multiplicities above 255 are not supported")
     best, aut_order, gens = _search(G)
     G._canon, G._aut = header + best, (aut_order, gens)
@@ -263,55 +265,6 @@ def automorphism_generators(G: Multigraph) -> tuple[tuple[int, ...], ...]:
     generate Aut(G).  Empty when the group is trivial."""
     _ensure(G)
     return G._aut[1]
-
-
-def _dense_refine(mult: list[list[int]], cells: list[list[int]]) -> list[list[int]]:
-    """_refine by its definition: each vertex's signature is a tuple over
-    every cell of its sorted multiplicities into that cell, so a round
-    costs O(n^2).  naive_canonical_form's refinement, kept independent."""
-    while True:
-        changed = False
-        new_cells: list[list[int]] = []
-        for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            sig = {}
-            for v in cell:
-                key = tuple(
-                    tuple(sorted(mult[v][w] for w in other if mult[v][w]))
-                    for other in cells
-                )
-                sig.setdefault(key, []).append(v)
-            if len(sig) > 1:
-                changed = True
-            for key in sorted(sig):
-                new_cells.append(sig[key])
-        cells = new_cells
-        if not changed:
-            return cells
-
-
-def naive_canonical_form(G: Multigraph) -> bytes:
-    """canonical_form without automorphism pruning or caching: the least
-    encoding over every leaf of the search tree.  Test oracle."""
-    header = struct.pack(">II", G.n, G.m)
-    mult = _mult_matrix(G)
-    best: bytes | None = None
-    stack = [_initial_cells(_neighbours(G))]
-    while stack:
-        cells = _dense_refine(mult, stack.pop())
-        split_at = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if split_at is None:
-            enc = _encode(mult, [c[0] for c in cells])
-            if best is None or enc < best:
-                best = enc
-            continue
-        target = cells[split_at]
-        for v in target:
-            rest = [w for w in target if w != v]
-            stack.append(cells[:split_at] + [[v], rest] + cells[split_at + 1:])
-    return header + best
 
 
 def is_isomorphic(G1: Multigraph, G2: Multigraph) -> bool:

@@ -89,7 +89,8 @@ def check_colouring(c: Colouring) -> ColouringReport:
     outside 0..host.m-1 is not a key of edge_bits(), so it rejects the
     colouring; the solver and the atlas rely on that, as they build their
     colourings without Colouring's range check.  A valid colouring gets one
-    shared report.  A rejected one gets its full report from naive_check_colouring,
+    shared report.  A rejected one gets its full report from
+    oracles.naive_check_colouring, which reads only the graphs' edge lists,
     and if that calls the colouring valid the two checks disagree and
     RuntimeError is raised, also under python -O.
     """
@@ -108,6 +109,8 @@ def check_colouring(c: Colouring) -> ColouringReport:
             return _VALID
     except KeyError:
         pass  # a host edge id out of range
+    from .oracles import naive_check_colouring  # here: oracles imports this module
+
     report = naive_check_colouring(c)
     if report.ok:
         raise RuntimeError(
@@ -115,49 +118,6 @@ def check_colouring(c: Colouring) -> ColouringReport:
             f"{c.edge_map}"
         )
     return report
-
-
-def naive_check_colouring(c: Colouring) -> ColouringReport:
-    """check_colouring on plain sets: the full report and the oracle.
-
-    Properness violations are (first edge, later edge) pairs sharing a
-    colour at a guest vertex, by vertex and then incidence order; vertex
-    violations are the guest vertices whose image set is the boundary of no
-    host vertex, which includes every guest vertex with an image id outside
-    0..host.m-1.
-    """
-    G, H, f = c.guest, c.host, c.edge_map
-    bounds = H.boundaries()
-    proper = []
-    vertex = []
-    for u, inc in enumerate(G._adj):
-        img = {f[eid] for eid, _ in inc}
-        if len(img) < len(inc):
-            seen: dict[int, int] = {}
-            for eid, _ in inc:
-                h = f[eid]
-                if h in seen:
-                    proper.append((seen[h], eid))
-                else:
-                    seen[h] = eid
-        if img:
-            # a host vertex with boundary img is an endpoint of every edge in
-            # it, and no boundary holds an id out of range
-            h = f[inc[0][0]]
-            if 0 <= h < H.m:
-                a, b = H.edges[h]
-                matched = bounds[a] == img or bounds[b] == img
-            else:
-                matched = False
-        else:
-            matched = any(not bnd for bnd in bounds)
-        if not matched:
-            vertex.append(u)
-    return ColouringReport(
-        ok=not proper and not vertex,
-        properness_violations=tuple(proper),
-        vertex_violations=tuple(vertex),
-    )
 
 
 def induced_vertex_map(c: Colouring) -> tuple[int, ...]:
@@ -192,16 +152,6 @@ def _induced_vertex_map(c: Colouring) -> tuple[int, ...]:
             )
         out.append(cands[0])
     return tuple(out)
-
-
-def image_subgraph(c: Colouring) -> tuple[Multigraph, list[int], list[int]]:
-    """H_f: the edge-induced subgraph of the host on the used edges.
-
-    Returns (H_f, host vertex ids kept, host edge ids kept).
-    """
-    if not check_colouring(c):
-        raise ValueError("invalid colouring")
-    return c.host.edge_induced_subgraph(c.image_edges())
 
 
 def _meet_counts(G: Multigraph, X: Iterable[int]) -> list[int]:

@@ -108,23 +108,6 @@ class Multigraph:
         self._check_vertex(b)
         return sum(1 for _, w in self._adj[a] if w == b)
 
-    def boundary(self, U: Iterable[int]) -> frozenset[int]:
-        """Edge ids with exactly one endpoint in U."""
-        s = set(U)
-        for u in s:
-            self._check_vertex(u)
-        return frozenset(
-            eid for eid, (a, b) in enumerate(self.edges) if (a in s) != (b in s)
-        )
-
-    def other_end(self, eid: int, u: int) -> int:
-        a, b = self.edges[eid]
-        if u == a:
-            return b
-        if u == b:
-            return a
-        raise ValueError(f"vertex {u} is not an endpoint of edge {eid}")
-
     # -- connectivity ------------------------------------------------------
 
     def _reach(self, s: int, cut: int = 0) -> int:
@@ -214,19 +197,6 @@ class Multigraph:
             if a in pos and b in pos
         ]
         return Multigraph(len(verts), edges), verts
-
-    def edge_induced_subgraph(self, F: Iterable[int]) -> tuple["Multigraph", list[int], list[int]]:
-        """Edge-induced subgraph on F.
-
-        Returns (subgraph, vertex ids kept, edge ids kept in new order).
-        """
-        eids = sorted(set(F))
-        for e in eids:
-            self._check_edge(e)
-        verts = sorted({v for e in eids for v in self.edges[e]})
-        pos = {v: i for i, v in enumerate(verts)}
-        edges = [(pos[self.edges[e][0]], pos[self.edges[e][1]]) for e in eids]
-        return Multigraph(len(verts), edges), verts, eids
 
     # -- misc --------------------------------------------------------------
 

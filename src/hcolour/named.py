@@ -395,9 +395,10 @@ def poorly_matchable_witness(r: int, max_order: int) -> Multigraph | None:
     Candidates are decided on pair masks, once per support and doubled
     pairs (_witness_leaves); a Multigraph is built only for the hit, which
     is revalidated by is_connected, is_regular and the all-pairs check over
-    the edge-id perfect matchings before it is returned.
+    the perfect matchings listed from its edge list before it is returned.
     """
-    from .structure import has_perfect_matching, pairwise_intersecting_perfect_matchings
+    from .oracles import pairwise_intersecting_perfect_matchings
+    from .structure import has_perfect_matching
 
     if r < 4:
         raise ValueError("poorly matchable search is defined for r >= 4")

@@ -18,7 +18,7 @@ from random import Random
 from typing import Callable, Iterator, Optional, TypeVar
 
 from .canonical import canonical_digest, canonical_form
-from .colouring import Colouring, check_colouring, naive_check_colouring, preimage
+from .colouring import Colouring, check_colouring, preimage
 from .graphio import GraphFormatError, ingest_graph6
 from .images import ImageAtlas, enumerate_splitted_images
 from .multigraph import Multigraph
@@ -36,6 +36,7 @@ from .named import (
     s12_plus_km,
     t_k2,
 )
+from .oracles import naive_check_colouring, pairwise_intersecting_perfect_matchings
 from .solver import solve
 from .structure import (
     DEFAULT_NODE_BUDGET,
@@ -43,8 +44,8 @@ from .structure import (
     _edge_colouring,
     _LimitExceeded,
     enumerate_matchings,
+    has_perfect_matching,
     has_two_disjoint_perfect_matchings,
-    pairwise_intersecting_perfect_matchings,
     perfect_matchings,
 )
 
@@ -156,7 +157,7 @@ def _atlas_checks(
             },
         )
     )
-    # realize_image's check_colouring accepted each witness; recheck with an oracle
+    # _witness's check_colouring accepted each witness; recheck with the oracle
     bad = [
         i
         for i, e in enumerate(atlas.entries)
@@ -290,7 +291,7 @@ def _recipe_thm44(params: dict) -> list[CheckResult]:
         _check("witness-4-regular", witness.is_regular(4), n=witness.n),
         _check(
             "witness-has-perfect-matching",
-            next(perfect_matchings(witness), None) is not None,
+            has_perfect_matching(witness),
         ),
         _check(
             "witness-no-two-disjoint-pms",

@@ -43,8 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Literal, Optional
 
-from .colouring import (Colouring, _trusted_colouring, check_colouring,
-                        naive_check_colouring)
+from .colouring import Colouring, _trusted_colouring, check_colouring
 from .multigraph import Multigraph
 from .structure import (DEFAULT_NODE_BUDGET, _check_node_limit, _LimitExceeded,
                         chromatic_index)
@@ -246,21 +245,3 @@ def tk2_colourable(guest: Multigraph, t: int) -> bool:
     if guest.m == 0:
         return True
     return chromatic_index(guest) == t
-
-
-def naive_solve_all(host: Multigraph, guest: Multigraph) -> list[Colouring]:
-    """Independent oracle: filter all |E(H)|^|E(G)| maps by the set-based
-    naive_check_colouring, so it shares no code with the search or with
-    check_colouring's mask verdict.
-
-    Only for tiny instances; used to cross-validate the backtracking
-    solver.
-    """
-    import itertools
-
-    out = []
-    for f in itertools.product(range(host.m), repeat=guest.m):
-        c = Colouring(host, guest, f)
-        if naive_check_colouring(c).ok:
-            out.append(c)
-    return out

@@ -1,4 +1,4 @@
-"""Matchings, chromatic index and regular-subgraph predicates."""
+"""Matchings, perfect matchings and exact edge colouring."""
 
 from __future__ import annotations
 
@@ -21,17 +21,6 @@ def _check_node_limit(node_limit: int) -> None:
         raise ValueError(f"node_limit must be an integer, got {node_limit!r}")
     if node_limit < 0:
         raise ValueError(f"node_limit must be non-negative, got {node_limit}")
-
-
-def is_matching(G: Multigraph, F) -> bool:
-    covered = set()
-    for e in F:
-        a, b = G.edges[e]
-        if a in covered or b in covered:
-            return False
-        covered.add(a)
-        covered.add(b)
-    return True
 
 
 def enumerate_matchings(G: Multigraph) -> Iterator[frozenset[int]]:
@@ -80,17 +69,6 @@ def _perfect_matchings_from(
 
 def has_perfect_matching(G: Multigraph) -> bool:
     return next(perfect_matchings(G), None) is not None
-
-
-def pairwise_intersecting_perfect_matchings(G: Multigraph) -> bool:
-    """True iff no two perfect matchings of G are edge-disjoint.
-
-    Deliberately naive (all pairs over the full edge-id matching
-    enumeration) so it is independent of the pair-mask search behind
-    has_two_disjoint_perfect_matchings.
-    """
-    pms = list(perfect_matchings(G))
-    return all(p & q for i, p in enumerate(pms) for q in pms[i + 1:])
 
 
 # -- perfect matchings on pair masks ---------------------------------------
@@ -277,15 +255,3 @@ def chromatic_index(G: Multigraph) -> int:
     while edge_colouring(G, k) is None:
         k += 1
     return k
-
-
-# -- regular subgraphs ------------------------------------------------------
-
-def spanning_regular_check(G: Multigraph, F, k: int) -> bool:
-    """True iff every vertex touched by F has exactly k incident F-edges."""
-    count = [0] * G.n
-    for e in F:
-        a, b = G.edges[e]
-        count[a] += 1
-        count[b] += 1
-    return all(c in (0, k) for c in count)

@@ -31,8 +31,9 @@ from hcolour.named import (
     star,
     t_k2,
 )
+from hcolour.oracles import naive_solve_all
 from hcolour.recipes import run_corpus, run_recipe
-from hcolour.solver import naive_solve_all, solve
+from hcolour.solver import solve
 from hcolour.structure import (
     enumerate_matchings,
     has_two_disjoint_perfect_matchings,

@@ -20,7 +20,8 @@ from hcolour.named import (
     complete,
     complete_minus_edge,
 )
-from hcolour.solver import _bfs_edge_order, naive_solve_all, solve, tk2_colourable
+from hcolour.oracles import naive_solve_all
+from hcolour.solver import _bfs_edge_order, solve, tk2_colourable
 
 
 def test_realize_image_validation():

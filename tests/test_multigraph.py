@@ -29,9 +29,6 @@ def test_basic_accessors():
 def test_edges_normalized_and_ids_stable():
     G = Multigraph(3, [(2, 0), (1, 0)])
     assert G.edges == ((0, 2), (0, 1))
-    assert G.other_end(0, 2) == 0
-    with pytest.raises(ValueError):
-        G.other_end(0, 1)
 
 
 def test_loops_rejected():
@@ -53,13 +50,6 @@ def test_equality_and_hash():
     assert a == b
     assert hash(a) == hash(b)
     assert a != c
-
-
-def test_boundary():
-    G = Multigraph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    assert G.boundary([0, 1]) == frozenset({1, 3})
-    assert G.boundary([]) == frozenset()
-    assert G.boundary(range(4)) == frozenset()
 
 
 def test_components_and_connectivity():
@@ -140,14 +130,6 @@ def test_induced_subgraph():
     assert verts == [1, 2, 3]
     assert sub.n == 3
     assert sorted(sub.edges) == [(0, 1), (0, 1), (1, 2)]
-
-
-def test_edge_induced_subgraph():
-    G = Multigraph(4, [(0, 1), (1, 2), (2, 3)])
-    sub, verts, eids = G.edge_induced_subgraph([0, 2])
-    assert verts == [0, 1, 2, 3]
-    assert eids == [0, 2]
-    assert sub.edges == ((0, 1), (2, 3))
 
 
 def test_relabelled():

@@ -303,7 +303,7 @@ def test_witness_answers_do_not_depend_on_the_support_cache(monkeypatch, limit):
 
 
 _DISAGREEING_REVALIDATION_SCRIPT = textwrap.dedent("""
-    from hcolour import structure
+    from hcolour import oracles
     from hcolour.named import poorly_matchable_witness
 
     try:
@@ -315,7 +315,7 @@ _DISAGREEING_REVALIDATION_SCRIPT = textwrap.dedent("""
         yield frozenset({0})
         yield frozenset({1})
 
-    structure.perfect_matchings = two_disjoint
+    oracles.perfect_matchings = two_disjoint
     try:
         poorly_matchable_witness(5, 6)
     except RuntimeError as exc:

@@ -12,11 +12,12 @@ import pytest
 
 import hcolour
 from hcolour.cli import load_graph, main
-from hcolour.colouring import Colouring, check_colouring, naive_check_colouring
+from hcolour.colouring import Colouring, check_colouring
 from hcolour.graphio import encode_graph6, ingest_graph6
 from hcolour.images import enumerate_splitted_images
 from hcolour.multigraph import Multigraph
 from hcolour.named import complete, petersen, s4, s12_plus_km
+from hcolour.oracles import naive_check_colouring
 from hcolour.recipes import (RECIPES, VerificationReport, artifact_version, run_corpus,
                              run_recipe)
 from hcolour.solver import solve
@@ -318,6 +319,7 @@ def test_hcolor_threads_env(tmp_path, capsys, monkeypatch):
     path.write_text((encode_graph6(petersen().graph) + "\n") * 2)
     monkeypatch.setenv("HCOLOR_THREADS", "3")
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)  # the pool stops at the CPU count
     assert [c.outcome for c in run_corpus(str(path), s4().graph, "s4")] == ["pass"] * 2
     assert main(["corpus", str(path), "--host", "s4"]) == 0
     assert capsys.readouterr().err.startswith(f"corpus {path} vs s4: pass")
@@ -339,6 +341,7 @@ def test_corpus_pool_never_outnumbers_the_records(tmp_path, monkeypatch):
     path = tmp_path / "c.g6"
     path.write_text((encode_graph6(petersen().graph) + "\n") * 2)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr("os.cpu_count", lambda: 8)  # the pool stops at the CPU count
     for workers, pools in ((6, [2]), (2, [2]), (1, [])):
         sizes.clear()
         checks = run_corpus(str(path), s4().graph, "s4", workers=workers)

@@ -21,6 +21,7 @@ from hcolour.named import (
     s12_plus_km,
     t_k2,
 )
+from hcolour.oracles import is_matching, spanning_regular_check
 from hcolour.solver import solve
 from hcolour.structure import (
     _edge_colouring,
@@ -30,9 +31,7 @@ from hcolour.structure import (
     enumerate_matchings,
     has_perfect_matching,
     has_two_disjoint_perfect_matchings,
-    is_matching,
     perfect_matchings,
-    spanning_regular_check,
     support_connected,
     support_masks,
     support_perfect_matchings,
