@@ -2,12 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcolour.colouring import Colouring, unused_vertices
 from hcolour.multigraph import (
     MAX_ORDER,
     Multigraph,
     from_edge_list_text,
     to_edge_list_text,
 )
+from hcolour.oracles import image_subgraph
 
 
 def triangle():
@@ -130,6 +132,18 @@ def test_induced_subgraph():
     assert verts == [1, 2, 3]
     assert sub.n == 3
     assert sorted(sub.edges) == [(0, 1), (0, 1), (1, 2)]
+
+
+def test_edge_induced_subgraph():
+    # the subgraph of P4 on its two end edges, as the image of the
+    # colouring of 2K2 that uses exactly those edges
+    G = Multigraph(4, [(0, 1), (1, 2), (2, 3)])
+    c = Colouring(G, Multigraph(4, [(0, 1), (2, 3)]), (0, 2))
+    sub, verts, eids = image_subgraph(c)
+    assert verts == [0, 1, 2, 3]
+    assert eids == [0, 2]
+    assert sub.edges == ((0, 1), (2, 3))
+    assert unused_vertices(c) == frozenset({1, 2})
 
 
 def test_relabelled():
