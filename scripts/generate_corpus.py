@@ -19,7 +19,8 @@ loopless order-12 parents, and level 12 itself is only kept loopless.
 
 Validations before anything is written:
   * isomorphism classes of loopless multigraphs at orders 4-8 against a
-    direct labelled enumeration;
+    direct enumeration of block-sorted multiplicity matrices, which holds
+    every class;
   * simple-graph counts per order against the known sequence 1, 2, 5, 19,
     85, 509 (connected cubic simple graphs on 4..14 vertices).
 
@@ -154,7 +155,9 @@ def next_level(parents: list[Pseudo], keep: str) -> dict[bytes, Pseudo]:
 
 
 def validate_small_orders(levels: dict[int, dict[bytes, Pseudo]]) -> None:
-    """Loopless classes at orders 4-8 against direct labelled enumeration."""
+    """Loopless classes at orders 4-8 against direct enumeration: the
+    block-sorted multigraphs of _regular_multigraphs, which hold every
+    class."""
     for n in (4, 6, 8):
         direct = set()
         for edges in _regular_multigraphs(n, 3):

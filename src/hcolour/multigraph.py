@@ -57,13 +57,9 @@ class Multigraph:
         self._check_vertex(u)
         return self._adj[u]
 
-    def incident_edges(self, u: int) -> frozenset[int]:
-        """The set of edge ids incident to u (the boundary of {u})."""
-        self._check_vertex(u)
-        return self.boundaries()[u]
-
     def boundaries(self) -> tuple[frozenset[int], ...]:
-        """incident_edges(u) for every vertex u, built on first use."""
+        """The edge ids at each vertex (the boundary of {u}), built on first
+        use."""
         if self._boundaries is None:
             self._boundaries = tuple(
                 frozenset(eid for eid, _ in inc) for inc in self._adj
@@ -101,12 +97,6 @@ class Multigraph:
 
     def is_regular(self, r: int) -> bool:
         return all(len(a) == r for a in self._adj)
-
-    def multiplicity(self, a: int, b: int) -> int:
-        """Number of parallel edges between a and b."""
-        self._check_vertex(a)
-        self._check_vertex(b)
-        return sum(1 for _, w in self._adj[a] if w == b)
 
     # -- connectivity ------------------------------------------------------
 

@@ -206,106 +206,87 @@ def _realisable(degrees) -> bool:
     return total % 2 == 0 and 2 * max(degrees, default=0) <= total
 
 
-def _compositions(total: int, lo: list[int], hi: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Compositions of total with lo[k] <= part k <= hi[k], in lexicographic
-    order; every branch of the recursion ends in a composition."""
+def _compositions(total: int, lo: list[int], hi: tuple[int, ...], ties: tuple[bool, ...],
+                  prev: int = 0) -> list[tuple[int, ...]]:
+    """Compositions of total with lo[k] <= part k <= hi[k] and, wherever
+    ties[k], part k >= part k-1 (prev stands before part 0), in
+    lexicographic order."""
     if not lo:
         return [()] if total == 0 else []
+    floor = max(lo[0], prev) if ties[0] else lo[0]
     rest_lo = sum(lo) - lo[0]
     rest_hi = sum(hi) - hi[0]
     out = []
-    for part in range(max(lo[0], total - rest_hi), min(hi[0], total - rest_lo) + 1):
-        for rest in _compositions(total - part, lo[1:], hi[1:]):
+    for part in range(max(floor, total - rest_hi), min(hi[0], total - rest_lo) + 1):
+        for rest in _compositions(total - part, lo[1:], hi[1:], ties[1:], part):
             out.append((part,) + rest)
     return out
 
 
-def _regular_leaves(n: int, r: int):
-    """All labelled loopless multigraphs on n vertices with all degrees r.
+def _rows(n: int, state: tuple, memo: dict) -> list:
+    """(edges, next state) of each kept row of vertex i = n - len(rem), for
+    state = (rem, ties): the remaining degrees of i..n-1, and whether each
+    of i+1..n-1 shares the block of the vertex before it.  memo keeps the
+    rows of every state for one walk."""
+    found = memo.get(state)
+    if found is None:
+        rem, ties = state
+        i, t, tail = n - len(rem), rem[0], rem[1:]
+        half = (sum(tail) - t) // 2
+        found = memo[state] = []
+        for row in _compositions(t, [max(0, d - half) for d in tail], tail, ties):
+            edges = [(i, j) for j, p in enumerate(row, i + 1) for _ in range(p)]
+            child = tuple(d - p for d, p in zip(tail, row))
+            split = tuple(s and a == b for s, a, b in zip(ties[2:], row[1:], row[2:]))
+            found.append((edges, (child, (False,) + split)))
+    return found
 
-    Yields (above, row, support, double) per multigraph: the edges of the
-    rows above the last walked one, that row's edges, and the pair masks
-    (structure.support_masks) of the support and of the pairs joined at
-    least twice.  Multigraphs come in lexicographic order of the
-    upper-triangle multiplicity vector, pairs taken as (0,1), (0,2), ...,
-    (n-2,n-1).  The matrix is filled row by row: row i is a composition of
-    vertex i's remaining degree t over vertices i+1..n-1, each part capped
-    by that vertex's remaining degree d.  A row is kept only if the
-    residual degrees of i+1..n-1 stay realisable (_realisable).  Every pair
-    among those vertices is still free, so that test is exact and every
-    branch reaches a leaf.  The residual sum S is fixed by the row's total,
-    so the test is a lower bound d - S // 2 on each part, and the kept rows
-    are generated directly as bounded compositions.  The row of vertex
-    n-2 is forced (its remaining degree all goes to n-1), so it is
-    appended, edges and bits, to each row of vertex n-3, where the walk
-    ends (at vertex 0 when n = 2).
 
-    The kept rows of a state (the remaining degrees of i..n-1) are
-    memoised with their edges and pair-mask bits for the duration of the
-    call from vertex 2 on; each level adds its row's edges and bits to
-    those of the rows above.  Vertex 0 has one state and each of its rows
-    leaves a different state for vertex 1, so states before vertex 2
-    never recur and are not kept.
+def _walk(n: int, state: tuple, above: list, memo: dict):
+    """Edge lists of the block-sorted completions of above from state on."""
+    for edges, child in _rows(n, state, memo):
+        if len(child[0]) == 1:
+            yield above + edges
+        else:
+            yield from _walk(n, child, above + edges, memo)
+
+
+def _regular_multigraphs(n: int, r: int):
+    """The block-sorted loopless multigraphs on n vertices with all degrees
+    r, as edge lists: at least one labelling of every isomorphism class.
+
+    The walk fills the upper-triangle multiplicity matrix row by row, so
+    graphs come in lexicographic order of the multiplicity vector, pairs
+    taken as (0,1), (0,2), ..., (n-2,n-1).  Row i is a composition of
+    vertex i's remaining degree over vertices i+1..n-1, each part capped by
+    that vertex's remaining degree d.  A row is kept only if the residual
+    degrees of i+1..n-1 stay realisable (_realisable): every pair among
+    them is still free, so that test is exact, and with the residual sum S
+    fixed by the row's total it is a lower bound d - S // 2 on each part.
+
+    Block rule: before row i, two of the vertices i+1..n-1 share a block
+    when they have equal multiplicities to every vertex 0..i-1.  Blocks
+    are intervals whose members have equal remaining degrees, and row i
+    must be non-decreasing inside each block; the next row's blocks are
+    these, without vertex i+1, cut wherever row i's part changes.
+
+    Why no class is lost: take a class's least labelling in the walk's
+    order.  If j < k shared a block before row i and m[i][j] > m[i][k],
+    swapping j and k would keep rows 0..i-1 and lower entry (i, j), so the
+    least labelling obeys the rule.  The stream is therefore the full
+    labelled walk's stream with some graphs left out, and still holds the
+    first member of every class, in the same order; the first member with
+    any property that isomorphism keeps is the same in both.  No kept row
+    is a dead end: of the completions of a realisable residual, the least
+    under swaps inside the current blocks obeys the rule below it.
     """
     degrees = (r,) * n
     if not _realisable(degrees):
         return
     if n < 2:
-        yield [], [], 0, 0
+        yield []
         return
-    pair = [[(i, j) for j in range(n)] for i in range(n)]
-    memo: dict[tuple[int, ...], tuple[tuple, tuple]] = {}
-    shared: dict = {}  # one copy of each memoised row and residual tuple
-
-    def options(rem: tuple[int, ...]):
-        """The (row edges, support bits, doubled bits) of each kept row of
-        vertex n - len(rem), and the residual degrees each row leaves."""
-        found = memo.get(rem)
-        if found is None:
-            i = n - len(rem)
-            t, tail = rem[0], rem[1:]
-            half = (sum(tail) - t) // 2
-            rows, children = found = ([], [])
-            for comp in _compositions(t, [max(0, d - half) for d in tail], tail):
-                child = tuple(d - p for d, p in zip(tail, comp))
-                forced = child[0] if i == n - 3 else 0
-                parts = [(i, j, p) for j, p in enumerate(comp, i + 1)] + [(n - 2, n - 1, forced)]
-                row = (
-                    [pair[a][b] for a, b, p in parts for _ in range(p)],
-                    sum(1 << (a * n + b) for a, b, p in parts if p),
-                    sum(1 << (a * n + b) for a, b, p in parts if p > 1),
-                )
-                if i >= 2:
-                    row = shared.setdefault((i, comp, forced), row)
-                    child = shared.setdefault(child, child)
-                rows.append(row)
-                children.append(child)
-            if i >= 2:
-                memo[rem] = found = (tuple(rows), tuple(children))  # no spare capacity
-        return found
-
-    last = max(n - 3, 0)
-    # one iterator per level over its rows, with the edges, support and
-    # doubled pairs of the rows above; an empty row leads to vertex 0
-    stack = [(zip([([], 0, 0)], [degrees]), [], 0, 0)]
-    while stack:
-        rows, edges, support, double = stack[-1]
-        step = next(rows, None)
-        if step is None:
-            stack.pop()
-            continue
-        (row, sup, dbl), child = step
-        edges, support, double = edges + row, support | sup, double | dbl
-        if len(stack) - 1 == last:
-            for row, sup, dbl in options(child)[0]:
-                yield edges, row, support | sup, double | dbl
-        else:
-            stack.append((zip(*options(child)), edges, support, double))
-
-
-def _regular_multigraphs(n: int, r: int):
-    """The edge lists of _regular_leaves(n, r), in its order."""
-    return (edges + row for edges, row, _, _ in _regular_leaves(n, r))
+    yield from _walk(n, (degrees, (False,) + (True,) * (n - 2)), [], {})
 
 
 def k_family_members(t: int, r: int) -> list[Multigraph]:
@@ -313,7 +294,8 @@ def k_family_members(t: int, r: int) -> list[Multigraph]:
 
     Every vertex pair gets multiplicity at least 1: each member is the
     clique K_t plus an (r - t + 1)-regular multigraph on the same vertices.
-    The first member of each class in _regular_multigraphs order is kept.
+    The first member of each class in _regular_multigraphs order is kept:
+    its least labelling, which the full labelled walk would keep too.
     Infeasible parameters give the empty list.
     """
     if t < 2 or r < 1:
@@ -344,23 +326,11 @@ def poorly_matchable_ten_vertices() -> LabelledGraph:
     return LabelledGraph(graph, dict(base.vertex_labels), dict(base.edge_labels))
 
 
-# Support summaries a witness search keeps per order: every support on 6
-# vertices (15 pairs) fits; on 8, where supports hardly repeat, memory
-# stays bounded.
-_SUPPORT_CACHE_LIMIT = 1 << 15
-
-
 def _witness_leaves(n: int, r: int):
-    """(above, row) of each poorly matchable candidate of _regular_leaves(n, r).
-
-    A candidate's verdict depends only on its support and doubled pairs.
-    Each support is summarised once: None when no doubling makes it a
-    witness (it is disconnected, has no perfect matching, or has two
-    disjoint ones), else its perfect matchings as pair masks; a candidate
-    on it is a witness iff disjoint_pair finds no two of them sharing only
-    doubled pairs.  At most _SUPPORT_CACHE_LIMIT summaries are kept per
-    call; a support past that is summarised again at each of its leaves.
-    """
+    """The edge lists of _regular_multigraphs(n, r) that are poorly
+    matchable candidates, decided on pair masks: a connected support with
+    perfect matchings of which disjoint_pair finds no two sharing only
+    doubled pairs."""
     from .structure import (
         disjoint_pair,
         support_connected,
@@ -368,34 +338,29 @@ def _witness_leaves(n: int, r: int):
         support_perfect_matchings,
     )
 
-    summaries: dict[int, tuple[int, ...] | None] = {}
-    matchings: dict[int, int] = {}  # shared copies: 8 vertices have only 105 perfect matchings
-    for above, row, support, double in _regular_leaves(n, r):
-        pms = summaries.get(support, False)
-        if pms is False:
-            adj, _ = support_masks(n, above + row)
-            pms = support_perfect_matchings(n, adj) if support_connected(adj) else []
-            if not pms or disjoint_pair(pms, 0) is not None:
-                pms = None
-            if len(summaries) < _SUPPORT_CACHE_LIMIT:
-                summaries[support] = pms and tuple(matchings.setdefault(m, m) for m in pms)
-        if pms is not None and disjoint_pair(pms, double) is None:
-            yield above, row
+    for edges in _regular_multigraphs(n, r):
+        adj, double = support_masks(n, edges)
+        if support_connected(adj):
+            pms = support_perfect_matchings(n, adj)
+            if pms and disjoint_pair(pms, double) is None:
+                yield edges
 
 
 def poorly_matchable_witness(r: int, max_order: int) -> Multigraph | None:
     """Smallest-order r-regular multigraph with a perfect matching but no
     two disjoint ones, or None if there is none up to max_order.
 
-    Exhaustive deterministic search over connected labelled candidates in
-    increasing order; the first hit at the smallest feasible order wins.
-    A disconnected witness would contain a smaller witness component, so
+    Exhaustive deterministic search in increasing order over the connected
+    candidates of _regular_multigraphs, which holds every isomorphism class
+    in its least labelling; the first hit at the smallest feasible order
+    wins, and it is the first hit of the full labelled walk too.  A
+    disconnected witness would contain a smaller witness component, so
     restricting to connected graphs keeps the order minimal.
 
-    Candidates are decided on pair masks, once per support and doubled
-    pairs (_witness_leaves); a Multigraph is built only for the hit, which
-    is revalidated by is_connected, is_regular and the all-pairs check over
-    the perfect matchings listed from its edge list before it is returned.
+    Candidates are decided on pair masks (_witness_leaves); a Multigraph is
+    built only for the hit, which is revalidated by is_connected,
+    is_regular and the all-pairs check over the perfect matchings listed
+    from its edge list before it is returned.
     """
     from .oracles import pairwise_intersecting_perfect_matchings
     from .structure import has_perfect_matching
@@ -403,8 +368,8 @@ def poorly_matchable_witness(r: int, max_order: int) -> Multigraph | None:
     if r < 4:
         raise ValueError("poorly matchable search is defined for r >= 4")
     for n in range(2, max_order + 1, 2):
-        for above, row in _witness_leaves(n, r):
-            G = Multigraph(n, above + row, name=f"poorly-matchable-{r}")
+        for edges in _witness_leaves(n, r):
+            G = Multigraph(n, edges, name=f"poorly-matchable-{r}")
             if not (
                 G.is_connected()
                 and G.is_regular(r)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hcolour.colouring import (
     AmbiguousHostError,
     Colouring,
+    ColouringReport,
     ImageGraph,
     _trusted_colouring,
     check_colouring,
@@ -96,6 +97,31 @@ def test_check_colouring_detects_vertex_violation():
     rep = check_colouring(bad)
     assert not rep.ok
     assert rep.vertex_violations
+
+
+# the full reports of three rejected colourings, worked out by hand: each
+# clash is (the first edge at the vertex with that colour, the later edge)
+REJECTED_REPORTS = [
+    # 2K2 <- C4 with edges 0, 1 and 3 on host edge 0: vertices 0 and 1
+    # clash, and their image {0} is no boundary of 2K2
+    (t_k2(2).graph, cycle(4).graph, (0, 0, 1, 0),
+     ColouringReport(ok=False, properness_violations=((0, 3), (0, 1)),
+                     vertex_violations=(0, 1))),
+    # P4 <- C4, proper, but every image is {0, 2}, no P4 boundary
+    (Multigraph(4, [(0, 1), (1, 2), (2, 3)]), cycle(4).graph, (0, 2, 0, 2),
+     ColouringReport(ok=False, vertex_violations=(0, 1, 2, 3))),
+    # K4 <- K4, the identity with edge 0 moved onto edge 1: vertex 0 clashes
+    # and has image {1, 2}, vertex 1 is proper with image {1, 3, 4}
+    (complete(4).graph, complete(4).graph, (1, 1, 2, 3, 4, 5),
+     ColouringReport(ok=False, properness_violations=((0, 1),),
+                     vertex_violations=(0, 1))),
+]
+
+
+@pytest.mark.parametrize("host, guest, f, expected", REJECTED_REPORTS,
+                         ids=["2K2<C4", "P4<C4", "K4<K4"])
+def test_check_colouring_rejected_reports_pinned(host, guest, f, expected):
+    assert check_colouring(Colouring(host, guest, f)) == expected
 
 
 def test_induced_vertex_map_unique():
@@ -318,7 +344,7 @@ def definitional_vertex_map(c: Colouring) -> tuple[int, ...]:
     out = []
     for u in range(c.guest.n):
         img = {c.edge_map[e] for e, _ in c.guest.incident(u)}
-        owners = [v for v in range(c.host.n) if c.host.incident_edges(v) == img]
+        owners = [v for v in range(c.host.n) if {e for e, _ in c.host.incident(v)} == img]
         if len(owners) > 1:
             raise AmbiguousHostError(u)
         out.append(owners[0])

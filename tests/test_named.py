@@ -4,16 +4,16 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 import hcolour
-from hcolour import named
-from hcolour.canonical import canonical_form, is_isomorphic
+from hcolour.canonical import automorphism_group_order, canonical_form, is_isomorphic
 from hcolour.multigraph import Multigraph
 from hcolour.named import (
-    _regular_leaves,
     _regular_multigraphs,
     _witness_leaves,
     complete,
@@ -35,14 +35,11 @@ from hcolour.named import (
     star,
     t_k2,
 )
+from hcolour.oracles import pairwise_intersecting_perfect_matchings
 from hcolour.structure import (
-    disjoint_pair,
     has_perfect_matching,
     has_two_disjoint_perfect_matchings,
     perfect_matchings,
-    support_connected,
-    support_masks,
-    support_perfect_matchings,
 )
 
 
@@ -63,15 +60,16 @@ def test_s4_shape():
     g = s4().graph
     assert g.n == 4 and g.m == 5
     assert sorted(g.degrees()) == [1, 3, 3, 3]
-    assert g.multiplicity(2, 3) == 2  # the doubled bold edge
+    assert Counter(g.edges)[(2, 3)] == 2  # the doubled bold edge
 
 
 def test_s4_plus_km_multiplicities():
     for k in (0, 1, 2):
         lab = s4_plus_km(k)
-        g = lab.graph
-        assert g.multiplicity(lab.vertex_labels["v"], lab.vertex_labels["w"]) == k + 2
-        assert g.multiplicity(lab.vertex_labels["u"], lab.vertex_labels["z"]) == k + 1
+        g, v = lab.graph, lab.vertex_labels
+        mult = Counter(g.edges)
+        assert mult[(v["v"], v["w"])] == k + 2
+        assert mult[(v["z"], v["u"])] == k + 1
         assert g.degree(lab.vertex_labels["u"]) == k + 3
     with pytest.raises(ValueError):
         s4_plus_km(-1)
@@ -107,9 +105,9 @@ def test_classical_constructors():
     assert complete(5).graph.m == 10
     assert complete_minus_edge(5).graph.m == 9
     k5e = complete_minus_edge(5)
-    assert k5e.graph.multiplicity(k5e.vertex_labels["a"], k5e.vertex_labels["b"]) == 0
+    assert (k5e.vertex_labels["a"], k5e.vertex_labels["b"]) not in k5e.graph.edges
     assert star(3).graph.degrees() == (3, 1, 1, 1)
-    assert t_k2(4).graph.multiplicity(0, 1) == 4
+    assert t_k2(4).graph.edges == ((0, 1),) * 4
     assert cycle(5).graph.is_regular(2)
     assert path(4).graph.m == 3
 
@@ -147,9 +145,12 @@ def test_negative_k_is_rejected(build):
 
 
 def test_regular_multigraphs_labelled_count():
-    # all labelled loopless 3-regular multigraphs on 4 vertices: K4 (1),
-    # two doubled edges plus a matching (6), two triple edges (3)
-    assert sum(1 for _ in _regular_multigraphs(4, 3)) == 10
+    # the labelled loopless 3-regular multigraphs on 4 vertices: K4 (1),
+    # two doubled edges plus a matching (6), two triple edges (3); the walk
+    # keeps one labelling of each class, and the orbits give back all 10
+    classes = _first_members(4, 3)
+    assert len(classes) == 3
+    assert _orbit_sum(4, classes) == 10
     for edges in _regular_multigraphs(4, 3):
         assert Multigraph(4, edges).is_regular(3)
 
@@ -165,6 +166,17 @@ def test_k_family_members():
     assert k_family_members(7, 4) == []  # r < t-1
     with pytest.raises(ValueError):
         k_family_members(1, 4)
+
+
+def test_k_family_members_edge_lists_pinned():
+    # the labelling of each member the registry serves, not only its class:
+    # 58 members over t = 2..7 and r = 1..8, as the full labelled walk gives them
+    members = [(t, r, [G.edges for G in k_family_members(t, r)])
+               for t in range(2, 8) for r in range(1, 9)]
+    assert sum(len(ms) for _, _, ms in members) == 58
+    assert hashlib.sha256(repr(members).encode()).hexdigest() == (
+        "4ef9589c168bb4b6308572a25a666ddc53498c9fd242981be1a91b4e9bf3da97"
+    )
 
 
 def test_poorly_matchable_ten_vertices():
@@ -186,7 +198,7 @@ def test_poorly_matchable_witness_small_orders_exhausted():
         poorly_matchable_witness(3, 6)
 
 
-# -- the row-by-row generator against the pair-by-pair search it replaced --
+# -- the block-sorted walk against the full labelled walk ------------------
 
 def _pairwise_regular_multigraphs(n: int, r: int):
     """All labelled loopless multigraphs on n vertices with all degrees r.
@@ -230,18 +242,66 @@ def _pairwise_regular_multigraphs(n: int, r: int):
     yield from rec(0)
 
 
+def _block_sorted(n: int, edges) -> bool:
+    """The block rule from its definition: m[i][j] <= m[i][k] for all
+    i < j < k where j and k have equal multiplicities to every vertex
+    before i."""
+    m = [[0] * n for _ in range(n)]
+    for a, b in edges:
+        m[a][b] += 1
+        m[b][a] += 1
+    return all(
+        m[i][j] <= m[i][k]
+        for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)
+        if all(m[a][j] == m[a][k] for a in range(i))
+    )
+
+
+def _first_members(n: int, r: int, walk=_regular_multigraphs) -> dict[bytes, tuple]:
+    """The first edge list of each isomorphism class in walk(n, r), keyed
+    by canonical form."""
+    first: dict[bytes, tuple] = {}
+    for edges in walk(n, r):
+        first.setdefault(canonical_form(Multigraph(n, edges)), tuple(edges))
+    return first
+
+
+def _orbit_sum(n: int, classes: dict[bytes, tuple]) -> int:
+    """The sum of n!/|Aut(G)| over one member G of each class: the number
+    of labelled graphs in those classes."""
+    return sum(factorial(n) // automorphism_group_order(Multigraph(n, edges))
+               for edges in classes.values())
+
+
 @pytest.mark.parametrize("r", [3, 4, 5, 6])
 def test_regular_multigraphs_matches_pairwise_oracle(r):
+    # the walk is exactly the full labelled walk filtered by the block rule
     for n in range(7):
-        assert list(_regular_multigraphs(n, r)) == list(_pairwise_regular_multigraphs(n, r)), n
+        expected = [e for e in _pairwise_regular_multigraphs(n, r) if _block_sorted(n, e)]
+        assert list(_regular_multigraphs(n, r)) == expected, n
+
+
+@pytest.mark.parametrize("r", [3, 4, 5])
+def test_regular_multigraphs_keep_the_first_member_of_each_class(r):
+    # the full walk's first member of each class, in the full walk's order:
+    # what k_family_members keeps and where the witness search stops
+    # (r = 6 at order 6 would take 36,935 canonical forms)
+    for n in range(7):
+        assert _first_members(n, r) == _first_members(n, r, _pairwise_regular_multigraphs), n
 
 
 def test_regular_multigraphs_labelled_counts_pinned():
-    counts = {(n, r): sum(1 for _ in _regular_multigraphs(n, r)) for n in (4, 6) for r in (4, 5, 6)}
-    assert counts == {
+    # orbit counting: the classes' orbits give back every labelled graph
+    sums = {(n, r): _orbit_sum(n, _first_members(n, r)) for n in (4, 6) for r in (4, 5, 6)}
+    assert sums == {
         (4, 4): 15, (4, 5): 21, (4, 6): 28,
         (6, 4): 3355, (6, 5): 12043, (6, 6): 36935,
     }
+    assert len(_first_members(6, 4)) == 24
+    classes = _first_members(8, 4)
+    assert len(classes) == 240
+    assert sum(Multigraph(8, e).is_connected() for e in classes.values()) == 204
+    assert _orbit_sum(8, classes) == 3535448
 
 
 def test_poorly_matchable_witness_order_six():
@@ -255,51 +315,23 @@ def test_poorly_matchable_witness_order_six():
     assert has_perfect_matching(G) and has_two_disjoint_perfect_matchings(G) is None
 
 
-# -- the per-support witness verdict against the per-candidate rule --------
+# -- the mask verdict against the edge-id checks ---------------------------
 
 def _per_candidate_witness(n: int, edges) -> bool:
-    """The witness rule recomputed from one candidate's edges alone."""
-    adj, double = support_masks(n, edges)
-    if not support_connected(adj):
-        return False
-    pms = support_perfect_matchings(n, adj)
-    return bool(pms) and disjoint_pair(pms, double) is None
-
-
-def test_regular_leaves_masks_match_support_masks():
-    for n in range(7):
-        for r in (3, 4, 5):
-            for above, row, support, double in _regular_leaves(n, r):
-                adj, dbl = support_masks(n, above + row)
-                pairs = sum(
-                    1 << (a * n + b) for a in range(n) for b in range(a + 1, n) if adj[a] >> b & 1
-                )
-                assert (support, double) == (pairs, dbl), (n, r, above + row)
+    """The witness rule on one candidate's edge ids."""
+    G = Multigraph(n, edges)
+    return (G.is_connected() and has_perfect_matching(G)
+            and pairwise_intersecting_perfect_matchings(G))
 
 
 @pytest.mark.parametrize("r", [4, 5, 6])
 def test_witness_verdict_per_support_matches_per_candidate_rule(r):
-    # every labelled candidate of orders 2, 4 and 6 in walk order: the
-    # search yields exactly those the per-candidate rule calls witnesses
+    # every candidate of orders 2, 4 and 6 in walk order: the search yields
+    # exactly those the edge-id checks call witnesses
     for n in (2, 4, 6):
         expected = [e for e in _regular_multigraphs(n, r) if _per_candidate_witness(n, e)]
-        assert [above + row for above, row in _witness_leaves(n, r)] == expected, n
+        assert list(_witness_leaves(n, r)) == expected, n
         assert (r == 5 and n == 6) == bool(expected)
-
-
-@pytest.mark.parametrize("limit", [0, 100])
-def test_witness_answers_do_not_depend_on_the_support_cache(monkeypatch, limit):
-    # 0: no summary is kept; 100: the cache fills in the middle of order 6
-    monkeypatch.setattr(named, "_SUPPORT_CACHE_LIMIT", limit)
-    assert poorly_matchable_witness(4, 6) is None
-    assert poorly_matchable_witness(6, 6) is None
-    assert poorly_matchable_witness(5, 6).edges == (
-        (0, 4), (0, 4), (0, 5), (0, 5), (0, 5), (1, 2), (1, 2), (1, 3),
-        (1, 3), (1, 4), (2, 3), (2, 3), (2, 3), (4, 5), (4, 5),
-    )
-    assert [above + row for above, row in _witness_leaves(6, 5)] == [
-        e for e in _regular_multigraphs(6, 5) if _per_candidate_witness(6, e)
-    ]
 
 
 _DISAGREEING_REVALIDATION_SCRIPT = textwrap.dedent("""

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hcolour.canonical import is_isomorphic
 from hcolour.multigraph import Multigraph
 from hcolour.named import (
-    _regular_multigraphs,
     complete,
     cycle,
     k_family_members,
@@ -36,6 +35,7 @@ from hcolour.structure import (
     support_masks,
     support_perfect_matchings,
 )
+from test_named import _pairwise_regular_multigraphs
 
 
 def test_is_matching():
@@ -225,7 +225,7 @@ def _assert_mask_core_matches_edge_ids(G: Multigraph) -> None:
 
 def test_mask_core_matches_edge_ids_on_labelled_4_regular_order_6():
     count = 0
-    for edges in _regular_multigraphs(6, 4):
+    for edges in _pairwise_regular_multigraphs(6, 4):
         _assert_mask_core_matches_edge_ids(Multigraph(6, edges))
         count += 1
     assert count == 3355
