@@ -33,8 +33,10 @@ from .graphio import (
     decode_graph6,
     decode_sparse6,
     encode_graph6,
+    from_edge_list_text,
     ingest_graph6,
     parse_certificate,
+    to_edge_list_text,
 )
 from .images import (
     AtlasEntry,
@@ -42,7 +44,7 @@ from .images import (
     enumerate_splitted_images,
     realize_image,
 )
-from .multigraph import Multigraph, from_edge_list_text, to_edge_list_text
+from .multigraph import Multigraph
 from .oracles import image_subgraph, is_matching, naive_solve_all, spanning_regular_check
 from .recipes import RECIPES, VerificationReport, run_corpus, run_recipe
 from .solver import SolveResult, solve, tk2_colourable

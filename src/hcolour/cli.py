@@ -11,7 +11,6 @@ raises exits 2 with the traceback on stderr.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 import time
 import traceback
@@ -21,9 +20,10 @@ from typing import Optional
 from . import named
 from .canonical import canonical_digest
 from .colouring import check_colouring
-from .graphio import certificate_text, decode_record, parse_certificate
+from .graphio import (certificate_text, is_digits, parse_certificate, read_graph,
+                      to_edge_list_text)
 from .images import enumerate_splitted_images
-from .multigraph import Multigraph, from_edge_list_text, to_edge_list_text
+from .multigraph import Multigraph
 from .recipes import VerificationReport, artifact_version, run_corpus, run_recipe
 from .solver import DEFAULT_NODE_BUDGET, solve
 
@@ -36,7 +36,7 @@ BUDGET_HELP = "nodes a search may visit before it answers unknown (default: %(de
 
 def _node_budget(text: str) -> int:
     """The type of every --node-limit option: a non-negative integer."""
-    if not (text.isascii() and text.isdigit()):
+    if not is_digits(text):
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")
     return int(text)
@@ -53,15 +53,7 @@ def load_graph(ref: str) -> Multigraph:
     if not path.is_file():
         raise ValueError(f"{ref!r} is neither a known graph name nor a file")
     try:
-        text = path.read_text()
-        records = [l for l in map(str.strip, text.splitlines()) if l and not l.startswith("#")]
-        if not records:
-            raise ValueError("no graph data found")
-        if re.fullmatch(r"\d+(\s+\d+)?", records[0]):
-            return from_edge_list_text(text, name=path.stem)
-        if len(records) > 1:
-            raise ValueError(f"{len(records)} graph records; expected one")
-        return decode_record(records[0])
+        return read_graph(path, path.stem)
     except (OSError, ValueError) as exc:
         raise ValueError(f"{ref}: {exc}") from None
 

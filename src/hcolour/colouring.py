@@ -80,18 +80,18 @@ _VALID = ColouringReport(ok=True)
 def check_colouring(c: Colouring) -> ColouringReport:
     """Validate both H-colouring conditions, reporting every violation.
 
-    Reads only the colouring itself and the host's and guest's own cached
-    tables, so it is independent of the search that produced it.  The
-    verdict is taken on edge masks: at each guest vertex u, the OR of the
-    host's edge_bits()[f(e)] over the edge ids e of u's cached boundary must
-    have deg(u) bits (properness) and be the boundary mask of some host
-    vertex (vertex condition; an isolated host vertex has mask 0).  An id
-    outside 0..host.m-1 is not a key of edge_bits(), so it rejects the
-    colouring; the solver and the atlas rely on that, as they build their
-    colourings without Colouring's range check.  A valid colouring gets one
-    shared report.  A rejected one gets its full report from
-    oracles.naive_check_colouring, which reads only the graphs' edge lists,
-    and if that calls the colouring valid the two checks disagree and
+    Reads only the colouring itself, the guest's incidence lists and the
+    host's cached tables, so it is independent of the search that produced
+    it.  The verdict is taken on edge masks: at each guest vertex u, the OR
+    of the host's edge_bits()[f(e)] over the edge ids e in u's incidence
+    list must have deg(u) bits (properness) and be the boundary mask of
+    some host vertex (vertex condition; an isolated host vertex has mask
+    0).  An id outside 0..host.m-1 is not a key of edge_bits(), so it
+    rejects the colouring; the solver and the atlas rely on that, as they
+    build their colourings without Colouring's range check.  A valid
+    colouring gets one shared report.  A rejected one gets its full report
+    from oracles.naive_check_colouring, which reads only the graphs' edge
+    lists, and if that calls the colouring valid the two checks disagree and
     RuntimeError is raised, also under python -O.
     """
     f = c.edge_map
@@ -99,9 +99,9 @@ def check_colouring(c: Colouring) -> ColouringReport:
     bits = host.edge_bits()
     masks = host.boundary_masks()
     try:
-        for inc in c.guest.boundaries():
+        for inc in c.guest._adj:
             s = 0
-            for e in inc:
+            for e, _ in inc:
                 s |= bits[f[e]]
             if s not in masks or s.bit_count() != len(inc):
                 break
@@ -140,9 +140,9 @@ def _induced_vertex_map(c: Colouring) -> tuple[int, ...]:
     bits = c.host.edge_bits()
     owners = c.host.boundary_masks()
     out = []
-    for u, inc in enumerate(c.guest.boundaries()):
+    for u, inc in enumerate(c.guest._adj):
         s = 0
-        for e in inc:
+        for e, _ in inc:
             s |= bits[f[e]]
         cands = owners[s]
         if len(cands) > 1:

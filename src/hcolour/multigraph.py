@@ -1,9 +1,10 @@
-"""Loopless multigraphs with stable integer vertex and edge ids.
+"""The graph type: loopless multigraphs with stable integer vertex and edge ids.
 
 Vertices are 0..n-1.  Edges are stored as a tuple of unordered endpoint
 pairs; the position of a pair is the edge id, so parallel edges are
 individually addressable.  Graphs are immutable after construction and all
-queries are pure.
+queries are pure.  Graph text, in every format, is read and written by
+graphio.
 """
 
 from __future__ import annotations
@@ -11,16 +12,12 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
-# the largest order a graph input may announce, the most that graph6's
-# four-byte size form encodes; inputs check it before allocating anything
-MAX_ORDER = 258_047
-
 
 class Multigraph:
     """A finite undirected loopless multigraph."""
 
     __slots__ = ("n", "edges", "name", "_adj", "_canon", "_aut",
-                 "_boundaries", "_boundary_masks", "_edge_bits")
+                 "_boundary_masks", "_edge_bits")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], name: str = ""):
         if n < 0:
@@ -42,7 +39,6 @@ class Multigraph:
         self._adj = tuple(tuple(x) for x in adj)
         self._canon = None
         self._aut = None
-        self._boundaries = None
         self._boundary_masks = None
         self._edge_bits = None
 
@@ -56,15 +52,6 @@ class Multigraph:
         """(edge id, other endpoint) pairs at vertex u."""
         self._check_vertex(u)
         return self._adj[u]
-
-    def boundaries(self) -> tuple[frozenset[int], ...]:
-        """The edge ids at each vertex (the boundary of {u}), built on first
-        use."""
-        if self._boundaries is None:
-            self._boundaries = tuple(
-                frozenset(eid for eid, _ in inc) for inc in self._adj
-            )
-        return self._boundaries
 
     def boundary_masks(self) -> dict[int, tuple[int, ...]]:
         """Each vertex's boundary as an edge mask (bit e for edge e), mapped
@@ -217,42 +204,3 @@ class Multigraph:
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
         return f"<Multigraph{label} n={self.n} m={self.m}>"
-
-
-# -- text edge-list format -------------------------------------------------
-
-def to_edge_list_text(G: Multigraph, comments: Iterable[str] = ()) -> str:
-    """Serialize as the plain text format: '# ...' comments, 'n m', then edges."""
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"{G.n} {G.m}")
-    lines.extend(f"{a} {b}" for a, b in G.edges)
-    return "\n".join(lines) + "\n"
-
-
-def from_edge_list_text(text: str, name: str = "") -> Multigraph:
-    """Parse the text edge-list format; edge ids follow line order."""
-    header = None
-    edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected two integers, got {line!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-        if header is None:
-            if a > MAX_ORDER:
-                raise ValueError(f"line {lineno}: order {a} exceeds {MAX_ORDER}")
-            header = (a, b)
-        else:
-            edges.append((a, b))
-    if header is None:
-        raise ValueError("empty input: missing 'n m' header line")
-    n, m = header
-    if len(edges) != m:
-        raise ValueError(f"header announces {m} edges but {len(edges)} were given")
-    return Multigraph(n, edges, name=name)

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -6,16 +7,20 @@ import pytest
 from hcolour.canonical import is_isomorphic
 from hcolour.colouring import check_colouring
 from hcolour.graphio import (
+    MAX_ORDER,
     GraphFormatError,
     _read_n,
     certificate_text,
     decode_graph6,
     decode_sparse6,
+    decode_record,
     encode_graph6,
+    from_edge_list_text,
     ingest_graph6,
     parse_certificate,
+    read_graph,
 )
-from hcolour.multigraph import MAX_ORDER, Multigraph
+from hcolour.multigraph import Multigraph
 from hcolour.named import complete, cycle, petersen, s4
 from hcolour.solver import solve
 
@@ -88,6 +93,17 @@ def test_decode_sparse6_networkx_multigraph_roundtrip():
         G = decode_sparse6(nx.to_sparse6_bytes(H, header=False).decode("ascii"))
         assert G.n == n
         assert sorted(G.edges) == sorted(edges)
+
+
+def test_decode_graph6_networkx_roundtrip():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(6)
+    for n in (0, 1, 2, 62, 63, 64, 100, 300):  # 63 and up take the four-byte size form
+        for p in (0.0, 0.1, 0.5, 1.0):
+            H = nx.gnp_random_graph(n, p, seed=rng.randrange(2**32))
+            G = decode_graph6(nx.to_graph6_bytes(H, header=False).decode("ascii"))
+            assert G.n == n
+            assert sorted(G.edges) == sorted(tuple(sorted(e)) for e in H.edges())
 
 
 def test_decode_sparse6_requires_colon():
@@ -174,3 +190,52 @@ def test_size_prefix_order_limit():
         tracemalloc.stop()
     assert peak < 1 << 20  # the announced order is never allocated
 
+
+@pytest.mark.parametrize("record, message", [
+    ("\x7f???", "invalid size byte"),  # DEL is not '~'
+    (":\x7f???", "invalid size byte"),
+    ("~~?????\x7f" + "?" * 336, "invalid data byte 127"),  # a bad eight-byte size
+    ("~?!~", "invalid data byte 33"),  # a bad four-byte size
+], ids=["graph6-del", "sparse6-del", "eight-byte-size", "four-byte-size"])
+def test_size_prefix_rejects_a_byte_outside_63_to_126(record, message):
+    with pytest.raises(GraphFormatError, match=f"^{message}$"):
+        decode_record(record)
+
+
+@pytest.mark.parametrize("text, lineno, line", [
+    ("11 1\n0 1_0\n", 2, "0 1_0"),
+    ("2 1\n+1 0\n", 2, "+1 0"),
+    ("\u0663 1\n0 1\n", 1, "\u0663 1"),  # ARABIC-INDIC DIGIT THREE
+])
+def test_edge_list_fields_are_ascii_digits(text, lineno, line):
+    with pytest.raises(ValueError,
+                       match=f"^line {lineno}: expected two integers, got '{re.escape(line)}'$"):
+        from_edge_list_text(text)
+
+
+def _noisy(lines: list[str]) -> bytes:
+    """lines with comments, some indented, and blank lines between them, and
+    CRLF line ends."""
+    noise = ["  # an indented note", "", *lines[:1], "\t# another", " ", *lines[1:], ""]
+    return "\r\n".join(noise).encode("ascii")
+
+
+@pytest.mark.parametrize("reader", ["edge list", "one-record file", "ingest", "certificate"])
+def test_every_reader_skips_comments_blank_lines_and_crs(reader, tmp_path):
+    record = encode_graph6(petersen().graph)
+    P = decode_graph6(record)
+    path = tmp_path / "g"
+    if reader == "edge list":
+        text = _noisy(["3 3", "0 1", "1 2", "0 2"]).decode("ascii")
+        assert from_edge_list_text(text) == Multigraph(3, [(0, 1), (1, 2), (0, 2)])
+    elif reader == "one-record file":
+        path.write_bytes(_noisy([record]))
+        assert read_graph(path) == P
+    elif reader == "ingest":
+        path.write_bytes(_noisy([record, ":Fa@x^"]))
+        assert list(ingest_graph6(path)) == [(3, P), (6, decode_sparse6(":Fa@x^"))]
+    else:
+        host = s4().graph
+        c = solve(host, P).witness
+        text = _noisy(certificate_text(c, "s4", "petersen").splitlines()).decode("ascii")
+        assert parse_certificate(text, host, P).edge_map == c.edge_map

@@ -5,12 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcolour.colouring import Colouring, unused_vertices
-from hcolour.multigraph import (
-    MAX_ORDER,
-    Multigraph,
-    from_edge_list_text,
-    to_edge_list_text,
-)
+from hcolour.graphio import MAX_ORDER, from_edge_list_text, to_edge_list_text
+from hcolour.multigraph import Multigraph
 from hcolour.oracles import image_subgraph
 
 
@@ -25,7 +21,7 @@ def test_basic_accessors():
     assert G.degree(1) == 3
     assert G.degrees() == (1, 3, 3, 1)
     assert Counter(G.edges) == {(0, 1): 1, (1, 2): 2, (2, 3): 1}
-    assert G.boundaries()[0] == frozenset({0})
+    assert G.incident(0) == ((0, 1),)
     assert dict(G.incident(2)) == {1: 1, 2: 1, 3: 3}
 
 

@@ -651,6 +651,31 @@ def test_corpus_survives_a_non_ascii_byte(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 
+def test_corpus_reports_a_del_size_byte_as_unknown(tmp_path):
+    # DEL (127) is no size byte: it once read as '~' and gave the empty graph
+    path = tmp_path / "del.g6"
+    g6 = encode_graph6(petersen().graph)
+    path.write_text(f"{g6}\n\x7f???\n{g6}\n")
+    checks = run_corpus(str(path), s4().graph, "s4", workers=1)
+    assert [c.outcome for c in checks] == ["pass", "unknown", "pass"]
+    assert checks[1].details["line"] == 2
+    assert "invalid size byte" in checks[1].details["error"]
+
+
+@pytest.mark.parametrize("text", ["11 1\n0 1_0\n", "2 1\n+1 0\n", "4 1\n0 \u0663\n",
+                                  "\u0663 1\n0 1\n"])
+def test_cli_rejects_an_edge_list_field_that_is_not_ascii_digits(text, tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    f.write_text(text, encoding="utf-8")
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--host", str(f), "--guest", "petersen"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {f}: ")
+
+
 def test_readme_lists_every_recipe():
     from hcolour.recipes import RECIPES
 
