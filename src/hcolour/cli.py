@@ -34,6 +34,14 @@ EXIT = {"pass": EXIT_PASS, "sat": EXIT_PASS, "fail": EXIT_FAIL, "unsat": EXIT_FA
 BUDGET_HELP = "nodes a search may visit before it answers unknown (default: %(default)s)"
 
 
+def _integer(text: str) -> int:
+    """The type of --workers and of --param values: an optional '-', then
+    ASCII digits.  int() would also take '+2', ' 2', '1_0' or U+0662."""
+    if not is_digits(text.removeprefix("-")):
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    return int(text)
+
+
 def _node_budget(text: str) -> int:
     """The type of every --node-limit option: a non-negative integer."""
     if not is_digits(text):
@@ -152,8 +160,8 @@ def _cmd_recipe(args) -> int:
     for kv in args.param or []:
         k, _, v = kv.partition("=")
         try:
-            params[k] = int(v)
-        except ValueError:
+            params[k] = _integer(v)
+        except (argparse.ArgumentTypeError, ValueError):  # ValueError: too many digits
             params[k] = v  # run_recipe rejects it where it must be an integer
     t0 = time.perf_counter()
     try:
@@ -238,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     co.add_argument("--host", required=True)
     co.add_argument("--node-limit", type=_node_budget, default=DEFAULT_NODE_BUDGET,
                     help=BUDGET_HELP)
-    co.add_argument("--workers", type=int, default=1,
+    co.add_argument("--workers", type=_integer, default=1,
                     help="pool size; 1 solves serially (default: %(default)s)")
     co.set_defaults(func=_cmd_corpus)
     return ap

@@ -75,11 +75,17 @@ def _read_n(data: bytes) -> tuple[int, bytes]:
     return n, rest
 
 
+def _record_bytes(line: str, header: bytes) -> bytes:
+    """A record's bytes: stripped, ASCII, and without its header."""
+    line = line.strip()
+    if not line.isascii():
+        raise GraphFormatError("record is not ASCII")
+    return line.encode().removeprefix(header)
+
+
 def decode_graph6(line: str) -> Multigraph:
     """Decode one graph6 record (simple graphs)."""
-    data = line.strip().encode("ascii")
-    if data.startswith(b">>graph6<<"):
-        data = data[10:]
+    data = _record_bytes(line, b">>graph6<<")
     n, rest = _read_n(data)
     need = -(-n * (n - 1) // 12)  # ceil(n(n-1)/2 bits / 6 bits per byte)
     if len(rest) != need:
@@ -110,9 +116,7 @@ def encode_graph6(G: Multigraph) -> str:
 
 def decode_sparse6(line: str) -> Multigraph:
     """Decode one sparse6 record; parallel edges are kept, loops are rejected."""
-    data = line.strip().encode("ascii")
-    if data.startswith(b">>sparse6<<"):
-        data = data[11:]
+    data = _record_bytes(line, b">>sparse6<<")
     if not data.startswith(b":"):
         raise GraphFormatError("sparse6 record must start with ':'")
     n, rest = _read_n(data[1:])

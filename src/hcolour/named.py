@@ -432,15 +432,18 @@ _REGISTRY: list[tuple[str, Callable[..., LabelledGraph]]] = [
 def by_name(name: str) -> LabelledGraph:
     """The graph a registry name denotes, case-insensitively.
 
-    Raises UnknownGraphName if no pattern matches, and ValueError naming
-    the reference if the constructor rejects its parameters.
+    Names are ASCII, so their digits are 0-9: \\d would also match U+0663,
+    and lower() takes the Kelvin sign U+212A to k.  Raises UnknownGraphName
+    if no pattern matches, and ValueError naming the reference if the
+    constructor rejects its parameters.
     """
-    key = name.lower()
-    for pattern, build in _REGISTRY:
-        m = re.fullmatch(pattern, key)
-        if m:
-            try:
-                return build(*(int(g) for g in m.groups() if g is not None))
-            except ValueError as exc:
-                raise ValueError(f"{name}: {exc}") from None
+    if name.isascii():
+        key = name.lower()
+        for pattern, build in _REGISTRY:
+            m = re.fullmatch(pattern, key)
+            if m:
+                try:
+                    return build(*(int(g) for g in m.groups() if g is not None))
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from None
     raise UnknownGraphName(f"unknown graph name {name!r}")

@@ -4,7 +4,8 @@ tools into reproducible pass/fail reports.
 Each recipe runs a fixed list of checks and returns a VerificationReport.
 Reports are deterministic for identical inputs and limits: every value that
 lands in the serialized output is derived from the computation itself, never
-from the clock.  _check is the one rule that turns evidence into an outcome.
+from the clock.  _check is the one rule that turns evidence into an outcome,
+and the one place where a search that did not finish becomes "unknown".
 """
 
 from __future__ import annotations
@@ -113,58 +114,54 @@ def artifact_version() -> str:
     return h.hexdigest()[:12]
 
 
-def _check(name: str, ok: bool | str | None, nodes: int = 0, *,
+def _check(name: str, ok: bool | str, nodes: int = 0, *, settled: bool = True,
            expect: Optional[str] = None, **details) -> CheckResult:
     """The one rule that turns a check's evidence into its outcome.
 
-    ok is the claim: True or False once settled, None when the search it
-    rests on ran out of budget (an atlas that is not complete).  With
-    expect ("sat" or "unsat"), ok is a solver status instead, kept as the
-    "status" detail, and the claim is that it equals expect.  Evidence
-    short of settled is "unknown", never "fail": a spent budget refutes
-    nothing.
+    ok is the claim, True or False, and settled says whether the search it
+    rests on finished (for an atlas claim, atlas.complete).  With expect
+    ("sat" or "unsat"), ok is a solver status instead, kept as the "status"
+    detail, the claim is that it equals expect, and "unknown" is not
+    settled.  Evidence short of settled is "unknown", never "pass" or
+    "fail": a spent budget proves and refutes nothing.
     """
     if expect is not None:
         details["status"] = ok
-        ok = None if ok == "unknown" else ok == expect
-    outcome = "unknown" if ok is None else "pass" if ok else "fail"
+        settled = settled and ok != "unknown"
+        ok = ok == expect
+    outcome = ("pass" if ok else "fail") if settled else "unknown"
     return CheckResult(name, outcome, details, nodes)
+
+
+def _atlas_complete(guest_name: str, atlas: ImageAtlas) -> CheckResult:
+    """<guest>-atlas-complete: every claim about the atlas but its witnesses rests on it."""
+    return _check(f"{guest_name}-atlas-complete", atlas.complete, atlas.nodes,
+                  settled=atlas.complete, entries=len(atlas.entries))
 
 
 def _atlas_checks(
     guest_name: str, atlas: ImageAtlas, expected: dict[str, Multigraph]
 ) -> list[CheckResult]:
     """Compare the guest's image atlas against the expected classes."""
-    out = [
-        _check(
-            f"{guest_name}-atlas-complete",
-            atlas.complete or None,
-            nodes=atlas.nodes,
-            entries=len(atlas.entries),
-        )
-    ]
     expected_keys = {name: canonical_form(g) for name, g in expected.items()}
-    got = atlas.canonical_set()
-    out.append(
+    # _witness's check_colouring accepted each witness; recheck with the oracle
+    bad = [i for i, e in enumerate(atlas.entries) if not naive_check_colouring(e.witness).ok]
+    return [
+        _atlas_complete(guest_name, atlas),
         _check(
             f"{guest_name}-atlas-classes",
-            got == set(expected_keys.values()) if atlas.complete else None,
+            atlas.canonical_set() == set(expected_keys.values()),
+            settled=atlas.complete,
             expected=sorted(expected_keys),
             found=[canonical_digest(e.graph) for e in atlas.entries],
             multiplicities={
                 nm: (atlas.find(g).multiplicity if atlas.find(g) else 0)
                 for nm, g in expected.items()
             },
-        )
-    )
-    # _witness's check_colouring accepted each witness; recheck with the oracle
-    bad = [
-        i
-        for i, e in enumerate(atlas.entries)
-        if not naive_check_colouring(e.witness).ok
+        ),
+        # settled on any atlas: it speaks only of the witnesses found
+        _check(f"{guest_name}-atlas-witnesses-revalidate", not bad, bad=bad),
     ]
-    out.append(_check(f"{guest_name}-atlas-witnesses-revalidate", not bad, bad=bad))
-    return out
 
 
 # -- individual recipes ----------------------------------------------------
@@ -172,28 +169,19 @@ def _atlas_checks(
 def _recipe_petersen_images(params: dict) -> list[CheckResult]:
     P = petersen().graph
     atlas = enumerate_splitted_images(P, node_limit=params["node_limit"])
-    checks = _atlas_checks("petersen", atlas, {"petersen": P, "s4": s4().graph})
-    checks.append(
-        _check("petersen-atlas-exactly-two",
-               len(atlas.entries) == 2 if atlas.complete else None,
-               entries=len(atlas.entries))
-    )
-    # bridge property: in every image, each bridge uv has exactly one
-    # endpoint of degree 1; and image degrees all lie in {1, 3}
-    bridge_ok = deg_ok = True
-    for e in atlas.entries:
-        g = e.graph
-        for eid in g.bridges():
-            a, b = g.edges[eid]
-            if (g.degree(a) == 1) == (g.degree(b) == 1):
-                bridge_ok = False
-        if not all(g.degree(v) in (1, 3) for v in range(g.n)):
-            deg_ok = False
-    if not atlas.complete:
-        bridge_ok = deg_ok = None
-    checks.append(_check("petersen-image-bridge-endpoints", bridge_ok))
-    checks.append(_check("petersen-image-degrees-1-or-3", deg_ok))
-    return checks
+    images = [e.graph for e in atlas.entries]
+    return _atlas_checks("petersen", atlas, {"petersen": P, "s4": s4().graph}) + [
+        _check("petersen-atlas-exactly-two", len(images) == 2,
+               settled=atlas.complete, entries=len(images)),
+        # in every image, each bridge uv has exactly one endpoint of degree 1
+        _check("petersen-image-bridge-endpoints",
+               all(sum(g.degree(v) == 1 for v in g.edges[e]) == 1
+                   for g in images for e in g.bridges()),
+               settled=atlas.complete),
+        _check("petersen-image-degrees-1-or-3",
+               all(g.degree(v) in (1, 3) for g in images for v in range(g.n)),
+               settled=atlas.complete),
+    ]
 
 
 def _recipe_s10_images(params: dict) -> list[CheckResult]:
@@ -225,29 +213,19 @@ def _recipe_p_matching_cuts(params: dict) -> list[CheckResult]:
 def _recipe_k5_images(params: dict) -> list[CheckResult]:
     K5 = complete(5).graph
     atlas = enumerate_splitted_images(K5, node_limit=params["node_limit"])
-    family: dict[int, set[bytes]] = {}
-    checks = [
-        _check("k5-atlas-complete", atlas.complete or None, nodes=atlas.nodes,
-               entries=len(atlas.entries))
+    odd = [e for e in atlas.entries if e.graph.n % 2]  # an even t fails the family check
+    family = {t: {canonical_form(m) for m in k_family_members(t, 4)}
+              for t in {e.graph.n for e in odd}}
+    return [
+        _atlas_complete("k5", atlas),
+        _check("k5-images-in-k-family-odd-t",
+               all(e.graph.n % 2 and e.canonical in family[e.graph.n]
+                   for e in atlas.entries),
+               settled=atlas.complete),
+        _check("k5-images-no-unused-vertex",
+               all(e.graph.degree(v) == 4 for e in odd for v in range(e.graph.n)),
+               settled=atlas.complete),
     ]
-    all_in_family = True
-    no_unused = True
-    for e in atlas.entries:
-        t = e.graph.n
-        if t % 2 == 0:
-            all_in_family = False
-            continue
-        if t not in family:
-            family[t] = {canonical_form(m) for m in k_family_members(t, 4)}
-        if e.canonical not in family[t]:
-            all_in_family = False
-        if any(e.graph.degree(v) != 4 for v in range(e.graph.n)):
-            no_unused = False
-    if not atlas.complete:
-        all_in_family = no_unused = None
-    checks.append(_check("k5-images-in-k-family-odd-t", all_in_family))
-    checks.append(_check("k5-images-no-unused-vertex", no_unused))
-    return checks
 
 
 def _recipe_j4_exclusion(params: dict) -> list[CheckResult]:
@@ -375,9 +353,9 @@ def _recipe_lemma24_props(params: dict) -> list[CheckResult]:
     checks.append(
         _check(
             "lemma24-coverage",
+            total_colourings >= 100 and len(applied) == 5,
             # the tally is partial when a solve ran out of budget
-            None if any(c.outcome == "unknown" for c in checks)
-            else total_colourings >= 100 and len(applied) == 5,
+            settled=all(c.outcome != "unknown" for c in checks),
             colourings=total_colourings,
             applications=dict(sorted(applied.items())),
         )
@@ -460,7 +438,7 @@ def _corpus_entry(job: tuple) -> CheckResult:
     index, lineno, G, host, host_name, node_limit, star = job
     name = f"entry-{index}"
     if isinstance(G, GraphFormatError):
-        return _check(name, None, line=lineno, error=str(G))
+        return _check(name, False, settled=False, line=lineno, error=str(G))
     if not (
         G.is_regular(3) and G.is_connected()
         and not G.bridges()

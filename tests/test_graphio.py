@@ -213,6 +213,17 @@ def test_edge_list_fields_are_ascii_digits(text, lineno, line):
         from_edge_list_text(text)
 
 
+@pytest.mark.parametrize("decode, record", [
+    (decode_record, "\u0663 1"),  # ARABIC-INDIC DIGIT THREE
+    (decode_graph6, "\u0663 1"),
+    (decode_sparse6, ":\u0663"),
+    (decode_record, ">>sparse6<<:\u0663"),
+])
+def test_a_non_ascii_record_is_a_format_error(decode, record):
+    with pytest.raises(GraphFormatError, match="^record is not ASCII$"):
+        decode(record)
+
+
 def _noisy(lines: list[str]) -> bytes:
     """lines with comments, some indented, and blank lines between them, and
     CRLF line ends."""

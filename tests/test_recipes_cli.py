@@ -52,6 +52,19 @@ def test_a_spent_budget_is_unknown_never_fail(name, node_limit):
     assert report.status == want, report.to_json_lines()
 
 
+@pytest.mark.parametrize("node_limit", [0, 1, 50])
+@pytest.mark.parametrize("name", ["k5-images", "petersen-images", "s10-images",
+                                  "s12-images", "s12kM-rigidity"])
+def test_every_atlas_claim_on_a_partial_atlas_is_unknown(name, node_limit):
+    # no atlas here completes, yet the claims are checked on what was found:
+    # only the witnesses found can be settled
+    checks = run_recipe(name, {"node_limit": node_limit}).checks
+    assert checks[0].name.endswith("-atlas-complete")
+    outcomes = {c.name: c.outcome for c in checks}
+    assert outcomes == {c.name: "pass" if c.name.endswith("-atlas-witnesses-revalidate")
+                        else "unknown" for c in checks}
+
+
 def test_a_settled_contradiction_still_fails(monkeypatch):
     from hcolour import recipes
     from hcolour.solver import SolveResult
@@ -466,7 +479,9 @@ def test_cli_recipe(capsys):
 
 
 @pytest.mark.parametrize("param", ["node_limit=x", "seed=1.5", "k=many",
-                                   "k=", "node_limit=0x10", "seed=--5"])
+                                   "k=", "node_limit=0x10", "seed=--5",
+                                   "seed=1_0", "k=\u0663", "seed=+2", "seed=\u0662",
+                                   "seed= 2", "seed=-", "seed=2 "])
 def test_cli_recipe_rejects_a_non_integer_param(capsys, monkeypatch, param):
     from hcolour import recipes
 
@@ -479,6 +494,16 @@ def test_cli_recipe_rejects_a_non_integer_param(capsys, monkeypatch, param):
     assert captured.out == ""
     key, _, value = param.partition("=")
     assert captured.err == f"error: parameter {key!r} must be an integer, got {value!r}\n"
+
+
+def test_cli_recipe_param_is_a_minus_then_ascii_digits(capsys, monkeypatch):
+    from hcolour import recipes
+
+    seen = []
+    monkeypatch.setitem(recipes.RECIPES, "petersen-images", lambda p: seen.append(p) or [])
+    assert main(["recipe", "petersen-images", "--param", "seed=-3",
+                 "--param", "k=07"]) == 0
+    assert seen == [{"k": 7, "node_limit": recipes.DEFAULT_NODE_BUDGET, "seed": -3}]
 
 
 @pytest.mark.parametrize("param", ["node_limt=5", "noequals", "Seed=1",
@@ -547,9 +572,21 @@ def test_worker_count_rejects_non_positive_request(tmp_path, capsys, bad):
     message = f"--workers must be a positive integer, got {bad!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_corpus(missing, s4().graph, "s4", workers=bad)
-    if type(bad) is int:  # --workers is type=int, so nothing else reaches the CLI
+    if type(bad) is int:  # --workers takes integers only, so nothing else reaches the CLI
         assert main(["corpus", missing, "--host", "s4", "--workers", str(bad)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("workers", ["1_0", "+2", "\u0662", " 2", "2 ", "2.0", "x", "-"])
+def test_cli_workers_is_a_minus_then_ascii_digits(workers, tmp_path, capsys):
+    missing = str(tmp_path / "missing.g6")
+    with pytest.raises(SystemExit) as info:
+        main(["corpus", missing, "--host", "s4", "--workers", workers])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        f"hcolour corpus: error: argument --workers: must be an integer, got {workers!r}")
 
 
 @pytest.mark.parametrize("cmd", ["corpus"])
@@ -674,6 +711,17 @@ def test_cli_rejects_an_edge_list_field_that_is_not_ascii_digits(text, tmp_path,
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"error: {f}: ")
+
+
+def test_load_graph_rejects_a_non_ascii_record_in_one_line(tmp_path, capsys):
+    f = tmp_path / "g.g6"
+    f.write_text("\u0663 1\n", encoding="utf-8")  # one record, not an edge list
+    with pytest.raises(ValueError, match=f"^{re.escape(str(f))}: record is not ASCII$"):
+        load_graph(str(f))
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--host", str(f), "--guest", "petersen"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err == f"error: {f}: record is not ASCII\n"
 
 
 def test_readme_lists_every_recipe():

@@ -104,6 +104,21 @@ def test_by_name_errors_name_the_reference(name, message):
         by_name(name)
 
 
+@pytest.mark.parametrize("name", [
+    "k\u0663", "c\u0665", "s12+\u0661m", "j\u0664", "kfamily-\u0665-\u0664",  # Arabic-Indic digits
+    "\u212a5",  # KELVIN SIGN, which lower() takes to k
+])
+def test_by_name_takes_ascii_names_only(name, capsys):
+    with pytest.raises(UnknownGraphName, match=f"^unknown graph name {re.escape(repr(name))}$"):
+        by_name(name)
+    with pytest.raises(SystemExit) as info:
+        main(["gen", name])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: unknown graph name {name!r}\n"
+
+
 def test_by_name_unknown_is_distinct_from_bad_parameter():
     with pytest.raises(UnknownGraphName):
         by_name("k5e")
