@@ -29,9 +29,10 @@ Every colouring the search finds is revalidated by check_colouring, which
 reads only the colouring, the guest's incidence lists (guest._adj) and the
 host's cached tables, not this state or its boundary table: over each guest
 vertex's incidence list it ORs the host's edge bits of the images into one
-edge mask and looks it up among the host's boundary masks, and falls back to a set-based check for the report
-when it rejects.  A rejection raises, also under ``python -O``.  Only then
-is the colouring counted, kept as the witness or passed to visit.
+edge mask and looks it up among the host's boundary masks, and falls back
+to a set-based check for the report when it rejects.  A rejection raises,
+also under ``python -O``.  Only then is the colouring counted, kept as the
+witness or passed to visit.
 
 The colouring is built without Colouring's range check on its edge map:
 every id in it is a bit of a candidate mask, so it is a host edge id by
