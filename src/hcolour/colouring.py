@@ -53,7 +53,7 @@ def _trusted_colouring(host: Multigraph, guest: Multigraph,
 
     Only for a total map whose every id was read off a host edge mask (the
     solver's and the atlas's searches), where the check cannot fail; the
-    caller still passes the colouring to check_colouring, which rejects an
+    caller still revalidates the colouring, and check_colouring rejects an
     id outside 0..host.m-1 by itself.
     """
     c = object.__new__(Colouring)

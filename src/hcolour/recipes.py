@@ -251,6 +251,8 @@ def _recipe_j4_exclusion(params: dict) -> list[CheckResult]:
 
 def _recipe_s12km_rigidity(params: dict) -> list[CheckResult]:
     k = params["k"]
+    if k < 1:  # theorem (i) is about S12+kM for k >= 1; S12 itself has images
+        raise ValueError(f"k must be at least 1, got {k}")
     g = s12_plus_km(k).graph
     atlas = enumerate_splitted_images(g, node_limit=params["node_limit"])
     return _atlas_checks(f"s12+{k}M", atlas, {f"s12+{k}M": g})

@@ -27,12 +27,13 @@ the sequence is worked out once per guest before the search.
 
 Every colouring the search finds is revalidated by check_colouring, which
 reads only the colouring, the guest's incidence lists (guest._adj) and the
-host's cached tables, not this state or its boundary table: over each guest
-vertex's incidence list it ORs the host's edge bits of the images into one
-edge mask and looks it up among the host's boundary masks, and falls back
-to a set-based check for the report when it rejects.  A rejection raises,
-also under ``python -O``.  Only then is the colouring counted, kept as the
-witness or passed to visit.
+host's cached tables.  It passes a guest vertex u iff the edge bits of u's
+image tuple (the images of u's incidence list) OR to a host boundary mask
+of deg(u) bits, and a colouring iff it passes every vertex; an isolated
+vertex passes alike in every colouring.  So it is called on the first
+colouring and on each with a tuple no colouring it accepted had.  A
+rejection raises, also under ``python -O``.  Only then is the colouring
+counted, kept as the witness or passed to visit.
 
 The colouring is built without Colouring's range check on its edge map:
 every id in it is a bit of a candidate mask, so it is a host edge id by
@@ -42,6 +43,7 @@ construction, and check_colouring rejects any other id by itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Literal, Optional
 
 from .colouring import Colouring, _trusted_colouring, check_colouring
@@ -92,13 +94,11 @@ def solve(
         raise ValueError(f"mode must be 'first' or 'count', got {mode!r}")
     _check_node_limit(node_limit)
     res = SolveResult(status="unsat")
+    revalidate = _revalidator(host, guest)
 
     def record(edge_map: tuple[int, ...]) -> None:
         res.count += 1
-        c = _trusted_colouring(host, guest, edge_map)
-        report = check_colouring(c)
-        if not report.ok:
-            raise RuntimeError(f"solver produced an invalid colouring: {report}")
+        c = revalidate(edge_map)
         if res.witness is None:
             res.witness = c
         if visit is not None:
@@ -176,6 +176,24 @@ def solve(
         del rec
     res.status = "sat" if res.count else "unsat"
     return res
+
+
+def _revalidator(host: Multigraph, guest: Multigraph) -> Callable[[tuple[int, ...]], Colouring]:
+    """Edge map -> Colouring, revalidated as the module docstring says."""
+    images = [itemgetter(*[e for e, _ in inc]) for inc in guest._adj if inc]
+    accepted: set = set()  # image tuples (an id alone at degree 1)
+
+    def revalidate(edge_map: tuple[int, ...]) -> Colouring:
+        c = _trusted_colouring(host, guest, edge_map)
+        seen = [image(edge_map) for image in images]
+        if not (accepted and accepted.issuperset(seen)):  # the first always is
+            report = check_colouring(c)
+            if not report.ok:
+                raise RuntimeError(f"solver produced an invalid colouring: {report}")
+            accepted.update(seen)
+        return c
+
+    return revalidate
 
 
 def _assignment_sequence(G: Multigraph) -> list[int]:

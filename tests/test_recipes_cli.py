@@ -524,6 +524,26 @@ def test_cli_recipe_rejects_an_unknown_param(capsys, monkeypatch, param):
     )
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_run_recipe_s12km_rigidity_rejects_k_below_1(monkeypatch, k):
+    # theorem (i) is about k >= 1: S12+0M is S12, whose atlas holds S10 too
+    from hcolour import recipes
+
+    def never(*args, **kwargs):
+        raise AssertionError("the atlas search ran")
+
+    monkeypatch.setattr(recipes, "enumerate_splitted_images", never)
+    with pytest.raises(ValueError, match=rf"^k must be at least 1, got {k}$"):
+        run_recipe("s12kM-rigidity", {"k": k})
+
+
+def test_cli_recipe_s12km_rigidity_rejects_k_0(capsys):
+    assert main(["recipe", "s12kM-rigidity", "--param", "k=0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k must be at least 1, got 0\n"
+
+
 def test_run_recipe_rejects_an_unknown_param(monkeypatch):
     from hcolour import recipes
 

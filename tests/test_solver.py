@@ -27,7 +27,7 @@ from hcolour.named import (
     star,
     t_k2,
 )
-from hcolour.oracles import naive_solve_all
+from hcolour.oracles import naive_check_colouring, naive_solve_all
 from hcolour.recipes import _LEMMA_PAIRS
 from hcolour.solver import _assignment_sequence, _bfs_edge_order, solve, tk2_colourable
 
@@ -395,6 +395,86 @@ def test_revalidation_raises_under_python_O():
     ], out.stdout
     assert lines[6].startswith("disagreement raised:"), out.stdout
     assert len(lines) == 7, out.stdout
+
+
+_REVALIDATOR_SCRIPT = textwrap.dedent("""
+    from hcolour.multigraph import Multigraph
+    from hcolour.solver import _revalidator
+
+    try:
+        assert False
+    except AssertionError:
+        raise SystemExit("asserts are active; run under python -O")
+
+    def feed(host, guest, maps):
+        revalidate = _revalidator(host, guest)
+        for f in maps:
+            try:
+                c = revalidate(f)
+            except RuntimeError:
+                print(f, "raised")
+            else:
+                print(f, "accepted", c.edge_map == f)
+
+    p3 = Multigraph(3, [(0, 1), (1, 2)])
+    # (0, 0) keeps the accepted tuples 0 at both ends and breaks the middle;
+    # each invalid map is fed twice, so a rejected tuple kept as accepted shows
+    feed(p3, p3, [(0, 1), (1, 0), (0, 0), (0, 0), (0, 2), (0, 2), (1, 0)])
+    feed(p3, p3, [(0, 2)])
+    # an edgeless guest's only colouring, on hosts without and with an
+    # isolated vertex: no image tuple is kept, and it is checked every time
+    one = Multigraph(1, [])
+    feed(Multigraph(2, [(0, 1)]), one, [(), ()])
+    feed(Multigraph(3, [(0, 1)]), one, [()])
+""")
+
+
+def test_revalidator_raises_on_every_invalid_map_under_python_O():
+    src = Path(hcolour.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-O", "-B", "-c", _REVALIDATOR_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "(0, 1) accepted True",
+        "(1, 0) accepted True",
+        "(0, 0) raised",
+        "(0, 0) raised",
+        "(0, 2) raised",
+        "(0, 2) raised",
+        "(1, 0) accepted True",
+        "(0, 2) raised",
+        "() raised",
+        "() raised",
+        "() accepted True",
+    ], out.stdout
+
+
+@pytest.mark.parametrize("label", ["s12<s12", "k5<k5", "s4+1M<s4+1M"])
+def test_revalidation_checks_once_per_new_image_tuple(monkeypatch, label):
+    # every streamed colouring passes the set-based oracle, and check_colouring
+    # runs at most once per distinct vertex image tuple, plus one: on s12<s12
+    # (24 tuples, 384 colourings) and s4+1M<s4+1M (18, 24) a check per
+    # colouring exceeds that; k5<k5 has a tuple per colouring (120)
+    from hcolour import solver
+
+    calls = []
+
+    def counting(c):
+        calls.append(c.edge_map)
+        return check_colouring(c)
+
+    monkeypatch.setattr(solver, "check_colouring", counting)
+    host, guest = next((h, g) for lb, h, g in _LEMMA_PAIRS() if lb == label)
+    seen = []
+    res = solve(host, guest, mode="count", visit=seen.append)
+    assert len(seen) == res.count == PAIR_SHAPES[label][1]
+    assert all(naive_check_colouring(c).ok for c in seen)
+    tuples = {tuple(c.edge_map[e] for e, _ in inc) for c in seen for inc in guest._adj}
+    assert calls[0] == seen[0].edge_map
+    assert len(calls) <= len(tuples) + 1
 
 
 # (status, count, nodes, first witness's edge map) of the S12+1M count-mode
