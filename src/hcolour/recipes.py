@@ -251,7 +251,7 @@ def _recipe_j4_exclusion(params: dict) -> list[CheckResult]:
 
 def _recipe_s12km_rigidity(params: dict) -> list[CheckResult]:
     k = params["k"]
-    if k < 1:  # theorem (i) is about S12+kM for k >= 1; S12 itself has images
+    if k < 1:  # theorem (i) speaks of k >= 1; S12+0M is S12, with S10 in its atlas
         raise ValueError(f"k must be at least 1, got {k}")
     g = s12_plus_km(k).graph
     atlas = enumerate_splitted_images(g, node_limit=params["node_limit"])
