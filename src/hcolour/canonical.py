@@ -232,14 +232,24 @@ def _search(G: Multigraph) -> tuple[bytes, int, tuple[tuple[int, ...], ...]]:
     return best, count, tuple(tuple(g) for g in gens)
 
 
+# the largest edge multiplicity the canonical form encodes, in one byte
+MAX_MULTIPLICITY = 255
+
+
+def check_multiplicity(G: Multigraph) -> None:
+    """Raise ValueError if G has more than MAX_MULTIPLICITY parallel edges."""
+    # edges are stored as (min, max), so parallel edges are equal pairs
+    if max(Counter(G.edges).values(), default=0) > MAX_MULTIPLICITY:
+        raise ValueError(
+            f"edge multiplicities above {MAX_MULTIPLICITY} are not supported")
+
+
 def _ensure(G: Multigraph) -> None:
     """Compute and cache the canonical form and automorphism group of G."""
     if G._canon is not None:
         return
     header = struct.pack(">II", G.n, G.m)
-    # edges are stored as (min, max), so parallel edges are equal pairs
-    if max(Counter(G.edges).values(), default=0) > 255:
-        raise ValueError("edge multiplicities above 255 are not supported")
+    check_multiplicity(G)
     best, aut_order, gens = _search(G)
     G._canon, G._aut = header + best, (aut_order, gens)
 

@@ -31,7 +31,6 @@ EXIT_PASS, EXIT_FAIL, EXIT_UNKNOWN = 0, 1, 2
 # the exit code of a recipe or corpus status, or of a solver status
 EXIT = {"pass": EXIT_PASS, "sat": EXIT_PASS, "fail": EXIT_FAIL, "unsat": EXIT_FAIL,
         "unknown": EXIT_UNKNOWN}
-BUDGET_HELP = "nodes a search may visit before it answers unknown (default: %(default)s)"
 
 
 def _integer(text: str) -> int:
@@ -43,7 +42,7 @@ def _integer(text: str) -> int:
 
 
 def _node_budget(text: str) -> int:
-    """The type of every --node-limit option: a non-negative integer."""
+    """The type of --node-limit: a non-negative integer."""
     if not is_digits(text):
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")
@@ -214,18 +213,21 @@ def build_parser() -> argparse.ArgumentParser:
                    "kfamily-5-4 (member 0) or kfamily-5-4-1 (member 1)")
     g.set_defaults(func=_cmd_gen)
 
-    s = sub.add_parser("solve", help="decide host ≺ guest")
+    # the searching subcommands, solve, images and corpus, share --node-limit
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--node-limit", type=_node_budget, default=DEFAULT_NODE_BUDGET,
+                        help="nodes a search may visit before it answers unknown "
+                        "(default: %(default)s)")
+
+    s = sub.add_parser("solve", parents=[budget], help="decide host ≺ guest")
     s.add_argument("--host", required=True)
     s.add_argument("--guest", required=True)
     s.add_argument("--count", action="store_true", help="count all colourings")
-    s.add_argument("--node-limit", type=_node_budget, default=DEFAULT_NODE_BUDGET,
-                   help=BUDGET_HELP)
     s.set_defaults(func=_cmd_solve)
 
-    i = sub.add_parser("images", help="enumerate all splitted images of a guest")
+    i = sub.add_parser("images", parents=[budget],
+                       help="enumerate all splitted images of a guest")
     i.add_argument("--guest", required=True)
-    i.add_argument("--node-limit", type=_node_budget, default=DEFAULT_NODE_BUDGET,
-                   help=BUDGET_HELP)
     i.add_argument("--witness", action="store_true",
                    help="print a witness certificate per image class")
     i.set_defaults(func=_cmd_images)
@@ -241,11 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--param", action="append", metavar="KEY=VALUE")
     r.set_defaults(func=_cmd_recipe)
 
-    co = sub.add_parser("corpus", help="batch-solve a graph6 corpus against a host")
+    co = sub.add_parser("corpus", parents=[budget],
+                        help="batch-solve a graph6 corpus against a host")
     co.add_argument("file")
     co.add_argument("--host", required=True)
-    co.add_argument("--node-limit", type=_node_budget, default=DEFAULT_NODE_BUDGET,
-                    help=BUDGET_HELP)
     co.add_argument("--workers", type=_integer, default=1,
                     help="pool size; 1 solves serially (default: %(default)s)")
     co.set_defaults(func=_cmd_corpus)

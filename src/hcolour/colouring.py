@@ -130,12 +130,7 @@ def induced_vertex_map(c: Colouring) -> tuple[int, ...]:
     report = check_colouring(c)
     if not report:
         raise ValueError(f"invalid colouring: {report}")
-    return _induced_vertex_map(c)
-
-
-def _induced_vertex_map(c: Colouring) -> tuple[int, ...]:
-    """induced_vertex_map of a colouring already known to be valid: each
-    guest vertex's image mask, looked up in the host's boundary table."""
+    # each guest vertex's image mask, looked up in the host's boundary table
     f = c.edge_map
     bits = c.host.edge_bits()
     owners = c.host.boundary_masks()
@@ -265,8 +260,10 @@ def preimage(c: Colouring, F: Iterable[int]) -> PreimageReport:
     shape is read off two counts: how many edges of F meet each host
     vertex, and how many edges of the preimage meet each guest vertex.
     """
-    if not check_colouring(c):
-        raise ValueError("invalid colouring")
+    try:
+        im_fv = set(induced_vertex_map(c))  # validates c
+    except AmbiguousHostError:
+        im_fv = None
     H, G = c.host, c.guest
     F = tuple(F)
     for e in F:
@@ -277,10 +274,6 @@ def preimage(c: Colouring, F: Iterable[int]) -> PreimageReport:
     Fset = frozenset(F)
     pre = frozenset(e for e, h in enumerate(c.edge_map) if h in Fset)
     deg_F, deg_pre = _meet_counts(H, Fset), _meet_counts(G, pre)
-    try:
-        im_fv = set(_induced_vertex_map(c))
-    except AmbiguousHostError:
-        im_fv = None
 
     # multigraphs are loopless, so edges meeting every vertex once are a
     # perfect matching

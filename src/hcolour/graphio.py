@@ -8,7 +8,7 @@ from __future__ import annotations
 import os
 from typing import AnyStr, Iterable, Iterator, Optional
 
-from .canonical import canonical_digest
+from .canonical import canonical_digest, check_multiplicity
 from .colouring import Colouring
 from .multigraph import Multigraph
 
@@ -192,10 +192,13 @@ def read_graph(path: str | os.PathLike, name: str = "") -> Multigraph:
         raise ValueError("no graph data found")
     first = records[0].split()
     if len(first) <= 2 and all(map(is_digits, first)):
-        return from_edge_list_text(text, name)
-    if len(records) > 1:
+        G = from_edge_list_text(text, name)
+    elif len(records) > 1:
         raise ValueError(f"{len(records)} graph records; expected one")
-    return decode_record(records[0])
+    else:
+        G = decode_record(records[0])
+    check_multiplicity(G)  # else printing its digest would raise
+    return G
 
 
 def ingest_graph6(path: str | os.PathLike) -> Iterator[tuple[int, Multigraph | GraphFormatError]]:

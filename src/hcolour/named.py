@@ -16,7 +16,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .canonical import canonical_form
+from .canonical import MAX_MULTIPLICITY, canonical_form
+from .graphio import MAX_ORDER
 from .multigraph import Multigraph
 
 
@@ -29,6 +30,14 @@ class LabelledGraph:
     @property
     def name(self) -> str:
         return self.graph.name
+
+
+def _check_size(n: int, m: int) -> None:
+    """Raise ValueError, before a constructor builds anything, for a graph
+    on more than MAX_ORDER vertices or edges."""
+    if max(n, m) > MAX_ORDER:
+        raise ValueError(
+            f"{n} vertices and {m} edges; at most {MAX_ORDER} of each are supported")
 
 
 def petersen() -> LabelledGraph:
@@ -61,6 +70,9 @@ def _place_gadget(edges: list, vlabels: dict, elabels: dict, u: int, k: int,
     """
     if k < 0:
         raise ValueError("k must be non-negative")
+    # k + 2 parallel edges; the cap also keeps every S-graph far below MAX_ORDER
+    if k + 2 > MAX_MULTIPLICITY:
+        raise ValueError(f"k must be at most {MAX_MULTIPLICITY - 2}")
     v, w = u + 1, u + 2
     vlabels.update({f"u{sup}": u, f"v{sup}": v, f"w{sup}": w})
     runs = [("m", [(u, v), (u, w)]), ("l", [(v, w)] * (k + 2))]
@@ -132,6 +144,7 @@ def s12() -> LabelledGraph:
 def complete(n: int) -> LabelledGraph:
     if n < 1:
         raise ValueError("n must be positive")
+    _check_size(n, n * (n - 1) // 2)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return LabelledGraph(Multigraph(n, edges, name=f"K{n}"))
 
@@ -140,6 +153,7 @@ def complete_minus_edge(n: int) -> LabelledGraph:
     """K_n minus one edge; the two deficient vertices are labelled a and b."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    _check_size(n, n * (n - 1) // 2 - 1)
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) != (0, 1)]
     return LabelledGraph(
         Multigraph(n, edges, name=f"K{n}'"), vertex_labels={"a": 0, "b": 1}
@@ -150,6 +164,7 @@ def star(t: int) -> LabelledGraph:
     """K_{1,t}: centre 0 with t leaves."""
     if t < 1:
         raise ValueError("t must be positive")
+    _check_size(t + 1, t)
     return LabelledGraph(
         Multigraph(t + 1, [(0, i + 1) for i in range(t)], name=f"K1,{t}"),
         vertex_labels={"centre": 0},
@@ -160,12 +175,15 @@ def t_k2(t: int) -> LabelledGraph:
     """Two vertices with t parallel edges."""
     if t < 1:
         raise ValueError("t must be positive")
+    if t > MAX_MULTIPLICITY:
+        raise ValueError(f"t must be at most {MAX_MULTIPLICITY}")
     return LabelledGraph(Multigraph(2, [(0, 1)] * t, name=f"{t}K2"))
 
 
 def cycle(n: int) -> LabelledGraph:
     if n < 3:
         raise ValueError("n must be at least 3")
+    _check_size(n, n)
     return LabelledGraph(Multigraph(n, [(i, (i + 1) % n) for i in range(n)], name=f"C{n}"))
 
 
@@ -173,6 +191,7 @@ def path(n: int) -> LabelledGraph:
     """Path on n vertices (n-1 edges)."""
     if n < 1:
         raise ValueError("n must be positive")
+    _check_size(n, n - 1)
     return LabelledGraph(Multigraph(n, [(i, i + 1) for i in range(n - 1)], name=f"P{n}"))
 
 
@@ -184,6 +203,7 @@ def j_graph(r: int) -> LabelledGraph:
     """
     if r <= 1:
         raise ValueError("r must be greater than 1")
+    _check_size(r * (2 * r + 1) + 1, r * (r * (2 * r + 1) + 1))
     block = complete_minus_edge(2 * r + 1)
     a, b = block.vertex_labels["a"], block.vertex_labels["b"]
     size = block.graph.n
@@ -300,6 +320,7 @@ def k_family_members(t: int, r: int) -> list[Multigraph]:
     """
     if t < 2 or r < 1:
         raise ValueError("need t >= 2 and r >= 1")
+    _check_size(t, t * r // 2)
     if t * r % 2 == 1 or r < t - 1:
         return []
     pairs = [(i, j) for i in range(t) for j in range(i + 1, t)]

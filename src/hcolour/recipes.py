@@ -535,30 +535,34 @@ RECIPES: dict[str, Callable[[dict], list[CheckResult]]] = {
 }
 
 
-# every recipe parameter with its default; a recipe reads params[key]
-_PARAMS = {"k": 1, "node_limit": DEFAULT_NODE_BUDGET, "seed": 0}
+# the parameters each recipe reads, with their defaults: every recipe takes
+# node_limit, the package budget, and two recipes read one key more
+_PARAMS = {name: {"node_limit": DEFAULT_NODE_BUDGET} for name in RECIPES}
+_PARAMS["s12kM-rigidity"]["k"] = 1
+_PARAMS["lemma24-props"]["seed"] = 0
 
 
 def run_recipe(name: str, params: Optional[dict] = None) -> VerificationReport:
     """Run a named recipe; see RECIPES for the available names.
 
     Raises ValueError before running anything when the name is unknown, a
-    parameter is one no recipe reads (a misspelt key would otherwise run
-    the recipe at its default), a parameter is not an integer or node_limit
-    is negative.  The recipe receives every parameter, the rest at _PARAMS' defaults.
+    parameter is not one that _PARAMS declares for the recipe (a misspelt
+    key, or another recipe's, would otherwise run it at its defaults), a
+    parameter is not an integer or node_limit is negative.  The recipe
+    receives exactly its declared parameters, the rest at their defaults.
     """
     if name not in RECIPES:
         raise ValueError(
             f"unknown recipe {name!r}; available: {', '.join(sorted(RECIPES))}"
         )
+    declared = _PARAMS[name]
     params = params or {}
     for key, value in params.items():
-        if key not in _PARAMS:
-            raise ValueError(
-                f"unknown parameter {key!r}; known: {', '.join(_PARAMS)}"
-            )
+        if key not in declared:
+            raise ValueError(f"unknown parameter {key!r} for recipe {name!r}; "
+                             f"known: {', '.join(sorted(declared))}")
         if not isinstance(value, int) or isinstance(value, bool):
             raise ValueError(f"parameter {key!r} must be an integer, got {value!r}")
     _check_node_limit(params.get("node_limit", 0))
-    checks = RECIPES[name]({**_PARAMS, **params})
+    checks = RECIPES[name]({**declared, **params})
     return VerificationReport(recipe=name, checks=checks, version=artifact_version())

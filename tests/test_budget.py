@@ -61,14 +61,20 @@ def test_every_node_limit_option_defaults_to_the_budget():
 
 
 def test_a_recipe_receives_every_parameter_with_its_default(monkeypatch):
+    # each recipe receives exactly the keys it declares, the rest at their defaults
     seen = []
-    monkeypatch.setitem(recipes.RECIPES, "petersen-images",
-                        lambda params: seen.append(params) or [])
+    for name in ("petersen-images", "s12kM-rigidity", "lemma24-props"):
+        monkeypatch.setitem(recipes.RECIPES, name,
+                            lambda params: seen.append(params) or [])
     run_recipe("petersen-images")
-    run_recipe("petersen-images", {"seed": 7})
+    run_recipe("s12kM-rigidity")
+    run_recipe("lemma24-props")
+    run_recipe("lemma24-props", {"seed": 7})
     assert seen == [
-        {"k": 1, "node_limit": DEFAULT_NODE_BUDGET, "seed": 0},
-        {"k": 1, "node_limit": DEFAULT_NODE_BUDGET, "seed": 7},
+        {"node_limit": DEFAULT_NODE_BUDGET},
+        {"k": 1, "node_limit": DEFAULT_NODE_BUDGET},
+        {"node_limit": DEFAULT_NODE_BUDGET, "seed": 0},
+        {"node_limit": DEFAULT_NODE_BUDGET, "seed": 7},
     ]
 
 

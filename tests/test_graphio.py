@@ -250,3 +250,21 @@ def test_every_reader_skips_comments_blank_lines_and_crs(reader, tmp_path):
         c = solve(host, P).witness
         text = _noisy(certificate_text(c, "s4", "petersen").splitlines()).decode("ascii")
         assert parse_certificate(text, host, P).edge_map == c.edge_map
+
+
+@pytest.mark.parametrize("fmt", ["edge list", "sparse6"])
+def test_read_graph_takes_multiplicities_the_canonical_form_encodes(fmt, tmp_path):
+    path = tmp_path / "g.txt"
+    for count in (255, 256):
+        if fmt == "edge list":
+            path.write_text(f"2 {count}\n" + "0 1\n" * count)
+        else:
+            nx = pytest.importorskip("networkx")
+            H = nx.MultiGraph([(0, 1)] * count)
+            path.write_bytes(nx.to_sparse6_bytes(H, header=False))
+        if count == 255:
+            assert read_graph(path).edges == ((0, 1),) * 255
+        else:
+            with pytest.raises(ValueError,
+                               match="^edge multiplicities above 255 are not supported$"):
+                read_graph(path)

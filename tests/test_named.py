@@ -11,9 +11,11 @@ from pathlib import Path
 import pytest
 
 import hcolour
-from hcolour.canonical import automorphism_group_order, canonical_form, is_isomorphic
+from hcolour.canonical import (MAX_MULTIPLICITY, automorphism_group_order, canonical_form,
+                               is_isomorphic)
 from hcolour.multigraph import Multigraph
 from hcolour.named import (
+    LabelledGraph,
     _regular_multigraphs,
     _witness_leaves,
     complete,
@@ -142,6 +144,35 @@ def test_constructions_are_pinned():
 def test_negative_k_is_rejected(build):
     with pytest.raises(ValueError, match="k must be non-negative"):
         build(-1)
+
+
+@pytest.mark.parametrize("build, args", [
+    (complete, (5,)), (complete_minus_edge, (5,)), (star, (4,)), (cycle, (5,)),
+    (path, (5,)), (j_graph, (2,)), (j_graph, (3,)),
+    (lambda t, r: LabelledGraph(k_family_members(t, r)[0]), (4, 5)),
+], ids=["complete", "complete_minus_edge", "star", "cycle", "path", "j4", "j6",
+        "k_family_members"])
+def test_each_constructor_checks_the_size_it_builds(monkeypatch, build, args):
+    from hcolour import named
+
+    seen = []
+    real = named._check_size
+    monkeypatch.setattr(named, "_check_size", lambda n, m: seen.append((n, m)) or real(n, m))
+    g = build(*args).graph
+    assert seen[0] == (g.n, g.m)
+    monkeypatch.setattr(named, "MAX_ORDER", max(g.n, g.m) - 1)
+    with pytest.raises(ValueError, match=f"at most {max(g.n, g.m) - 1} of each"):
+        build(*args)
+
+
+@pytest.mark.parametrize("build, limit", [
+    (s4_plus_km, 253), (s6_plus_km, 253), (s12_plus_km, 253), (t_k2, 255)])
+def test_multiplicity_is_capped_where_the_canonical_form_stops(build, limit):
+    g = build(limit).graph
+    assert max(Counter(g.edges).values()) == MAX_MULTIPLICITY
+    canonical_form(g)
+    with pytest.raises(ValueError, match=f"must be at most {limit}$"):
+        build(limit + 1)
 
 
 def test_regular_multigraphs_labelled_count():

@@ -488,11 +488,13 @@ def test_cli_recipe_rejects_a_non_integer_param(capsys, monkeypatch, param):
     def never(params):
         raise AssertionError("the recipe ran")
 
-    monkeypatch.setitem(recipes.RECIPES, "petersen-images", never)
-    assert main(["recipe", "petersen-images", "--param", param]) == 2
+    key, _, value = param.partition("=")
+    # a recipe that reads the key
+    name = {"seed": "lemma24-props", "k": "s12kM-rigidity"}.get(key, "petersen-images")
+    monkeypatch.setitem(recipes.RECIPES, name, never)
+    assert main(["recipe", name, "--param", param]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    key, _, value = param.partition("=")
     assert captured.err == f"error: parameter {key!r} must be an integer, got {value!r}\n"
 
 
@@ -500,14 +502,18 @@ def test_cli_recipe_param_is_a_minus_then_ascii_digits(capsys, monkeypatch):
     from hcolour import recipes
 
     seen = []
-    monkeypatch.setitem(recipes.RECIPES, "petersen-images", lambda p: seen.append(p) or [])
-    assert main(["recipe", "petersen-images", "--param", "seed=-3",
-                 "--param", "k=07"]) == 0
-    assert seen == [{"k": 7, "node_limit": recipes.DEFAULT_NODE_BUDGET, "seed": -3}]
+    for name in ("lemma24-props", "s12kM-rigidity"):
+        monkeypatch.setitem(recipes.RECIPES, name, lambda p: seen.append(p) or [])
+    assert main(["recipe", "lemma24-props", "--param", "seed=-3"]) == 0
+    assert main(["recipe", "s12kM-rigidity", "--param", "k=07"]) == 0
+    assert seen == [{"node_limit": recipes.DEFAULT_NODE_BUDGET, "seed": -3},
+                    {"k": 7, "node_limit": recipes.DEFAULT_NODE_BUDGET}]
 
 
 @pytest.mark.parametrize("param", ["node_limt=5", "noequals", "Seed=1",
-                                   "colourings_per_pair=12", "witness=pm10"])
+                                   "colourings_per_pair=12", "witness=pm10",
+                                   # keys that other recipes read
+                                   "seed=7", "k=2"])
 def test_cli_recipe_rejects_an_unknown_param(capsys, monkeypatch, param):
     from hcolour import recipes
 
@@ -520,7 +526,8 @@ def test_cli_recipe_rejects_an_unknown_param(capsys, monkeypatch, param):
     assert captured.out == ""
     key = param.partition("=")[0]
     assert captured.err == (
-        f"error: unknown parameter {key!r}; known: k, node_limit, seed\n"
+        f"error: unknown parameter {key!r} for recipe 'petersen-images'; "
+        "known: node_limit\n"
     )
 
 
@@ -551,12 +558,41 @@ def test_run_recipe_rejects_an_unknown_param(monkeypatch):
         raise AssertionError("the recipe ran")
 
     monkeypatch.setitem(recipes.RECIPES, "lemma24-props", never)
-    with pytest.raises(ValueError, match=r"^unknown parameter 'node_limt'; known: "):
-        run_recipe("lemma24-props", {"seed": 0, "node_limt": 5})
-    # every known key passes the check and reaches the recipe
-    known = {"k": 1, "node_limit": 1, "seed": 0}
+    for key in ("node_limt", "k"):  # a misspelt key, and one another recipe reads
+        with pytest.raises(ValueError, match=rf"^unknown parameter '{key}' for recipe "
+                           r"'lemma24-props'; known: node_limit, seed$"):
+            run_recipe("lemma24-props", {"seed": 0, key: 5})
+    # every declared key passes the check and reaches the recipe
+    known = {"node_limit": 1, "seed": 0}
     with pytest.raises(AssertionError, match="the recipe ran"):
         run_recipe("lemma24-props", known)
+
+
+def test_run_recipe_accepts_only_the_keys_each_recipe_declares(monkeypatch):
+    from hcolour import recipes
+
+    accepted = []
+    for name in RECIPES:
+        monkeypatch.setitem(recipes.RECIPES, name, lambda params: [])
+        for key in ("k", "node_limit", "seed"):
+            try:
+                run_recipe(name, {key: 1})
+            except ValueError as exc:
+                assert str(exc).startswith(
+                    f"unknown parameter {key!r} for recipe {name!r}; known: ")
+            else:
+                accepted.append((name, key))
+    assert sorted(accepted) == sorted(
+        [(name, "node_limit") for name in RECIPES]
+        + [("lemma24-props", "seed"), ("s12kM-rigidity", "k")])
+
+
+def test_cli_recipe_s12km_rigidity_rejects_k_past_the_multiplicity_limit(capsys):
+    # S12+kM has k + 2 parallel edges, and the canonical form encodes 255
+    assert main(["recipe", "s12kM-rigidity", "--param", "k=50000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k must be at most 253\n"
 
 
 def test_run_recipe_rejects_a_non_integer_param():
@@ -771,7 +807,12 @@ def test_readme_lists_every_option_and_param():
     }
     assert "--witness" in options and "--param" in options
     assert sorted(o for o in options if o not in readme) == []
-    assert [key for key in _PARAMS if f"`{key}`" not in readme] == []
+    # each recipe's keys as _PARAMS declares them: node_limit for every recipe
+    readme = " ".join(readme.split())
+    every = set.intersection(*map(set, _PARAMS.values()))
+    assert every == {"node_limit"} and "Every recipe takes `node_limit`" in readme
+    assert [(name, key) for name, declared in _PARAMS.items() for key in declared
+            if key not in every and f"`{name}` also takes `{key}`" not in readme] == []
 
 
 @pytest.mark.parametrize("guest", ["3k2", "<disconnected>", "<two vertices>"])

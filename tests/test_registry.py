@@ -1,6 +1,7 @@
 """The graph-name registry (named.by_name) and the CLI's graph references."""
 
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -206,6 +207,58 @@ def test_bad_graph_reference_exits_2(cmd, ref, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and ref in lines[0]
+
+
+# -- graphs past the size and multiplicity limits ------------------------------
+
+SIZE = "at most 258047 of each are supported"
+TOO_LARGE = {
+    "s4+300m": "k must be at most 253",
+    "s6+254M": "k must be at most 253",
+    "s12+100000000m": "k must be at most 253",
+    "300k2": "t must be at most 255",
+    "k30000": f"30000 vertices and 449985000 edges; {SIZE}",
+    "k719": f"719 vertices and 258121 edges; {SIZE}",
+    "k719-e": f"719 vertices and 258120 edges; {SIZE}",
+    "c258048": f"258048 vertices and 258048 edges; {SIZE}",
+    "path258049": f"258049 vertices and 258048 edges; {SIZE}",
+    "star258047": f"258048 vertices and 258047 edges; {SIZE}",
+    "j102": f"5254 vertices and 267954 edges; {SIZE}",
+    "kfamily-720-719": f"720 vertices and 258840 edges; {SIZE}",
+    "<300 parallel edges>": "edge multiplicities above 255 are not supported",
+}
+
+
+@pytest.mark.parametrize("cmd, ref", [
+    (cmd, ref) for ref in sorted(TOO_LARGE) for cmd in ("solve", "images", "gen", "corpus")
+    if cmd != "gen" or not ref.startswith("<")  # gen takes graph names only
+])
+def test_a_graph_past_a_limit_exits_2_before_it_is_built(cmd, ref, tmp_path, capsys):
+    message = TOO_LARGE[ref]
+    if ref == "<300 parallel edges>":
+        ref = str(tmp_path / "g.txt")
+        Path(ref).write_text("2 300\n" + "0 1\n" * 300)
+    corpus = tmp_path / "corpus.g6"
+    corpus.write_text(encode_graph6(petersen().graph) + "\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as info:
+            main(_command(cmd, ref, corpus))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ref}: {message}\n"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("name", ["s4+253m", "s6+253M", "s12+253m", "255k2"])
+def test_a_graph_at_the_multiplicity_limit_has_a_digest(name, capsys):
+    assert main(["gen", name]) == 0
+    digest = canonical_digest(by_name(name).graph)
+    assert f"# canonical {digest}" in capsys.readouterr().out.splitlines()
 
 
 def test_gen_index_option_is_gone():

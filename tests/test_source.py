@@ -1,6 +1,8 @@
 """Properties of the package source itself."""
 
 import ast
+import inspect
+import textwrap
 from pathlib import Path
 
 import hcolour
@@ -92,3 +94,21 @@ def test_oracle_rule_catches_a_derived_read_and_a_package_import():
     assert _oracle_rule_breaks("import hcolour.solver\n") == ["1: import hcolour.solver"]
     assert _oracle_rule_breaks("from hcolour.multigraph import Multigraph\n"
                                "from itertools import product\n") == []
+
+
+def _params_read(fn) -> set[str]:
+    """The keys of the params["..."] subscripts in fn's source."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "params" and isinstance(node.slice, ast.Constant)}
+
+
+def test_each_recipe_reads_exactly_the_params_it_declares():
+    # a declared key that is never read would be accepted and do nothing
+    from hcolour.recipes import _PARAMS, RECIPES
+
+    # p-matching-cuts runs no budgeted search, so it takes node_limit unread
+    unread = {"p-matching-cuts": {"node_limit"}}
+    assert {name: _params_read(fn) for name, fn in RECIPES.items()} == {
+        name: set(_PARAMS[name]) - unread.get(name, set()) for name in RECIPES}
