@@ -25,6 +25,25 @@ most assigned neighbours, ties broken by breadth-first position.  That
 choice depends only on which edges are assigned, never on their images, so
 the sequence is worked out once per guest before the search.
 
+The search keeps a table of the subtrees that hold no colouring, "dead"
+ones, keyed exactly, and skips a subtree whose key it holds.  The cut
+vertices at depth d are the guest vertices with an edge among the first d
+of the sequence and one after them.  The candidates below depth d read only
+domain and used of endpoints of later edges.  Such an endpoint with no edge
+assigned holds its initial masks, its degree class and 0, and one with all
+its edges assigned is no endpoint of a later edge; the rest are cut
+vertices, and a cut vertex's domain is its degree class AND ends[h] over
+the h in its used mask.  So the depth and the used masks of its cut
+vertices fix the shape of a node's subtree.  When a subtree ends without a
+colouring, its number of nodes is stored under that key; a child whose key
+is stored is not searched, and the stored number is added to nodes.  A
+stored number that takes nodes past node_limit stops the search at
+node_limit + 1, as the plain search would: the subtree holds no colouring.
+So the colourings, their order, the witness and nodes are those of the
+search without the table.  A child without candidates is one node, counted
+in its parent's loop.  The table holds at most _DEAD_STATES entries and is
+cleared when full.
+
 Every colouring the search finds is revalidated by check_colouring, which
 reads only the colouring, the guest's incidence lists (guest._adj) and the
 host's cached tables.  It passes a guest vertex u iff the edge bits of u's
@@ -53,6 +72,13 @@ from .structure import (DEFAULT_NODE_BUDGET, _check_node_limit, _LimitExceeded,
 
 Status = Literal["sat", "unsat", "unknown"]
 
+# Entries of the dead-state table; a full table is cleared, and 0 keeps none.
+# The bound caps the table's memory: unbounded, the S12+1M self-count keeps
+# 13,044 entries (about 2 MB) and J6 against the first k_family_members(3, 6)
+# host peaks at 385 MB.  With 4,096 entries they skip 582,743 of 857,047
+# and 2,568,052 of 10,223,704 nodes.
+_DEAD_STATES = 1 << 12
+
 
 @dataclass
 class SolveResult:
@@ -60,7 +86,11 @@ class SolveResult:
 
     witness is the first colouring found, in either mode.  nodes counts
     search-tree nodes, the root and the leaves included, so an edgeless
-    guest, whose root is its only leaf, takes 1 node.
+    guest, whose root is its only leaf, takes 1 node.  It counts the nodes
+    of the colouring-free subtrees that the dead-state table skipped as
+    well (see the module docstring), so it is the size of the search tree,
+    with or without the table.  skipped is the part of nodes in those
+    subtrees: nodes - skipped nodes were visited.
     prunes is always 0: no branch can empty a domain (see the module
     docstring); the field stays for callers that report it.
     """
@@ -70,6 +100,7 @@ class SolveResult:
     count: int = 0
     nodes: int = 0
     prunes: int = 0
+    skipped: int = 0
 
 
 def solve(
@@ -89,6 +120,10 @@ def solve(
     one, as res.witness.  visit, when given, is called with each colouring
     in search order, after it has revalidated; with mode="count" it streams
     every colouring.
+
+    res.nodes is the size of the search tree, the same with or without the
+    dead-state table, and res.skipped the part of it that the table skipped,
+    so a smaller tree and a faster walk of it are reported apart.
     """
     if mode not in ("first", "count"):
         raise ValueError(f"mode must be 'first' or 'count', got {mode!r}")
@@ -127,27 +162,44 @@ def solve(
         if guest.degree(u) not in by_degree:
             return res  # some guest vertex has no possible image: unsat
         domain.append(by_degree[guest.degree(u)][0])
-    used = [0] * guest.n
 
     sequence = _assignment_sequence(guest)
     m = guest.m
+    pairs = [guest.edges[e] for e in sequence]
+    # the used masks, then depth d at position guest.n + d, so that
+    # cut_keys[d](used) is the dead-state key of a node at depth d
+    used = [0] * guest.n + list(range(m))
+    cut_keys = [itemgetter(guest.n + d, *cut) for d, cut in enumerate(_cuts(guest, sequence))]
+    dead: dict = {}  # dead-state key -> nodes in the colouring-free subtree
+    capacity = _DEAD_STATES
     assignment: list[int] = [-1] * m
-    nodes = 0
+    nodes = skipped = 0
 
-    def rec(depth: int) -> bool:
-        """Returns True to abort the search (mode="first" after a hit)."""
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise _LimitExceeded
-        if depth == m:
-            record(tuple(assignment))
-            return mode == "first"
+    def rec(depth: int, cand: int, key) -> bool:
+        """Search the subtree of a counted node at depth < m, given its
+        candidates (nonzero) and its dead-state key.  Returns True to abort
+        (mode="first" after a hit)."""
+        nonlocal nodes, skipped
         eid = sequence[depth]
-        a, b = guest.edges[eid]
+        a, b = pairs[depth]
+        depth += 1
+        if depth == m:  # every child is a leaf, so a colouring
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                assignment[eid] = bit.bit_length() - 1
+                nodes += 1
+                if nodes > node_limit:
+                    raise _LimitExceeded
+                record(tuple(assignment))
+                if mode == "first":
+                    return True
+            return False
+        c, d = pairs[depth]
+        key_of = cut_keys[depth]
         dom_a, dom_b = domain[a], domain[b]
         used_a, used_b = used[a], used[b]
-        cand = pool_of[dom_a] & pool_of[dom_b] & ~(used_a | used_b)
+        start, found = nodes, res.count
         while cand:
             bit = cand & -cand
             cand ^= bit
@@ -157,19 +209,47 @@ def solve(
             domain[b] = dom_b & ends[h]
             used[a] = used_a | bit
             used[b] = used_b | bit
-            if rec(depth + 1):
+            below = pool_of[domain[c]] & pool_of[domain[d]] & ~(used[c] | used[d])
+            if below:
+                child = key_of(used)
+                size = dead.get(child)
+                if size is not None:
+                    nodes += size
+                    skipped += size
+                    if nodes > node_limit:  # where the plain search would stop
+                        skipped -= nodes - node_limit - 1
+                        nodes = node_limit + 1
+                        raise _LimitExceeded
+                    continue
+            nodes += 1  # the child, a whole subtree when it has no candidates
+            if nodes > node_limit:
+                raise _LimitExceeded
+            if below and rec(depth, below, child):
                 return True
         domain[a], domain[b] = dom_a, dom_b
         used[a], used[b] = used_a, used_b
+        if capacity and res.count == found:
+            if len(dead) >= capacity:
+                dead.clear()
+            dead[key] = nodes - start + 1
         return False
 
+    nodes = 1  # the root
     try:
-        rec(0)
+        if nodes > node_limit:
+            raise _LimitExceeded
+        if m == 0:
+            record(())
+        else:
+            a, b = pairs[0]
+            cand = pool_of[domain[a]] & pool_of[domain[b]]
+            if cand:
+                rec(0, cand, cut_keys[0](used))
     except _LimitExceeded:
         res.status = "unknown"
         return res
     finally:
-        res.nodes = nodes
+        res.nodes, res.skipped = nodes, skipped
         # rec reaches itself through its closure, and through record the
         # result; unbinding it frees the search state now instead of at the
         # next full garbage collection
@@ -229,6 +309,25 @@ def _assignment_sequence(G: Multigraph) -> list[int]:
                     near[e2] += 1
                     heappush(heap, (-near[e2], position[e2], e2))
     return sequence
+
+
+def _cuts(G: Multigraph, sequence: list[int]) -> list[list[int]]:
+    """The cut vertices at each depth d < m of the search: the guest vertices
+    with an edge among the first d of sequence and one after them, in
+    increasing order.  A vertex is in the cuts strictly after its first
+    edge's position, up to its last; so O(m + the cuts' total size)."""
+    first = [-1] * G.n
+    last = [-1] * G.n
+    for pos, e in enumerate(sequence):
+        for v in G.edges[e]:
+            if first[v] < 0:
+                first[v] = pos
+            last[v] = pos
+    cuts: list[list[int]] = [[] for _ in sequence]
+    for v in range(G.n):
+        for d in range(first[v] + 1, last[v] + 1):
+            cuts[d].append(v)
+    return cuts
 
 
 def _bfs_edge_order(G: Multigraph) -> list[int]:

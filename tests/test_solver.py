@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,9 @@ from hcolour.named import (
 )
 from hcolour.oracles import naive_check_colouring, naive_solve_all
 from hcolour.recipes import _LEMMA_PAIRS
-from hcolour.solver import _assignment_sequence, _bfs_edge_order, solve, tk2_colourable
+from hcolour import solver
+from hcolour.solver import (_assignment_sequence, _bfs_edge_order, _cuts, solve,
+                            tk2_colourable)
 
 CORPUS = Path(__file__).resolve().parent.parent / "data" / "cubic_bridgeless_le14.g6"
 
@@ -239,6 +242,15 @@ def test_edgeless_guest_obeys_the_node_limit():
     # the root is a node, so a budget of 0 decides nothing
     res = solve(Multigraph(2, []), Multigraph(3, []), node_limit=0)
     assert (res.status, res.count, res.nodes) == ("unknown", 0, 1)
+
+
+def test_search_shape_pinned_first_mode_s12_plus_2m():
+    # 44 million tree nodes, nearly all in colouring-free subtrees that the
+    # dead-state table skips
+    g = s12_plus_km(2).graph
+    res = solve(g, g)
+    assert (res.status, res.nodes, res.witness.edge_map) == ("sat", 44444315, tuple(range(30)))
+    assert 0 < res.skipped < res.nodes
 
 
 def test_search_shape_pinned_unsat():
@@ -494,3 +506,87 @@ def test_budgeted_solve_pinned(limit):
     res = solve(g, g, mode="count", node_limit=limit)
     witness = res.witness.edge_map if res.witness else None
     assert (res.status, res.count, res.nodes, witness) == BUDGETED_SOLVES[limit]
+
+
+# -- the dead-state table changes nothing but skipped ----------------------
+# With the table off (0 entries), cleared at every store (1) and at its
+# default size, a search gives the same status, count, nodes, witness and
+# visit stream.
+
+def _search(host, guest, capacity, mode, node_limit, with_visit):
+    seen = []
+    with mock.patch.object(solver, "_DEAD_STATES", capacity):
+        res = solve(host, guest, mode=mode, node_limit=node_limit,
+                    visit=seen.append if with_visit else None)
+    assert 0 <= res.skipped <= res.nodes
+    assert res.skipped == 0 or capacity
+    witness = res.witness.edge_map if res.witness else None
+    return (res.status, res.count, res.nodes, witness, [c.edge_map for c in seen])
+
+
+@st.composite
+def regular_pairs(draw):
+    """A host on 3-6 vertices and a guest on 4-8, each from a random pairing
+    of d stubs per vertex, d in 2..4, with loops dropped: parallel edges,
+    shared degrees and some vertices of lower degree."""
+    d = draw(st.integers(2, 4))
+
+    def pairing(max_n):
+        n = draw(st.integers(max_n // 2, max_n))
+        stubs = draw(st.permutations([v for v in range(n) for _ in range(d)]))
+        return Multigraph(n, [(a, b) for a, b in zip(stubs[::2], stubs[1::2]) if a != b])
+
+    return pairing(6), pairing(8)
+
+
+@settings(max_examples=400, deadline=None)
+@given(regular_pairs(), st.sampled_from(["first", "count"]), st.booleans(), st.data())
+def test_dead_state_table_keeps_every_answer_random(pair, mode, with_visit, data):
+    host, guest = pair
+    whole = solve(host, guest, mode=mode).nodes
+    limit = data.draw(st.one_of(st.integers(0, whole), st.just(10**8)), label="node_limit")
+    plain = _search(host, guest, 0, mode, limit, with_visit)
+    for capacity in (1, solver._DEAD_STATES):
+        assert _search(host, guest, capacity, mode, limit, with_visit) == plain
+
+
+@pytest.mark.parametrize("label,mode", [
+    ("c5<c5", "count"), ("s4+1M<s4+1M", "count"), ("s10<s12", "first"),
+])
+def test_dead_state_table_keeps_every_answer_at_every_limit(label, mode):
+    # every node limit up to the whole tree, so that a limit falls inside
+    # each subtree the table skips (15, 8 and 616 skipped nodes)
+    host, guest = next((h, g) for lb, h, g in _LEMMA_PAIRS() if lb == label)
+    whole = solve(host, guest, mode=mode)
+    assert whole.skipped > 0
+    for limit in range(whole.nodes + 1):
+        plain = _search(host, guest, 0, mode, limit, True)
+        for capacity in (1, solver._DEAD_STATES):
+            assert _search(host, guest, capacity, mode, limit, True) == plain, limit
+
+
+def _quadratic_cuts(G: Multigraph, sequence: list[int]) -> list[list[int]]:
+    """The cut at depth d by its definition: the vertices with an edge among
+    the first d of sequence and an edge after them."""
+    return [[v for v in range(G.n)
+             if any(v in G.edges[e] for e in sequence[:d])
+             and any(v in G.edges[e] for e in sequence[d:])]
+            for d in range(G.m)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: s12_plus_km(2).graph, lambda: complete(7).graph, lambda: petersen().graph,
+    lambda: j_graph(2).graph,
+    lambda: Multigraph(7, [(0, 1), (1, 2), (0, 1), (3, 4), (5, 6), (4, 5)]),
+], ids=["S12+2M", "K7", "Petersen", "J4", "disconnected"])
+def test_cuts_match_their_definition(build):
+    G = build()
+    sequence = _assignment_sequence(G)
+    assert _cuts(G, sequence) == _quadratic_cuts(G, sequence)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_multigraphs(12))
+def test_cuts_match_their_definition_random(G):
+    sequence = _assignment_sequence(G)
+    assert _cuts(G, sequence) == _quadratic_cuts(G, sequence)
