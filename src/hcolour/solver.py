@@ -54,6 +54,17 @@ colouring and on each with a tuple no colouring it accepted had.  A
 rejection raises, also under ``python -O``.  Only then is the colouring
 counted, kept as the witness or passed to visit.
 
+The search keeps its colouring in sequence-position order and passes with
+each one a hint: the shallowest depth it assigned since the last colouring,
+below which the two agree.  The revalidator does not trust the hint.  It
+compares the positions below it with the last colouring it accepted, and
+on any difference, or before its first acceptance, takes depth 0; a
+rejected colouring is never the one compared with.  Below that depth the
+colouring agrees with an accepted one, so a vertex whose edges all lie
+there has an accepted tuple, and only the tuples of vertices with an edge
+at or after it are looked up.  So check_colouring runs on exactly the
+colourings it would with every tuple looked up.
+
 The colouring is built without Colouring's range check on its edge map:
 every id in it is a bit of a candidate mask, so it is a host edge id by
 construction, and check_colouring rejects any other id by itself.
@@ -61,6 +72,7 @@ construction, and check_colouring rejects any other id by itself.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Literal, Optional
@@ -129,11 +141,10 @@ def solve(
         raise ValueError(f"mode must be 'first' or 'count', got {mode!r}")
     _check_node_limit(node_limit)
     res = SolveResult(status="unsat")
-    revalidate = _revalidator(host, guest)
 
-    def record(edge_map: tuple[int, ...]) -> None:
+    def record(assigned: tuple[int, ...], low: int) -> None:
         res.count += 1
-        c = revalidate(edge_map)
+        c = revalidate(assigned, low)
         if res.witness is None:
             res.witness = c
         if visit is not None:
@@ -164,6 +175,7 @@ def solve(
         domain.append(by_degree[guest.degree(u)][0])
 
     sequence = _assignment_sequence(guest)
+    revalidate = _revalidator(host, guest, sequence)
     m = guest.m
     pairs = [guest.edges[e] for e in sequence]
     # the used masks, then depth d at position guest.n + d, so that
@@ -172,26 +184,28 @@ def solve(
     cut_keys = [itemgetter(guest.n + d, *cut) for d, cut in enumerate(_cuts(guest, sequence))]
     dead: dict = {}  # dead-state key -> nodes in the colouring-free subtree
     capacity = _DEAD_STATES
-    assignment: list[int] = [-1] * m
+    assignment: list[int] = [-1] * m  # host edge of each sequence position
     nodes = skipped = 0
+    low = 0  # the shallowest depth assigned since the last colouring
 
     def rec(depth: int, cand: int, key) -> bool:
         """Search the subtree of a counted node at depth < m, given its
         candidates (nonzero) and its dead-state key.  Returns True to abort
         (mode="first" after a hit)."""
-        nonlocal nodes, skipped
-        eid = sequence[depth]
+        nonlocal nodes, skipped, low
+        pos = depth
         a, b = pairs[depth]
         depth += 1
         if depth == m:  # every child is a leaf, so a colouring
             while cand:
                 bit = cand & -cand
                 cand ^= bit
-                assignment[eid] = bit.bit_length() - 1
+                assignment[pos] = bit.bit_length() - 1
                 nodes += 1
                 if nodes > node_limit:
                     raise _LimitExceeded
-                record(tuple(assignment))
+                record(tuple(assignment), low)
+                low = pos
                 if mode == "first":
                     return True
             return False
@@ -204,7 +218,9 @@ def solve(
             bit = cand & -cand
             cand ^= bit
             h = bit.bit_length() - 1
-            assignment[eid] = h
+            assignment[pos] = h
+            if pos < low:
+                low = pos
             domain[a] = dom_a & ends[h]
             domain[b] = dom_b & ends[h]
             used[a] = used_a | bit
@@ -239,7 +255,7 @@ def solve(
         if nodes > node_limit:
             raise _LimitExceeded
         if m == 0:
-            record(())
+            record((), 0)
         else:
             a, b = pairs[0]
             cand = pool_of[domain[a]] & pool_of[domain[b]]
@@ -258,19 +274,38 @@ def solve(
     return res
 
 
-def _revalidator(host: Multigraph, guest: Multigraph) -> Callable[[tuple[int, ...]], Colouring]:
-    """Edge map -> Colouring, revalidated as the module docstring says."""
-    images = [itemgetter(*[e for e, _ in inc]) for inc in guest._adj if inc]
-    accepted: set = set()  # image tuples (an id alone at degree 1)
+def _revalidator(host: Multigraph, guest: Multigraph,
+                 sequence: list[int]) -> Callable[[tuple[int, ...], int], Colouring]:
+    """(map, hint) -> Colouring, revalidated as the module docstring says.
 
-    def revalidate(edge_map: tuple[int, ...]) -> Colouring:
-        c = _trusted_colouring(host, guest, edge_map)
-        seen = [image(edge_map) for image in images]
+    The map gives the host edge of each position of sequence, and the hint a
+    depth below which it may agree with the last map accepted."""
+    position = [0] * guest.m
+    for pos, e in enumerate(sequence):
+        position[e] = pos
+    # position order is edge order when m < 2, where itemgetter gives no tuple
+    edge_map_of = itemgetter(*position) if guest.m > 1 else tuple
+    # image tuple getters by the position of the vertex's last edge, so that
+    # images[start[d]:] are those of the vertices with an edge at d or after
+    at = sorted(([position[e] for e, _ in inc] for inc in guest._adj if inc), key=max)
+    images = [itemgetter(*a) for a in at]
+    lasts = [max(a) for a in at]
+    start = [bisect_left(lasts, d) for d in range(guest.m + 1)]
+    accepted: set = set()  # image tuples (an id alone at degree 1)
+    last: tuple = ()  # the last map accepted, () before the first
+
+    def revalidate(assigned: tuple[int, ...], low: int) -> Colouring:
+        nonlocal last
+        if low < 0 or assigned[:low] != last[:low]:
+            low = 0
+        seen = [image(assigned) for image in images[start[low]:]]
+        c = _trusted_colouring(host, guest, edge_map_of(assigned))
         if not (accepted and accepted.issuperset(seen)):  # the first always is
             report = check_colouring(c)
             if not report.ok:
                 raise RuntimeError(f"solver produced an invalid colouring: {report}")
             accepted.update(seen)
+        last = assigned
         return c
 
     return revalidate

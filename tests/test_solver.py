@@ -411,7 +411,7 @@ def test_revalidation_raises_under_python_O():
 
 _REVALIDATOR_SCRIPT = textwrap.dedent("""
     from hcolour.multigraph import Multigraph
-    from hcolour.solver import _revalidator
+    from hcolour.solver import _assignment_sequence, _revalidator
 
     try:
         assert False
@@ -419,10 +419,13 @@ _REVALIDATOR_SCRIPT = textwrap.dedent("""
         raise SystemExit("asserts are active; run under python -O")
 
     def feed(host, guest, maps):
-        revalidate = _revalidator(host, guest)
+        # each edge map goes in position order, hinted to agree with the
+        # last accepted one everywhere
+        sequence = _assignment_sequence(guest)
+        revalidate = _revalidator(host, guest, sequence)
         for f in maps:
             try:
-                c = revalidate(f)
+                c = revalidate(tuple(f[e] for e in sequence), len(f))
             except RuntimeError:
                 print(f, "raised")
             else:
@@ -461,6 +464,54 @@ def test_revalidator_raises_on_every_invalid_map_under_python_O():
         "() raised",
         "() raised",
         "() accepted True",
+    ], out.stdout
+
+
+_HINT_SCRIPT = textwrap.dedent("""
+    from hcolour.multigraph import Multigraph
+    from hcolour.solver import _assignment_sequence, _revalidator
+
+    try:
+        assert False
+    except AssertionError:
+        raise SystemExit("asserts are active; run under python -O")
+
+    p4 = Multigraph(4, [(0, 1), (1, 2), (2, 3)])
+    # P4's positions are its edge ids, so each map below is in both orders
+    print("sequence", _assignment_sequence(p4))
+    revalidate = _revalidator(p4, p4, [0, 1, 2])
+    # (1, 1, 2) differs from the accepted (0, 1, 2) at position 0, where
+    # guest vertex 0 maps to 1, no host vertex's boundary; vertices 2 and 3,
+    # the only ones with an edge at or after the hint 2, keep accepted
+    # tuples.  It is fed twice: a rejected map leaves no prefix to trust.
+    # (0, 1, 1) does agree below 2, and its vertex 2 is improper.
+    for f, hint in [((0, 1, 2), 0), ((1, 1, 2), 2), ((1, 1, 2), 2),
+                    ((0, 1, 1), 2), ((0, 1, 2), 3), ((0, 1, 0), 2)]:
+        try:
+            c = revalidate(f, hint)
+        except RuntimeError:
+            print(f, hint, "raised")
+        else:
+            print(f, hint, "accepted", c.edge_map == f)
+""")
+
+
+def test_revalidator_checks_the_hint_under_python_O():
+    src = Path(hcolour.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-O", "-B", "-c", _HINT_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "sequence [0, 1, 2]",
+        "(0, 1, 2) 0 accepted True",
+        "(1, 1, 2) 2 raised",
+        "(1, 1, 2) 2 raised",
+        "(0, 1, 1) 2 raised",
+        "(0, 1, 2) 3 accepted True",
+        "(0, 1, 0) 2 accepted True",
     ], out.stdout
 
 
@@ -590,3 +641,37 @@ def test_cuts_match_their_definition(build):
 def test_cuts_match_their_definition_random(G):
     sequence = _assignment_sequence(G)
     assert _cuts(G, sequence) == _quadratic_cuts(G, sequence)
+
+
+# -- the revalidator's hint changes no check -------------------------------
+# The hint only spares lookups of tuples the last accepted colouring had, so
+# forcing it to 0 gives the same search and the same check_colouring calls.
+
+def _revalidated(host, guest, mode, with_visit, hinted):
+    calls, seen = [], []
+
+    def counting(c):
+        calls.append(c.edge_map)
+        return check_colouring(c)
+
+    def unhinted(host, guest, sequence):
+        revalidate = real(host, guest, sequence)
+        return lambda assigned, low: revalidate(assigned, 0)
+
+    real = solver._revalidator
+    with mock.patch.object(solver, "check_colouring", counting), \
+            mock.patch.object(solver, "_revalidator", real if hinted else unhinted):
+        res = solve(host, guest, mode=mode, visit=seen.append if with_visit else None)
+    witness = res.witness.edge_map if res.witness else None
+    return (res.status, res.count, res.nodes, res.skipped, witness,
+            [c.edge_map for c in seen], calls)
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_pairs())
+def test_revalidation_hint_keeps_every_check_random(pair):
+    host, guest = pair
+    for mode in ("first", "count"):
+        for with_visit in (False, True):
+            assert (_revalidated(host, guest, mode, with_visit, True)
+                    == _revalidated(host, guest, mode, with_visit, False))
