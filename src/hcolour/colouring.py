@@ -56,12 +56,19 @@ def _trusted_colouring(host: Multigraph, guest: Multigraph,
     caller still revalidates the colouring, and check_colouring rejects an
     id outside 0..host.m-1 by itself.
     """
-    c = object.__new__(Colouring)
-    # object.__setattr__ gets past the frozen dataclass's __setattr__
-    object.__setattr__(c, "host", host)
-    object.__setattr__(c, "guest", guest)
-    object.__setattr__(c, "edge_map", edge_map)
+    c = _new(Colouring)
+    # the slot descriptors' own __set__ gets past the frozen dataclass's
+    # __setattr__, with no attribute lookup by name
+    _set_host(c, host)
+    _set_guest(c, guest)
+    _set_edge_map(c, edge_map)
     return c
+
+
+_new = object.__new__
+_set_host = Colouring.host.__set__
+_set_guest = Colouring.guest.__set__
+_set_edge_map = Colouring.edge_map.__set__
 
 
 @dataclass(frozen=True)

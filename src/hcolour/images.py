@@ -20,6 +20,11 @@ unused degree-1 vertices arise, e.g. the S4 image of the Petersen graph.
 
 Images are classed up to isomorphism by canonical_form, taken once per
 distinct labelled image (its order and edge multiset) in each enumeration.
+Every leaf's labelling is rechecked, but its witness is revalidated by
+check_colouring only when its set of vertex types is new to the
+enumeration: the verdict depends on that set alone (see
+enumerate_splitted_images), and each kept witness is the first leaf of
+its class, so it is always one of the checked ones.
 """
 
 from __future__ import annotations
@@ -197,17 +202,34 @@ def enumerate_splitted_images(
     cover(u) is the union of the types in done of size deg[u] that contain
     at[u] (all of them while at[u] is empty); u may take exactly the
     classes in cover(u) if at[u] holds a saturated class, and otherwise any
-    unsaturated class or one in cover(u).  An open vertex holding a newly
+    unsaturated class or one in cover(u).  Both endpoints' covers are
+    taken in one pass over done.  An open vertex holding a newly
     saturated class needs a nonempty cover.
 
-    Every leaf's labelling is rechecked by _vertex_types, and its set of
-    distinct types keys the image: _image_of_types builds the graph once
-    per type set and call, since the witness maps guest edges to that
-    graph's edge ids, its class ids.  Type sets often build the same
-    labelled graph, its edge multiset, so canonical_form is taken once per
-    distinct labelled image and call (Heawood: 67 forms for 308 type
-    sets).  Each leaf's witness colouring by its graph is revalidated by
-    check_colouring.
+    Every leaf's labelling is rechecked by _vertex_types, and its set S of
+    distinct types keys its class entry.  The first leaf with a given S
+    builds the image g with _image_of_types, whose edge ids are the class
+    ids, so the labelling is a colouring of the guest by g.  Type sets
+    often build the same labelled graph, its edge multiset, so
+    canonical_form is taken once per distinct labelled image and call
+    (Heawood: 67 forms for 308 type sets).  That leaf's witness is
+    revalidated by check_colouring, a failure raising RuntimeError, and
+    the leaf creates or joins its class entry.  A later leaf with the same
+    S only adds 1 to that entry's multiplicity: it builds no colouring and
+    calls no check.  This is exact:
+
+      * at guest vertex u, check_colouring passes iff the OR of the image
+        bits of u's edges has deg(u) bits and is a boundary mask of g;
+        that OR is u's recomputed class mask, a type in S;
+      * _vertex_types rejects a class repeated at a vertex, so the bit
+        count always matches;
+      * g depends only on S, and the first leaf with S has every type in
+        S at some vertex and passed the check, so every type in S is a
+        vertex boundary of g;
+      * so any later leaf with the same S would pass too.
+
+    The first leaf of a class is the first leaf of a new type set, so
+    every kept witness was checked.
 
     The tk2_realizable flag says whether the guest is coloured by t
     parallel edges on two vertices, i.e. is t-regular and t-edge-colourable.
@@ -216,7 +238,7 @@ def enumerate_splitted_images(
     classes a t-edge-colouring of a t-regular guest, and conversely in a
     connected guest whose classes each lie in one type, adjacent vertices
     share their type.  The flag is read after the search off the type sets
-    cached per leaf, so a complete atlas decides it, and an incomplete one
+    seen at the leaves, so a complete atlas decides it, and an incomplete one
     gives True if such a leaf was reached and None if not.  The star image
     still appears as a regular entry.
     """
@@ -232,8 +254,8 @@ def enumerate_splitted_images(
     cls = [-1] * m
     at = [0] * n  # class mask of the assigned edges at each vertex
     found: dict[bytes, AtlasEntry] = {}
-    # distinct types of a leaf -> (image graph, canonical form)
-    by_types: dict[frozenset[int], tuple[Multigraph, bytes]] = {}
+    # distinct types of a leaf -> the class entry of its image
+    by_types: dict[frozenset[int], AtlasEntry] = {}
     # labelled image (order, sorted edges) -> canonical form, for this call
     forms: dict[tuple[int, tuple[tuple[int, int], ...]], bytes] = {}
     nodes = 0
@@ -248,27 +270,22 @@ def enumerate_splitted_images(
                 out |= T
         return out
 
-    def room(u: int, sat: int, done: tuple[int, ...]) -> int:
-        """The classes that can join at[u] without breaking a saturated class."""
-        got = cover(u, done)
-        return got if at[u] & sat else ~sat | got
-
     def record() -> None:
         edge_classes = tuple(cls)
         types = frozenset(_vertex_types(guest, edge_classes, order))
-        image = by_types.get(types)
-        if image is None:
-            g = _image_of_types(types)[0]
-            labelled = (g.n, tuple(sorted(g.edges)))
-            key = forms.get(labelled)
-            if key is None:
-                key = forms[labelled] = canonical_form(g)
-            image = by_types[types] = (g, key)
-        g, key = image
+        entry = by_types.get(types)
+        if entry is not None:
+            entry.multiplicity += 1
+            return
+        g = _image_of_types(types)[0]
+        labelled = (g.n, tuple(sorted(g.edges)))
+        key = forms.get(labelled)
+        if key is None:
+            key = forms[labelled] = canonical_form(g)
         witness = _witness(g, guest, edge_classes)
         entry = found.get(key)
         if entry is None:
-            found[key] = AtlasEntry(
+            entry = found[key] = AtlasEntry(
                 canonical=key,
                 graph=g,
                 multiplicity=1,
@@ -276,6 +293,7 @@ def enumerate_splitted_images(
             )
         else:
             entry.multiplicity += 1
+        by_types[types] = entry
 
     def rec(i: int, next_new: int, done: tuple[int, ...], once: int, sat: int) -> None:
         nonlocal nodes
@@ -289,7 +307,18 @@ def enumerate_splitted_images(
         a, b = edges[eid]
         free = ~(at[a] | at[b]) & ((2 << next_new) - 1)
         if sat:
-            free &= room(a, sat, done) & room(b, sat, done)
+            # cover(a) and cover(b) in one pass over done
+            A, B = at[a], at[b]
+            da, db = deg[a], deg[b]
+            ca = cb = 0
+            for T in done:
+                size = T.bit_count()
+                if size == da and not A & ~T:
+                    ca |= T
+                if size == db and not B & ~T:
+                    cb |= T
+            free &= ((ca if A & sat else ~sat | ca)
+                     & (cb if B & sat else ~sat | cb))
         while free:
             bit = free & -free
             free ^= bit

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -517,6 +518,30 @@ def test_check_colouring_explicit_isolated_and_parallel(host, guest):
             touched = {u for e, h in enumerate(g) if h == bad for u in guest.edges[e]}
             assert touched <= set(expected.vertex_violations), g
             assert check_colouring(c) == expected, g
+
+
+def test_trusted_colouring_matches_the_checked_constructor(monkeypatch):
+    host, guest = s4().graph, petersen().graph
+    f = solve(host, guest).witness.edge_map
+    trusted = _trusted_colouring(host, guest, f)
+    assert type(trusted) is Colouring
+    assert trusted == Colouring(host, guest, f)
+    assert (trusted.host, trusted.guest, trusted.edge_map) == (host, guest, f)
+    # __post_init__ does not run: neither the patched one nor the range check
+    ran = []
+    monkeypatch.setattr(Colouring, "__post_init__", lambda self: ran.append(self))
+    Colouring(host, guest, f)
+    assert len(ran) == 1
+    bad = (host.m,) * guest.m
+    assert _trusted_colouring(host, guest, bad).edge_map == bad
+    assert len(ran) == 1
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        Colouring(host, guest, bad)
+    for name, value in [("host", guest), ("guest", host), ("edge_map", bad)]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(trusted, name, value)
+    assert trusted == Colouring(host, guest, f)
 
 
 def test_check_colouring_explicit_pairs_reach_both_verdicts():

@@ -1,9 +1,15 @@
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hcolour
 from hcolour.canonical import canonical_form, is_isomorphic
 from hcolour.colouring import check_colouring
 from hcolour.images import enumerate_splitted_images, realize_image
@@ -537,21 +543,63 @@ def test_budgeted_atlas_pinned(name):
         assert (atlas.complete, atlas.tk2_realizable, atlas.nodes, got) == pin, limit
 
 
-# -- every leaf is revalidated ------------------------------------------------
+# -- kept witnesses ----------------------------------------------------------
+# sha256 of repr(sorted (canonical, witness.edge_map) pairs) per ATLAS_PINS
+# guest, recorded when every leaf still built and checked its own witness:
+# checking once per type set must keep the same first leaf of each class.
 
-@pytest.mark.parametrize("build, leaves, forms", [
-    (lambda: petersen().graph, 121, 4), (lambda: complete(7).graph, 141, 2),
-    (_heawood, 6995, 67),
+WITNESS_DIGESTS = {
+    "K3,3": "41b53ab78ffa53bf",
+    "Q3": "75d6d84bc28df173",
+    "K6": "ea275124465ed7e7",
+    "Petersen": "c81c28597ce698ca",
+    "K7": "ff0c574f867b2455",
+    "S4": "81bbe93c887c5ef6",
+    "K5-e": "10d340d0b5d5c3e5",
+    "K6-e": "2ccdf5348a580896",
+    "K7-e": "94c4a052b24fdb79",
+    "K1,3+digon": "55527bb613b882fc",
+    "room-size": "88c6a38288004fae",
+    "S10": "26c3b9e58fc7436a",
+    "S12": "514959e8644e8ea7",
+    "S12+1M": "8e5a8ffd2402fe03",
+    "Heawood": "fb7ffbe8853be5eb",
+}
+
+
+@pytest.mark.parametrize("name", list(ATLAS_PINS))
+def test_atlas_witnesses_pinned(name):
+    atlas = enumerate_splitted_images(ATLAS_PINS[name][0]())
+    pairs = sorted((e.canonical, e.witness.edge_map) for e in atlas.entries)
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == WITNESS_DIGESTS[name]
+    for e in atlas.entries:
+        assert e.witness.host is e.graph and check_colouring(e.witness).ok
+
+
+# -- revalidation once per type set ------------------------------------------
+
+@pytest.mark.parametrize("build, leaves, type_sets, forms", [
+    (lambda: petersen().graph, 121, 10, 4),
+    (lambda: complete(7).graph, 141, 11, 2),
+    (_heawood, 6995, 308, 67),
 ], ids=["Petersen", "K7", "Heawood"])
-def test_every_leaf_is_revalidated(monkeypatch, build, leaves, forms):
-    """The image of a set of vertex types is built once, but each leaf's
-    witness still goes through check_colouring, and the canonical form is
+def test_revalidation_once_per_type_set(monkeypatch, build, leaves, type_sets, forms):
+    """Every leaf's labelling is rechecked by _vertex_types, but a witness
+    goes through check_colouring only at the first leaf of each distinct
+    type set, every kept witness among them, and the canonical form is
     taken once per distinct labelled image, its edge multiset (Heawood's
     308 type sets build 67 of them)."""
     import hcolour.images as images
 
+    seen_types = []
     checked = []
     canonical_calls = []
+    real_types = images._vertex_types
+
+    def counting_types(guest, edge_classes, edge_order):
+        at = real_types(guest, edge_classes, edge_order)
+        seen_types.append(frozenset(at))
+        return at
 
     def counting_check(c):
         checked.append(c)
@@ -561,12 +609,69 @@ def test_every_leaf_is_revalidated(monkeypatch, build, leaves, forms):
         canonical_calls.append(g)
         return canonical_form(g)
 
+    monkeypatch.setattr(images, "_vertex_types", counting_types)
     monkeypatch.setattr(images, "check_colouring", counting_check)
     monkeypatch.setattr(images, "canonical_form", counting_canonical)
     atlas = enumerate_splitted_images(build())
     assert atlas.complete
     assert sum(e.multiplicity for e in atlas.entries) == leaves
-    assert len(checked) == leaves
-    assert len({c.edge_map for c in checked}) == leaves
+    assert len(seen_types) == leaves
+    assert len(set(seen_types)) == len(checked) == type_sets
+    # one check per type set, at its first leaf
+    firsts = list(dict.fromkeys(seen_types))
+    assert [_types_of(c) for c in checked] == firsts
+    assert {id(e.witness) for e in atlas.entries} <= {id(c) for c in checked}
     labelled = {(c.host.n, tuple(sorted(c.host.edges))) for c in checked}
     assert len(canonical_calls) == len(labelled) == forms
+
+
+def _types_of(c) -> frozenset[int]:
+    """The class masks at the guest's vertices under a witness colouring."""
+    at = [0] * c.guest.n
+    for e, (a, b) in enumerate(c.guest.edges):
+        at[a] |= 1 << c.edge_map[e]
+        at[b] |= 1 << c.edge_map[e]
+    return frozenset(at)
+
+
+_REWIRED_IMAGE_SCRIPT = textwrap.dedent("""
+    from hcolour import images
+    from hcolour.multigraph import Multigraph
+    from hcolour.named import petersen
+
+    try:
+        assert False
+    except AssertionError:
+        raise SystemExit("asserts are active; run under python -O")
+
+    real = images._image_of_types
+
+    def rewired(types):
+        # class 0's edge loses its second endpoint to another vertex, so the
+        # guest vertices holding class 0 match no boundary of the image
+        g, used, pendant = real(types)
+        edges = list(g.edges)
+        a, b = edges[0]
+        edges[0] = (a, min(set(range(g.n)) - {a, b}))
+        return Multigraph(g.n, edges), used, pendant
+
+    images._image_of_types = rewired
+    try:
+        images.enumerate_splitted_images(petersen().graph)
+    except RuntimeError as exc:
+        print("raised:", exc)
+    else:
+        print("accepted a rewired image")
+""")
+
+
+def test_rewired_image_raises_under_python_O():
+    src = Path(hcolour.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-O", "-B", "-c", _REWIRED_IMAGE_SCRIPT],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("raised: realized partition failed to revalidate"), \
+        out.stdout
