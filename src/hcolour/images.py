@@ -274,26 +274,23 @@ def enumerate_splitted_images(
         edge_classes = tuple(cls)
         types = frozenset(_vertex_types(guest, edge_classes, order))
         entry = by_types.get(types)
-        if entry is not None:
-            entry.multiplicity += 1
-            return
-        g = _image_of_types(types)[0]
-        labelled = (g.n, tuple(sorted(g.edges)))
-        key = forms.get(labelled)
-        if key is None:
-            key = forms[labelled] = canonical_form(g)
-        witness = _witness(g, guest, edge_classes)
-        entry = found.get(key)
         if entry is None:
-            entry = found[key] = AtlasEntry(
-                canonical=key,
-                graph=g,
-                multiplicity=1,
-                witness=witness,
-            )
-        else:
-            entry.multiplicity += 1
-        by_types[types] = entry
+            g = _image_of_types(types)[0]
+            labelled = (g.n, tuple(sorted(g.edges)))
+            key = forms.get(labelled)
+            if key is None:
+                key = forms[labelled] = canonical_form(g)
+            witness = _witness(g, guest, edge_classes)
+            entry = found.get(key)
+            if entry is None:
+                entry = found[key] = AtlasEntry(
+                    canonical=key,
+                    graph=g,
+                    multiplicity=0,
+                    witness=witness,
+                )
+            by_types[types] = entry
+        entry.multiplicity += 1
 
     def rec(i: int, next_new: int, done: tuple[int, ...], once: int, sat: int) -> None:
         nonlocal nodes

@@ -571,7 +571,8 @@ WITNESS_DIGESTS = {
 def test_atlas_witnesses_pinned(name):
     atlas = enumerate_splitted_images(ATLAS_PINS[name][0]())
     pairs = sorted((e.canonical, e.witness.edge_map) for e in atlas.entries)
-    assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:16] == WITNESS_DIGESTS[name]
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()[:16]
+    assert digest == WITNESS_DIGESTS[name]
     for e in atlas.entries:
         assert e.witness.host is e.graph and check_colouring(e.witness).ok
 
