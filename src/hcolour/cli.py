@@ -216,8 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     # the searching subcommands, solve, images and corpus, share --node-limit
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--node-limit", type=_node_budget, default=DEFAULT_NODE_BUDGET,
-                        help="nodes a search may visit before it answers unknown "
-                        "(default: %(default)s)")
+                        help="search-tree nodes a search may count before it "
+                        "answers unknown; a subtree the solver skips counts in "
+                        "full (default: %(default)s)")
 
     s = sub.add_parser("solve", parents=[budget], help="decide host ≺ guest")
     s.add_argument("--host", required=True)

@@ -36,7 +36,7 @@ from .canonical import canonical_form
 from .colouring import Colouring, ImageGraph, _trusted_colouring, check_colouring
 from .multigraph import Multigraph
 from .solver import _assignment_sequence
-from .structure import DEFAULT_NODE_BUDGET, _check_node_limit, _LimitExceeded, bits
+from .structure import DEFAULT_NODE_BUDGET, _check_node_limit, bits
 
 
 def realize_image(
@@ -44,10 +44,10 @@ def realize_image(
 ) -> ImageGraph:
     """The splitted image realized by a complete class labelling, with witness.
 
-    edge_classes[e] is the class of guest edge e.  _vertex_types checks the
-    labelling and gives each vertex type as a class mask; _image_of_types
-    builds the image from the set of distinct types.  Every failed check
-    raises ValueError.
+    edge_classes[e] is the class of guest edge e.  _check_edge_order and
+    _vertex_types check the labelling, the latter giving each vertex type as
+    a class mask; _image_of_types builds the image from the set of distinct
+    types.  Every failed check raises ValueError.
 
     Used vertices are the distinct types, ordered by their sorted class
     lists; each class becomes one edge between the types containing it,
@@ -55,6 +55,7 @@ def realize_image(
     colouring maps each guest edge to the edge of its class; it is
     revalidated by check_colouring and a failure raises RuntimeError.
     """
+    _check_edge_order(guest, edge_order)
     types = frozenset(_vertex_types(guest, edge_classes, edge_order))
     graph, used, pendant = _image_of_types(types)
     return ImageGraph(
@@ -66,25 +67,24 @@ def realize_image(
     )
 
 
+def _check_edge_order(guest: Multigraph, edge_order: tuple[int, ...]) -> None:
+    """Raise ValueError unless edge_order is a permutation of the edge ids."""
+    if sorted(edge_order) != list(range(guest.m)):
+        raise ValueError("edge_order must be a permutation of the edge ids")
+
+
 def _vertex_types(guest: Multigraph, edge_classes: tuple[int, ...],
                   edge_order: tuple[int, ...]) -> list[int]:
     """The class mask of each guest vertex, from one pass along edge_order
-    that checks it is a permutation of the edge ids, that class ids appear
-    in restricted-growth order and that adjacent edges lie in distinct
-    classes; each failure raises ValueError."""
-    m = guest.m
-    if len(edge_classes) != m:
+    (checked by the caller, once for all of an atlas's leaves) that checks
+    that class ids appear in restricted-growth order and that adjacent edges
+    lie in distinct classes; each failure raises ValueError."""
+    if len(edge_classes) != guest.m:
         raise ValueError("partition must label every guest edge")
-    if len(edge_order) != m:
-        raise ValueError("edge_order must be a permutation of the edge ids")
     edges = guest.edges
     at = [0] * guest.n
-    placed = bytearray(m)
     k = 0  # classes seen so far along edge_order
     for e in edge_order:
-        if not 0 <= e < m or placed[e]:
-            raise ValueError("edge_order must be a permutation of the edge ids")
-        placed[e] = 1
         c = edge_classes[e]
         if not 0 <= c <= k:
             raise ValueError("class ids must appear in restricted-growth order")
@@ -182,8 +182,9 @@ def enumerate_splitted_images(
     of a class, never the leaves.  at[u] is the class mask of the assigned
     edges at guest vertex u; the free classes at an edge are those on
     neither endpoint, tried lowest first.  Multiplicity counts labelled
-    partitions.  Past node_limit nodes the search stops, as the solver's
-    does, and the atlas is incomplete with the classes found so far.
+    partitions.  Past node_limit nodes the search stops at node_limit + 1,
+    as the solver's does, and the atlas is incomplete with the classes
+    found so far: complete is nodes <= node_limit.
 
     A class is saturated once it occurs in two completed types.  Any vertex
     holding a saturated class must end with one of those two types, or the
@@ -248,6 +249,7 @@ def enumerate_splitted_images(
     atlas = ImageAtlas(guest=guest)
 
     order = tuple(_assignment_sequence(guest))
+    _check_edge_order(guest, order)
     edges = guest.edges
     deg = guest.degrees()
     n, m = guest.n, guest.m
@@ -292,14 +294,14 @@ def enumerate_splitted_images(
             by_types[types] = entry
         entry.multiplicity += 1
 
-    def rec(i: int, next_new: int, done: tuple[int, ...], once: int, sat: int) -> None:
+    def rec(i: int, next_new: int, done: tuple[int, ...], once: int, sat: int) -> bool:
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
-            raise _LimitExceeded
+            return True  # stop the search
         if i == m:
             record()
-            return
+            return False
         eid = order[i]
         a, b = edges[eid]
         free = ~(at[a] | at[b]) & ((2 << next_new) - 1)
@@ -335,24 +337,22 @@ def enumerate_splitted_images(
             else:
                 # every open vertex holding a newly saturated class has room
                 newly = s2 & ~sat
-                if not newly or all(
+                if (not newly or all(
                     cover(v, d2) for v in range(n)
                     if at[v] & newly and at[v].bit_count() < deg[v]
-                ):
-                    rec(i + 1, next_new + 1 if c == next_new else next_new,
-                        d2, o2, s2)
+                )) and rec(i + 1, next_new + 1 if c == next_new else next_new,
+                           d2, o2, s2):
+                    return True
             at[a] ^= bit
             at[b] ^= bit
+        return False
 
-    try:
-        rec(0, 0, (), 0, 0)
-    except _LimitExceeded:
-        atlas.complete = False
-    finally:
-        # rec reaches itself through its closure; unbinding it frees the
-        # search state now instead of at the next full garbage collection
-        del rec
+    rec(0, 0, (), 0, 0)
+    # rec reaches itself through its closure; unbinding it frees the search
+    # state now instead of at the next full garbage collection
+    del rec
     atlas.nodes = nodes
+    atlas.complete = nodes <= node_limit
     atlas.tk2_realizable = (any(len(types) == 1 for types in by_types)
                             or (False if atlas.complete else None))
     atlas.entries = sorted(

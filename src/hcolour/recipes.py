@@ -43,7 +43,6 @@ from .structure import (
     DEFAULT_NODE_BUDGET,
     _check_node_limit,
     _edge_colouring,
-    _LimitExceeded,
     enumerate_matchings,
     has_perfect_matching,
     has_two_disjoint_perfect_matchings,
@@ -435,7 +434,8 @@ def _corpus_entry(job: tuple) -> CheckResult:
     it on G itself, and UNSAT, which only the solver reports, fails.  A hit
     node limit, or an exception in either search (named in "error", so one
     entry cannot abort the batch), is "unknown".  nodes is the total over
-    both searches.
+    both searches: the solver gets what the edge colouring left of
+    node_limit, so a spent budget reads node_limit + 1 on either route.
     """
     index, lineno, G, host, host_name, node_limit, star = job
     name = f"entry-{index}"
@@ -459,14 +459,14 @@ def _corpus_entry(job: tuple) -> CheckResult:
         if colours is not None:
             status = "sat"
             edge_map = tuple(star[c][0] for c in colours)
+        elif nodes > node_limit:  # the edge colouring spent the budget
+            status, edge_map = "unknown", None
         else:
             details["route"] = "solver"
             r = solve(host, G, node_limit=node_limit - nodes)
             nodes += r.nodes
             status = r.status
             edge_map = None if r.witness is None else r.witness.edge_map
-    except _LimitExceeded:  # raised at node node_limit + 1
-        return _check(name, "unknown", node_limit + 1, expect="sat", **details)
     except Exception as exc:
         return _check(name, "unknown", nodes, expect="sat",
                       error=f"{type(exc).__name__}: {exc}", **details)

@@ -38,7 +38,8 @@ vertices fix the shape of a node's subtree.  When a subtree ends without a
 colouring, its number of nodes is stored under that key; a child whose key
 is stored is not searched, and the stored number is added to nodes.  A
 stored number that takes nodes past node_limit stops the search at
-node_limit + 1, as the plain search would: the subtree holds no colouring.
+node_limit + 1, as the plain search would (the subtree holds no colouring),
+so a search that ran out always reports nodes == node_limit + 1.
 So the colourings, their order, the witness and nodes are those of the
 search without the table.  A child without candidates is one node, counted
 in its parent's loop.  The table holds at most _DEAD_STATES entries and is
@@ -79,8 +80,7 @@ from typing import Callable, Literal, Optional
 
 from .colouring import Colouring, _trusted_colouring, check_colouring
 from .multigraph import Multigraph
-from .structure import (DEFAULT_NODE_BUDGET, _check_node_limit, _LimitExceeded,
-                        chromatic_index)
+from .structure import DEFAULT_NODE_BUDGET, _check_node_limit, chromatic_index
 
 Status = Literal["sat", "unsat", "unknown"]
 
@@ -102,7 +102,8 @@ class SolveResult:
     of the colouring-free subtrees that the dead-state table skipped as
     well (see the module docstring), so it is the size of the search tree,
     with or without the table.  skipped is the part of nodes in those
-    subtrees: nodes - skipped nodes were visited.
+    subtrees: nodes - skipped nodes were visited.  A search that ran out
+    of budget has status "unknown" and nodes == node_limit + 1.
     prunes is always 0: no branch can empty a domain (see the module
     docstring); the field stays for callers that report it.
     """
@@ -125,8 +126,8 @@ def solve(
     """Decide host ≺ guest; with mode="count", count all labelled colourings.
 
     Sound and complete: every colouring found revalidates, and "unsat" is
-    only reported after exhaustive search.  Hitting the node limit gives
-    status "unknown", never "unsat".
+    only reported after exhaustive search.  Past node_limit nodes the
+    search stops at node_limit + 1 with status "unknown", never "unsat".
 
     mode="first" stops at the first colouring; either mode keeps only that
     one, as res.witness.  visit, when given, is called with each colouring
@@ -190,8 +191,8 @@ def solve(
 
     def rec(depth: int, cand: int, key) -> bool:
         """Search the subtree of a counted node at depth < m, given its
-        candidates (nonzero) and its dead-state key.  Returns True to abort
-        (mode="first" after a hit)."""
+        candidates (nonzero) and its dead-state key.  Returns True to stop
+        (mode="first" after a hit, or nodes past node_limit)."""
         nonlocal nodes, skipped, low
         pos = depth
         a, b = pairs[depth]
@@ -203,7 +204,7 @@ def solve(
                 assignment[pos] = bit.bit_length() - 1
                 nodes += 1
                 if nodes > node_limit:
-                    raise _LimitExceeded
+                    return True
                 record(tuple(assignment), low)
                 low = pos
                 if mode == "first":
@@ -235,11 +236,11 @@ def solve(
                     if nodes > node_limit:  # where the plain search would stop
                         skipped -= nodes - node_limit - 1
                         nodes = node_limit + 1
-                        raise _LimitExceeded
+                        return True
                     continue
             nodes += 1  # the child, a whole subtree when it has no candidates
             if nodes > node_limit:
-                raise _LimitExceeded
+                return True
             if below and rec(depth, below, child):
                 return True
         domain[a], domain[b] = dom_a, dom_b
@@ -251,26 +252,21 @@ def solve(
         return False
 
     nodes = 1  # the root
-    try:
-        if nodes > node_limit:
-            raise _LimitExceeded
-        if m == 0:
-            record((), 0)
-        else:
-            a, b = pairs[0]
-            cand = pool_of[domain[a]] & pool_of[domain[b]]
-            if cand:
-                rec(0, cand, cut_keys[0](used))
-    except _LimitExceeded:
-        res.status = "unknown"
-        return res
-    finally:
-        res.nodes, res.skipped = nodes, skipped
-        # rec reaches itself through its closure, and through record the
-        # result; unbinding it frees the search state now instead of at the
-        # next full garbage collection
-        del rec
-    res.status = "sat" if res.count else "unsat"
+    if nodes > node_limit:
+        pass  # the root alone spent the budget
+    elif m == 0:
+        record((), 0)
+    else:
+        a, b = pairs[0]
+        cand = pool_of[domain[a]] & pool_of[domain[b]]
+        if cand:
+            rec(0, cand, cut_keys[0](used))
+    # rec reaches itself through its closure, and through record the result;
+    # unbinding it frees the search state now instead of at the next full
+    # garbage collection
+    del rec
+    res.nodes, res.skipped = nodes, skipped
+    res.status = "unknown" if nodes > node_limit else "sat" if res.count else "unsat"
     return res
 
 

@@ -7,11 +7,10 @@ from typing import Iterator, Optional
 from .multigraph import Multigraph
 
 CHROMATIC_INDEX_EDGE_GUARD = 64
-DEFAULT_NODE_BUDGET = 10**8  # the node_limit of every budgeted search
-
-
-class _LimitExceeded(Exception):
-    """A search passed its node_limit; every budgeted search raises it."""
+# The node_limit of every budgeted search.  It bounds search-tree nodes, the
+# root and the leaves included, a subtree the solver skips counting in full.
+# A search ran out iff it reports nodes > node_limit, and then node_limit + 1.
+DEFAULT_NODE_BUDGET = 10**8
 
 
 def _check_node_limit(node_limit: int) -> None:
@@ -196,9 +195,10 @@ def edge_colouring(G: Multigraph, k: int) -> Optional[list[int]]:
 def _edge_colouring(G: Multigraph, k: int,
                     node_limit: int) -> tuple[Optional[list[int]], int]:
     """edge_colouring and the number of search nodes it took, the root and
-    the leaves included.  Past node_limit nodes the search raises
-    _LimitExceeded, as the solver's does, instead of returning None; the
-    corpus runner budgets its 3-edge-colourings this way.
+    the leaves included.  Past node_limit nodes the search stops, as the
+    solver's does, and returns (None, node_limit + 1), which the count
+    tells from "no colouring"; the corpus runner budgets its
+    3-edge-colourings this way.
 
     Each node receives its state by value: at[v], the colour mask of v's
     coloured edges (each child gets its own copy, so nothing is undone on
@@ -219,7 +219,7 @@ def _edge_colouring(G: Multigraph, k: int,
         nonlocal nodes
         nodes += 1
         if nodes > node_limit:
-            raise _LimitExceeded
+            return True  # stop: nodes > node_limit marks a spent budget
         if i == m:
             return True
         a, b = edges[i]
@@ -235,12 +235,10 @@ def _edge_colouring(G: Multigraph, k: int,
                 return True
         return False
 
-    try:
-        found = rec(0, [0] * G.n, 0)
-    finally:
-        # rec reaches itself through its closure; unbinding it frees the
-        # search state now instead of at the next full garbage collection
-        del rec
+    found = rec(0, [0] * G.n, 0) and nodes <= node_limit
+    # rec reaches itself through its closure; unbinding it frees the search
+    # state now instead of at the next full garbage collection
+    del rec
     return (colour if found else None), nodes
 
 

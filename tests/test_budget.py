@@ -4,14 +4,18 @@ import argparse
 import inspect
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcolour import recipes
 from hcolour.cli import build_parser, main
 from hcolour.images import enumerate_splitted_images
-from hcolour.named import complete, petersen, s4
+from hcolour.named import complete, petersen, s4, s12_plus_km
 from hcolour.recipes import run_corpus, run_recipe
 from hcolour.solver import DEFAULT_NODE_BUDGET, solve
 from hcolour.structure import _edge_colouring
+from test_images import small_connected_multigraphs
+from test_solver import regular_pairs, tiny_multigraphs
 
 
 def test_the_budget_is_ten_to_the_eighth():
@@ -116,3 +120,55 @@ def test_a_node_limit_option_of_minus_one_is_a_parse_error(argv, capsys):
     assert err.splitlines()[-1].endswith(
         "error: argument --node-limit: must be a non-negative integer, got '-1'")
     assert "Traceback" not in err
+
+
+def test_the_budget_bounds_tree_nodes_with_skipped_subtrees_in_full():
+    # the S12+1M self-count stops at node 100,001 of its search tree having
+    # visited 18,660 nodes: the dead-state table skipped the other 81,341
+    g = s12_plus_km(1).graph
+    res = solve(g, g, mode="count", node_limit=100_000)
+    assert res.status == "unknown"
+    assert (res.nodes, res.nodes - res.skipped, res.skipped) == (100_001, 18_660, 81_341)
+
+
+# -- the stop rule: a search ran out iff nodes > node_limit, and then
+# nodes == node_limit + 1; at any limit it reaches, it is the full search --
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(regular_pairs(), st.tuples(tiny_multigraphs(4), tiny_multigraphs(5))),
+       st.sampled_from(["first", "count"]), st.data())
+def test_solve_runs_out_iff_the_limit_is_below_the_full_search(pair, mode, data):
+    host, guest = pair
+    full = solve(host, guest, mode=mode)
+    limit = data.draw(st.integers(0, full.nodes), label="node_limit")
+    res = solve(host, guest, mode=mode, node_limit=limit)
+    if limit < full.nodes:
+        assert (res.status, res.nodes) == ("unknown", limit + 1)
+    else:
+        assert res == full
+
+
+def _atlas_summary(atlas):
+    return (atlas.complete, atlas.nodes, atlas.tk2_realizable,
+            [(e.canonical, e.multiplicity, e.witness.edge_map) for e in atlas.entries])
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_connected_multigraphs(), st.data())
+def test_an_atlas_is_complete_iff_the_limit_covers_the_full_search(guest, data):
+    full = enumerate_splitted_images(guest)
+    limit = data.draw(st.integers(0, full.nodes), label="node_limit")
+    atlas = enumerate_splitted_images(guest, node_limit=limit)
+    if limit < full.nodes:
+        assert (atlas.complete, atlas.nodes) == (False, limit + 1)
+    else:
+        assert _atlas_summary(atlas) == _atlas_summary(full)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_multigraphs(7), st.data())
+def test_edge_colouring_runs_out_iff_the_limit_is_below_the_full_search(G, data):
+    full = _edge_colouring(G, 3, DEFAULT_NODE_BUDGET)
+    limit = data.draw(st.integers(0, full[1]), label="node_limit")
+    got = _edge_colouring(G, 3, limit)
+    assert got == ((None, limit + 1) if limit < full[1] else full)

@@ -24,7 +24,6 @@ from hcolour.oracles import is_matching, spanning_regular_check
 from hcolour.solver import solve
 from hcolour.structure import (
     _edge_colouring,
-    _LimitExceeded,
     chromatic_index,
     edge_colouring,
     enumerate_matchings,
@@ -142,17 +141,15 @@ def test_edge_colouring_matches_the_product_order_oracle(G, k):
 
 
 @pytest.mark.parametrize("k", [3, 4])
-def test_edge_colouring_runs_out_instead_of_returning_none(k):
+def test_edge_colouring_stops_at_node_limit_plus_one(k):
     P = petersen().graph  # no 3-edge-colouring, a 4-edge-colouring
     found, nodes = _edge_colouring(P, k, 10**8)
     assert (found is None) == (k == 3)
     assert edge_colouring(P, k) == found
     assert _edge_colouring(P, k, nodes) == (found, nodes)
     for limit in (0, nodes - 1):
-        with pytest.raises(_LimitExceeded):
-            _edge_colouring(P, k, limit)
-    with pytest.raises(_LimitExceeded):
-        _edge_colouring(Multigraph(1, []), k, 0)  # the root is a node
+        assert _edge_colouring(P, k, limit) == (None, limit + 1)
+    assert _edge_colouring(Multigraph(1, []), k, 0) == (None, 1)  # the root is a node
 
 
 def test_chromatic_index_values():
